@@ -92,10 +92,6 @@ def divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def _multiplicative_order_is(g: int, m: int, order: int, order_f: Factorization) -> bool:
     """True iff g has full multiplicative order `order` modulo m.
 

@@ -1,12 +1,15 @@
 """On-disk cache for character tables and L-value vectors.
 
-Character tables are stored as .npz archives of the integer exponent
-matrices: the representation is exact, so a cache hit is bit-identical to a
-rebuild.  L-value vectors are stored as JSON with the real and imaginary
-parts printed to 17 significant digits, which round-trips IEEE doubles
-exactly.  Every entry carries a format version; a version mismatch is a
-cache miss, and an unreadable entry is deleted with a warning and
-recomputed by the caller.
+Both entry kinds are .npz archives with a JSON meta record: character
+tables hold the integer exponent matrices, L-value vectors the complex128
+values.  Both representations are exact, so a cache hit is bit-identical to
+a recomputation.  Every entry carries a format version and its key; a
+version or key mismatch is a cache miss, and an entry that cannot be opened
+or decoded is deleted with a warning and recomputed by the caller.
+
+load_table is the one way the package obtains a character table when a
+cache may be in use: every CLI subcommand that takes --cache/--cache-dir
+and every mean-value statistic goes through it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import CharacterTable, GroupComponent
+from .chars import CharacterTable, GroupComponent, get_table
 
 log = logging.getLogger("lfunlab")
 
@@ -48,6 +51,30 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _decode_table(meta: dict, archive) -> CharacterTable:
+    q, phi = meta["q"], meta["phi"]
+    exps = np.array(archive["value_exponents"], dtype=np.int32)
+    if exps.shape != (phi, q):
+        raise ValueError(f"shape {exps.shape}")
+    return CharacterTable(
+        q=q,
+        phi=phi,
+        exponent=meta["exponent"],
+        components=tuple(
+            GroupComponent(pk, tuple(gens), tuple(orders)) for pk, gens, orders in meta["components"]
+        ),
+        value_exponents=exps,
+        conjugate_map=np.array(archive["conjugate_map"], dtype=np.int64),
+    )
+
+
+def _decode_lvec(meta: dict, archive) -> np.ndarray:
+    vec = np.array(archive["values"], dtype=np.complex128)
+    if vec.shape != (meta["length"],):
+        raise ValueError(f"length {vec.shape} != {meta['length']}")
+    return vec
+
+
 @dataclass(frozen=True)
 class ReportCache:
     """Handle on one cache directory; safe to construct per worker process."""
@@ -58,20 +85,44 @@ class ReportCache:
         return os.path.join(self.directory, f"table_q{q}.npz")
 
     def _lvec_path(self, q: int, a_num: int, a_den: int, method: str) -> str:
-        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}_{method}.json")
+        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}_{method}.npz")
 
-    def _discard(self, path: str, reason: Exception) -> None:
-        log.warning("discarding corrupt cache entry %s (%s)", path, reason)
+    def _write(self, path: str, meta: dict, **arrays: np.ndarray) -> None:
+        """Store arrays plus a JSON meta record (with the format version) as .npz."""
+        record = json.dumps({"version": CACHE_VERSION, **meta}).encode()
+        buf = io.BytesIO()
+        np.savez(buf, meta=np.frombuffer(record, dtype=np.uint8), **arrays)
+        _atomic_write(path, buf.getvalue())
+
+    def _read(self, path: str, key: dict, decode):
+        """decode(meta, archive) for the entry at path, or None.
+
+        A missing entry, another format version or meta fields that differ
+        from key are a silent miss.  Any failure to open or decode the entry
+        discards it with a warning.
+        """
+        if not os.path.exists(path):
+            return None
         try:
-            os.unlink(path)
-        except OSError:
-            pass
+            with np.load(path, allow_pickle=False) as archive:
+                meta = json.loads(bytes(archive["meta"]).decode())
+                if meta.get("version") != CACHE_VERSION:
+                    return None
+                if any(meta.get(field) != value for field, value in key.items()):
+                    return None
+                return decode(meta, archive)
+        except Exception as exc:
+            log.warning("discarding corrupt cache entry %s (%s)", path, exc)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None
 
     # -- character tables ---------------------------------------------------
 
     def put_table(self, table: CharacterTable) -> None:
         meta = {
-            "version": CACHE_VERSION,
             "q": table.q,
             "phi": table.phi,
             "exponent": table.exponent,
@@ -79,85 +130,26 @@ class ReportCache:
                 [c.prime_power, list(c.generators), list(c.orders)] for c in table.components
             ],
         }
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        self._write(
+            self._table_path(table.q),
+            meta,
             value_exponents=table.value_exponents,
             conjugate_map=table.conjugate_map,
         )
-        _atomic_write(self._table_path(table.q), buf.getvalue())
 
     def get_table(self, q: int) -> CharacterTable | None:
-        path = self._table_path(q)
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                if meta.get("version") != CACHE_VERSION or meta.get("q") != q:
-                    return None
-                exps = np.array(archive["value_exponents"], dtype=np.int32)
-                conj = np.array(archive["conjugate_map"], dtype=np.int64)
-        except Exception as exc:
-            self._discard(path, exc)
-            return None
-        if exps.shape != (meta["phi"], q):
-            self._discard(path, ValueError(f"shape {exps.shape}"))
-            return None
-        components = tuple(
-            GroupComponent(pk, tuple(gens), tuple(orders))
-            for pk, gens, orders in meta["components"]
-        )
-        return CharacterTable(
-            q=q,
-            phi=meta["phi"],
-            exponent=meta["exponent"],
-            components=components,
-            value_exponents=exps,
-            conjugate_map=conj,
-        )
+        return self._read(self._table_path(q), {"q": q}, _decode_table)
 
     # -- L-value vectors ----------------------------------------------------
 
     def put_lvec(self, q: int, a_num: int, a_den: int, method: str, vec: np.ndarray) -> None:
-        record = {
-            "version": CACHE_VERSION,
-            "q": q,
-            "a_num": a_num,
-            "a_den": a_den,
-            "method": method,
-            "re": [format(float(v.real), ".17g") for v in vec],
-            "im": [format(float(v.imag), ".17g") for v in vec],
-        }
-        payload = json.dumps(record).encode()
-        _atomic_write(self._lvec_path(q, a_num, a_den, method), payload)
+        meta = {"q": q, "a_num": a_num, "a_den": a_den, "method": method, "length": len(vec)}
+        self._write(self._lvec_path(q, a_num, a_den, method), meta,
+                    values=np.asarray(vec, dtype=np.complex128))
 
     def get_lvec(self, q: int, a_num: int, a_den: int, method: str) -> np.ndarray | None:
-        path = self._lvec_path(q, a_num, a_den, method)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "rb") as handle:
-                record = json.loads(handle.read().decode())
-            if record.get("version") != CACHE_VERSION:
-                return None
-            if (record.get("q"), record.get("a_num"), record.get("a_den"), record.get("method")) != (
-                q,
-                a_num,
-                a_den,
-                method,
-            ):
-                return None
-            re = np.array([float(s) for s in record["re"]])
-            im = np.array([float(s) for s in record["im"]])
-        except Exception as exc:
-            self._discard(path, exc)
-            return None
-        if re.shape != im.shape:
-            self._discard(path, ValueError("length mismatch"))
-            return None
-        return re + 1j * im
+        key = {"q": q, "a_num": a_num, "a_den": a_den, "method": method}
+        return self._read(self._lvec_path(q, a_num, a_den, method), key, _decode_lvec)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -179,3 +171,15 @@ class ReportCache:
             except OSError:
                 pass
         return removed
+
+
+def load_table(q: int, cache: ReportCache | None) -> CharacterTable:
+    """The character table mod q: read from the cache when it holds one,
+    else built (through the in-process memo) and stored."""
+    if cache is None:
+        return get_table(q)
+    t = cache.get_table(q)
+    if t is None:
+        t = get_table(q)
+        cache.put_table(t)
+    return t

@@ -25,12 +25,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import lfun, meanval
 from .arith import euler_phi, factorize, is_prime
-from .cache import ReportCache, default_cache_dir
-from .chars import get_table, orthogonality_defect, nonprincipal_period_sum_defect
+from .cache import ReportCache, default_cache_dir, load_table
+from .chars import orthogonality_defect, nonprincipal_period_sum_defect
 from .expsum import Polynomial, complete_sum, lemma2_defect, lemma3_report, weighted_char_sum_all
 from .meanval import MeanValueReport, ResidualSeries, build_report, cross_terms, residual_sweep
 from .specfun import ShiftParam
@@ -51,52 +52,28 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one evaluation plan."""
-
-    subcommand: str
-    q: int | None = None
-    moduli: tuple[int, ...] | None = None
-    a: ShiftParam | None = None
-    k: int | None = None
-    f: Polynomial | None = None
-    degree: int | None = None
-    method: str = "closed_direct"
-    n_terms: int | None = None
-    target: str | None = None
-    char_index: int | None = None
-    out: str | None = None
-    cache_dir: str | None = None
-    jobs: int = 1
-    seed: int | None = None
-    clear: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 
-def _sig15(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".15g")
-
-
 def _report_row(r: MeanValueReport) -> dict:
-    return {
-        "target": r.target,
-        "q": r.q,
+    """The report's cells keyed by CSV_COLUMNS; every column not derived
+    here is the report attribute of the same name."""
+    derived = {
         "a_num": r.a.numerator,
         "a_den": r.a.denominator,
-        "k": r.k,
         "lhs_re": r.lhs.real,
         "lhs_im": r.lhs.imag,
-        "paper_main": r.paper_main,
-        "oracle_main": r.oracle_main,
-        "residual": r.residual,
-        "normalized_residual": r.normalized_residual,
-        "route_agreement": r.route_agreement,
     }
+    return {c: derived[c] if c in derived else getattr(r, c) for c in CSV_COLUMNS}
+
+
+def _csv_cell(value) -> str:
+    """Empty for an inapplicable cell, 15 significant digits for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".15g")
+    return str(value)
 
 
 def render_csv(reports) -> str:
@@ -106,22 +83,7 @@ def render_csv(reports) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in reports:
         row = _report_row(r)
-        writer.writerow(
-            [
-                row["target"],
-                row["q"],
-                row["a_num"],
-                row["a_den"],
-                "" if row["k"] is None else row["k"],
-                _sig15(row["lhs_re"]),
-                _sig15(row["lhs_im"]),
-                _sig15(row["paper_main"]),
-                _sig15(row["oracle_main"]),
-                _sig15(row["residual"]),
-                _sig15(row["normalized_residual"]),
-                _sig15(row["route_agreement"]),
-            ]
-        )
+        writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -245,37 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    f = Polynomial.parse(ns.f) if getattr(ns, "f", None) else None
-    a = ShiftParam.of(ns.a) if getattr(ns, "a", None) is not None else None
-    moduli = None
+def _normalize(ns: argparse.Namespace) -> None:
+    """Parse the text-valued flags in place and fold --p into q."""
+    if hasattr(ns, "f"):
+        ns.f = Polynomial.parse(ns.f) if ns.f else None
+    if hasattr(ns, "a"):
+        ns.a = ShiftParam.of(ns.a)
+    if hasattr(ns, "p") and getattr(ns, "q", None) is None:
+        ns.q = ns.p
     if ns.subcommand == "sweep":
-        moduli = _parse_moduli(ns.primes, ns.moduli)
-    q = getattr(ns, "q", None)
-    p = getattr(ns, "p", None)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        q=q if q is not None else p,
-        moduli=moduli,
-        a=a,
-        k=getattr(ns, "k", None),
-        f=f,
-        degree=getattr(ns, "degree", None),
-        method=getattr(ns, "method", "closed_direct"),
-        n_terms=getattr(ns, "n_terms", None),
-        target=getattr(ns, "target", None),
-        char_index=getattr(ns, "j", None),
-        out=getattr(ns, "out", None),
-        cache_dir=getattr(ns, "cache_dir", None),
-        jobs=getattr(ns, "jobs", 1),
-        seed=getattr(ns, "seed", None),
-        clear=getattr(ns, "clear", False),
-    )
+        ns.moduli = _parse_moduli(ns.primes, ns.moduli)
 
 
-def _cache_from(cfg: RunConfig, ns: argparse.Namespace) -> ReportCache | None:
-    if cfg.cache_dir:
-        return ReportCache(cfg.cache_dir)
+def _cache_from(ns: argparse.Namespace) -> ReportCache | None:
+    if getattr(ns, "cache_dir", None):
+        return ReportCache(ns.cache_dir)
     if getattr(ns, "cache", False):
         return ReportCache(default_cache_dir())
     return None
@@ -289,10 +235,8 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _handle_chars(cfg: RunConfig, cache: ReportCache | None) -> int:
-    t = get_table(cfg.q)
-    if cache is not None:
-        cache.put_table(t)
+def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+    t = load_table(ns.q, cache)
     phi = t.phi
     print(f"modulus q = {t.q}: phi(q) = {phi}, character group exponent = {t.exponent}")
     for c in t.components:
@@ -301,7 +245,7 @@ def _handle_chars(cfg: RunConfig, cache: ReportCache | None) -> int:
         print(f"  component mod {c.prime_power}: generators ({gens}), orders ({orders})")
     print(f"orthogonality defect = {orthogonality_defect(t):.3e} (tolerance {1e-9 * phi:.3e})")
     print(f"non-principal period-sum defect = {nonprincipal_period_sum_defect(t):.3e}")
-    if cfg.out:
+    if ns.out:
         doc = {
             "q": t.q,
             "phi": t.phi,
@@ -310,40 +254,43 @@ def _handle_chars(cfg: RunConfig, cache: ReportCache | None) -> int:
             "value_exponents": t.value_exponents.tolist(),
             "conjugate_map": t.conjugate_map.tolist(),
         }
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+        with open(ns.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        print(f"wrote exponent table to {cfg.out}")
+        print(f"wrote exponent table to {ns.out}")
     return 0
 
 
-def _handle_lvalue(cfg: RunConfig, cache: ReportCache | None) -> int:
-    t = get_table(cfg.q)
-    _require(t.phi > 1, f"modulus {cfg.q} has no non-principal characters")
-    a = cfg.a if cfg.a is not None else ShiftParam(0)
+def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+    t = load_table(ns.q, cache)
+    _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
+    a = ns.a
     if 0 < a.numerator < a.denominator:
         print(f"note: shift a = {a} < 1 lies outside the mean-value theorems' range a >= 1")
-    indices = [cfg.char_index] if cfg.char_index is not None else [
-        j for j in range(t.phi) if j != t.principal_index
-    ]
+    if ns.j is None:
+        indices = [j for j in range(t.phi) if j != t.principal_index]
+    else:
+        lfun.require_nonprincipal(t, ns.j)
+        indices = [ns.j]
+    values, bound = lfun.route_vector(t, a, ns.method, ns.n_terms)
     for j in indices:
-        res = lfun.evaluate(t, j, a, cfg.method, cfg.n_terms)
+        v = values[j]
         print(
-            f"j={j}: L(1, chi_{j}, {a}) = {res.value.real:.8f}{res.value.imag:+.8f}i"
-            f"  [{res.method}, error bound {res.error_bound:.2e}]"
+            f"j={j}: L(1, chi_{j}, {a}) = {v.real:.8f}{v.imag:+.8f}i"
+            f"  [{ns.method}, error bound {bound:.2e}]"
         )
     return 0
 
 
-def _handle_expsum(cfg: RunConfig) -> int:
-    p = cfg.q
-    f = cfg.f
+def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+    p = ns.q
+    f = ns.f
     _require(f is not None, "--f is required")
-    t = get_table(p)
+    t = load_table(p, cache)
     sums = weighted_char_sum_all(t, f)
     total = complete_sum(p, f.coefficients)
     print(f"p = {p}, f = {f}  (degree {f.degree}, sqrt(p) = {math.sqrt(p):.6f})")
     print(f"complete sum over y=1..p-1: {total.real:+.6f}{total.imag:+.6f}i  |T| = {abs(total):.6f}")
-    indices = [cfg.char_index] if cfg.char_index is not None else range(t.phi)
+    indices = [ns.j] if ns.j is not None else range(t.phi)
     for j in indices:
         s = sums[j]
         tag = " (principal)" if j == t.principal_index else ""
@@ -351,54 +298,45 @@ def _handle_expsum(cfg: RunConfig) -> int:
     return 0
 
 
-def _handle_verify(cfg: RunConfig, cache: ReportCache | None) -> int:
-    target = cfg.target
+def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+    target = ns.target
     if target == "orthogonality":
-        _require(cfg.q is not None, "--q is required")
-        t = get_table(cfg.q)
+        _require(ns.q is not None, "--q is required")
+        t = load_table(ns.q, cache)
         defect = orthogonality_defect(t)
         tol = 1e-9 * t.phi
-        print(f"orthogonality defect for q={cfg.q}: {defect:.3e} (tolerance {tol:.3e})")
+        print(f"orthogonality defect for q={ns.q}: {defect:.3e} (tolerance {tol:.3e})")
         return 0 if defect < tol else 1
 
     if target == "lemma1":
-        _require(cfg.q is not None, "--q is required")
-        t = get_table(cfg.q)
-        _require(t.phi > 1, f"modulus {cfg.q} has no non-principal characters")
-        a = cfg.a
-        n_terms = cfg.n_terms if cfg.n_terms is not None else lfun.default_truncation(t.q)
-        worst_gap = 0.0
-        worst_excess = -math.inf
-        for j in range(t.phi):
-            if j == t.principal_index:
-                continue
-            direct = lfun.l1_chi_a(t, j, a, "closed_direct")
-            lemma = lfun.l1_chi_a(t, j, a, "closed_lemma1")
-            trunc = lfun.l1_chi_a_truncated(t, j, a, n_terms)
-            worst_gap = max(worst_gap, abs(direct.value - lemma.value))
-            worst_excess = max(
-                worst_excess,
-                abs(direct.value - trunc.value) - trunc.error_bound,
-                abs(lemma.value - trunc.value) - trunc.error_bound,
-            )
-        print(f"closed-route gap for q={cfg.q}, a={a}: {worst_gap:.3e} (tolerance 1e-09)")
+        _require(ns.q is not None, "--q is required")
+        t = load_table(ns.q, cache)
+        _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
+        a = ns.a
+        # Every route leaves the principal slot 0, so it adds nothing to either maximum.
+        direct, _ = lfun.route_vector(t, a, "closed_direct")
+        lemma, _ = lfun.route_vector(t, a, "closed_lemma1")
+        trunc, bound = lfun.route_vector(t, a, "truncated", ns.n_terms)
+        worst_gap = float(np.abs(direct - lemma).max())
+        worst_excess = float(max(np.abs(direct - trunc).max(), np.abs(lemma - trunc).max())) - bound
+        print(f"closed-route gap for q={ns.q}, a={a}: {worst_gap:.3e} (tolerance 1e-09)")
         print(f"worst closed-vs-truncated excess over the rigorous bound: {worst_excess:.3e} (must be < 0)")
         return 0 if worst_gap < 1e-9 and worst_excess < 0 else 1
 
     if target == "lemma2":
-        _require(cfg.q is not None and cfg.f is not None, "--p and --f are required")
-        t = get_table(cfg.q)
-        defect = lemma2_defect(t, cfg.f)
-        tol = 1e-7 * cfg.q
-        print(f"difference-sum identity defect for p={cfg.q}, f={cfg.f}: {defect:.3e} (tolerance {tol:.3e})")
+        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
+        t = load_table(ns.q, cache)
+        defect = lemma2_defect(t, ns.f)
+        tol = 1e-7 * ns.q
+        print(f"difference-sum identity defect for p={ns.q}, f={ns.f}: {defect:.3e} (tolerance {tol:.3e})")
         return 0 if defect < tol else 1
 
     if target == "lemma3":
-        _require(cfg.q is not None and cfg.f is not None, "--p and --f are required")
-        audit = lemma3_report(cfg.q, cfg.f)
+        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
+        audit = lemma3_report(ns.q, ns.f)
         n_deg = len(audit.degenerate_x)
         print(
-            f"completed sums for p={audit.p}, f={cfg.f}: {len(audit.entries)} values, "
+            f"completed sums for p={audit.p}, f={ns.f}: {len(audit.entries)} values, "
             f"{n_deg} degenerate {list(audit.degenerate_x)}"
         )
         print(f"  bound |T| <= eff_deg*sqrt(p)+1 holds: {audit.bounds_ok}")
@@ -408,47 +346,47 @@ def _handle_verify(cfg: RunConfig, cache: ReportCache | None) -> int:
         return 0 if audit.all_ok else 1
 
     if target == "thm2":
-        _require(cfg.q is not None and cfg.f is not None, "--p and --f are required")
-        direct = meanval.thm2_lhs_direct(cfg.q, cfg.f, cfg.a, cfg.method, cache)
-        decomposed = meanval.thm2_lhs_decomposed(cfg.q, cfg.f, cfg.a, cfg.method, cache)
+        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
+        direct = meanval.thm2_lhs_direct(ns.q, ns.f, ns.a, cache=cache)
+        decomposed = meanval.thm2_lhs_decomposed(ns.q, ns.f, ns.a, cache=cache)
         gap = abs(direct - decomposed)
-        tol = 1e-6 * cfg.q * cfg.q
+        tol = 1e-6 * ns.q * ns.q
         print(f"direct     = {direct:.12g}")
         print(f"decomposed = {decomposed.real:.12g}{decomposed.imag:+.3e}i")
-        print(f"split identity gap for p={cfg.q}: {gap:.3e} (tolerance {tol:.3e})")
+        print(f"split identity gap for p={ns.q}: {gap:.3e} (tolerance {tol:.3e})")
         return 0 if gap < tol else 1
 
     # recombination
-    _require(cfg.q is not None and cfg.k is not None, "--q and --k are required")
-    ct = cross_terms(cfg.q, cfg.k, cfg.a, cache)
-    lhs = meanval.thm1_lhs(cfg.q, cfg.k, cfg.a, cache=cache)
+    _require(ns.q is not None and ns.k is not None, "--q and --k are required")
+    ct = cross_terms(ns.q, ns.k, ns.a, cache)
+    lhs = meanval.thm1_lhs(ns.q, ns.k, ns.a, cache=cache)
     gap = abs(lhs - ct.recombined)
-    phi = euler_phi(factorize(cfg.q))
+    phi = euler_phi(factorize(ns.q))
     tol = 1e-8 * phi
     print(f"m1 = {ct.m1:.10g}  (predicted {ct.m1_predicted:.10g})")
     print(f"m2 = {ct.m2:.10g}  (predicted {ct.m2_predicted:.10g})")
     print(f"m3 = {ct.m3:.10g}  (predicted {ct.m3_predicted:.10g})")
-    print(f"recombination gap for q={cfg.q}, k={cfg.k}, a={cfg.a}: {gap:.3e} (tolerance {tol:.3e})")
+    print(f"recombination gap for q={ns.q}, k={ns.k}, a={ns.a}: {gap:.3e} (tolerance {tol:.3e})")
     return 0 if gap < tol else 1
 
 
-def _handle_sweep(cfg: RunConfig, cache: ReportCache | None) -> int:
+def _handle_sweep(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     series = residual_sweep(
-        cfg.target,
-        cfg.moduli,
-        cfg.a,
-        k=cfg.k,
-        f=cfg.f,
-        degree=cfg.degree,
-        seed=cfg.seed,
-        method=cfg.method,
-        jobs=cfg.jobs,
+        ns.target,
+        ns.moduli,
+        ns.a,
+        k=ns.k,
+        f=ns.f,
+        degree=ns.degree,
+        seed=ns.seed,
+        method=ns.method,
+        jobs=ns.jobs,
         cache=cache,
     )
-    emit_report(list(series.reports), cfg.out, series)
-    info = sys.stdout if cfg.out else sys.stderr
+    emit_report(list(series.reports), ns.out, series)
+    info = sys.stdout if ns.out else sys.stderr
     print(
-        f"{cfg.target}: {len(series.reports)} reports, {len(series.skipped)} skipped; "
+        f"{ns.target}: {len(series.reports)} reports, {len(series.skipped)} skipped; "
         f"fit |residual| ~ C q^beta with beta = {series.beta:.4f}, C = {series.constant:.4g}; "
         f"max |normalized residual| = {series.max_normalized_abs:.6g}",
         file=info,
@@ -456,42 +394,40 @@ def _handle_sweep(cfg: RunConfig, cache: ReportCache | None) -> int:
     for r in series.reports:
         if r.flags:
             print(f"flag q={r.q}: {', '.join(r.flags)}", file=info)
-    if cfg.out:
-        print(f"wrote {cfg.out}", file=info)
+    if ns.out:
+        print(f"wrote {ns.out}", file=info)
     return 0
 
 
-def _handle_cache(cfg: RunConfig) -> int:
-    directory = cfg.cache_dir or default_cache_dir()
-    cache = ReportCache(directory)
+def _handle_cache(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+    cache = cache or ReportCache(default_cache_dir())
     entries = cache.entries()
     tables = sum(1 for e in entries if e.startswith("table_"))
     lvecs = sum(1 for e in entries if e.startswith("lvec_"))
-    print(f"cache directory: {directory}")
+    print(f"cache directory: {cache.directory}")
     print(f"entries: {tables} character tables, {lvecs} L-value vectors")
-    if cfg.clear:
+    if ns.clear:
         removed = cache.clear()
         print(f"cleared {removed} entries")
     return 0
+
+
+_HANDLERS = {
+    "chars": _handle_chars,
+    "lvalue": _handle_lvalue,
+    "expsum": _handle_expsum,
+    "verify": _handle_verify,
+    "sweep": _handle_sweep,
+    "cache": _handle_cache,
+}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _config_from(ns)
-        cache = _cache_from(cfg, ns) if ns.subcommand != "cache" else None
-        if cfg.subcommand == "chars":
-            return _handle_chars(cfg, cache)
-        if cfg.subcommand == "lvalue":
-            return _handle_lvalue(cfg, cache)
-        if cfg.subcommand == "expsum":
-            return _handle_expsum(cfg)
-        if cfg.subcommand == "verify":
-            return _handle_verify(cfg, cache)
-        if cfg.subcommand == "sweep":
-            return _handle_sweep(cfg, cache)
-        return _handle_cache(cfg)
+        _normalize(ns)
+        return _HANDLERS[ns.subcommand](ns, _cache_from(ns))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

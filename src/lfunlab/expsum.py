@@ -124,14 +124,10 @@ def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
 
 
 def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
-    """S(chi_j, f) = sum_{x=1}^{p-1} chi_j(x) e(f(x)/p) over the table's prime modulus."""
-    p = t.q
-    _check_prime(p)
+    """S(chi_j, f) = sum_{x=1}^{p-1} chi_j(x) e(f(x)/p): entry j of weighted_char_sum_all."""
     if not 0 <= j < t.phi:
-        raise ValueError(f"character index {j} out of range for modulus {p}")
-    xs = np.arange(1, p, dtype=np.int64)
-    vals = _poly_values_mod(f.coefficients, p, xs)
-    return complex(t.values_matrix()[j, 1:] @ _roots(p)[vals])
+        raise ValueError(f"character index {j} out of range for modulus {t.q}")
+    return complex(weighted_char_sum_all(t, f)[j])
 
 
 def difference_sums(p: int, f: Polynomial) -> np.ndarray:

@@ -17,6 +17,12 @@ Routes:
 The closed routes share the digamma backend but assemble different
 expressions; the truncated route shares nothing with them and anchors the
 tolerance chain.
+
+Each route is computed for all characters at once (l1a_vector,
+truncated_vector, dispatched by route_vector).  The per-character functions
+(evaluate, l1_chi, shifted_tail_sum, l1_chi_a, l1_chi_a_truncated) validate
+the index and read one entry of those vectors; they are views, not a second
+implementation, so the three routes stay the only independent evaluations.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class ShiftedLValue:
     error_bound: float
 
 
-def _require_nonprincipal(t: CharacterTable, j: int) -> None:
+def require_nonprincipal(t: CharacterTable, j: int) -> None:
+    """Reject an index outside 0..phi(q)-1 and the principal character."""
     if not 0 <= j < t.phi:
         raise ValueError(f"character index {j} out of range for modulus {t.q}")
     if is_principal(t, j):
@@ -67,13 +74,11 @@ def _psi_grid(q: int, a: ShiftParam) -> np.ndarray:
 def l1_vector(t: CharacterTable) -> np.ndarray:
     """L(1, chi) for every character as a length-phi(q) array.
 
-    The principal slot is set to 0 (the principal series diverges); callers
-    iterate over j != principal_index.
+    This is the digamma closed form at shift 0.  The principal slot is set
+    to 0 (the principal series diverges); callers iterate over
+    j != principal_index.
     """
-    psi0 = _psi_grid(t.q, ShiftParam(0))
-    vals = -(t.values_matrix()[:, 1:] @ psi0[1:]) / t.q
-    vals[t.principal_index] = 0.0
-    return vals
+    return l1a_vector(t, ShiftParam(0), "closed_direct")
 
 
 def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
@@ -119,92 +124,68 @@ def truncated_vector(t: CharacterTable, a: ShiftParam, n_terms: int) -> tuple[np
     return vals, 2.0 * q / (n_terms + 1)
 
 
-def l1_chi(t: CharacterTable, j: int) -> complex:
-    """L(1, chi_j) = -(1/q) sum_{r=1}^{q-1} chi_j(r) psi(r/q)."""
-    _require_nonprincipal(t, j)
-    q = t.q
-    row = t.values_matrix()[j]
-    acc = 0j
-    for r in range(1, q):
-        if row[r] != 0:
-            acc += row[r] * digamma(r / q)
-    return -acc / q
-
-
-def shifted_tail_sum(t: CharacterTable, j: int, a) -> complex:
-    """sum_{n>=1} chi_j(n) / (n (n + a)) in closed form.
-
-    For a > 0 this is (1/(a q)) sum_r chi(r) [psi((r+a)/q) - psi(r/q)];
-    at a = 0 it degenerates to (1/q^2) sum_r chi(r) zeta(2, r/q).
-    """
-    _require_nonprincipal(t, j)
-    a = ShiftParam.of(a)
-    q = t.q
-    row = t.values_matrix()[j]
-    acc = 0j
-    if a.is_zero:
-        for r in range(1, q):
-            if row[r] != 0:
-                acc += row[r] * hurwitz_zeta(2.0, r / q)
-        return acc / (q * q)
-    af = a.real_value
-    for r in range(1, q):
-        if row[r] != 0:
-            acc += row[r] * (digamma((r + af) / q) - digamma(r / q))
-    return acc / (af * q)
-
-
-def l1_chi_a(t: CharacterTable, j: int, a, method: str = "closed_direct") -> ShiftedLValue:
-    """L(1, chi_j, a) by one of the two closed routes.
-
-    a = 0 reduces to L(1, chi_j) on either route.
-    """
-    _require_nonprincipal(t, j)
-    a = ShiftParam.of(a)
-    if method == "closed_direct":
-        q = t.q
-        af = a.real_value
-        row = t.values_matrix()[j]
-        acc = 0j
-        for r in range(1, q):
-            if row[r] != 0:
-                acc += row[r] * digamma((r + af) / q)
-        value = -acc / q
-    elif method == "closed_lemma1":
-        value = l1_chi(t, j) - a.real_value * shifted_tail_sum(t, j, a)
-    else:
-        raise ValueError(f"unknown closed method {method!r}; expected closed_direct or closed_lemma1")
-    return ShiftedLValue(t.q, j, a, method, complex(value), _CLOSED_ERROR_BUDGET)
-
-
 def default_truncation(q: int) -> int:
     """Default N for the truncated route: 1e4 periods."""
     return 10**4 * q
 
 
+def route_vector(t: CharacterTable, a: ShiftParam, method: str,
+                 n_terms: int | None = None) -> tuple[np.ndarray, float]:
+    """L(1, chi, a) for every character by the named route, with the route's
+    error bound (principal slot 0).
+
+    n_terms is the truncated route's N (default_truncation(q) when None);
+    the closed routes ignore it.
+    """
+    if method == "truncated":
+        vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
+        vals[t.principal_index] = 0.0
+        return vals, bound
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return l1a_vector(t, a, method), _CLOSED_ERROR_BUDGET
+
+
+def l1_chi(t: CharacterTable, j: int) -> complex:
+    """L(1, chi_j) = -(1/q) sum_{r=1}^{q-1} chi_j(r) psi(r/q): entry j of l1_vector."""
+    require_nonprincipal(t, j)
+    return complex(l1_vector(t)[j])
+
+
+def shifted_tail_sum(t: CharacterTable, j: int, a) -> complex:
+    """sum_{n>=1} chi_j(n) / (n (n + a)) in closed form: entry j of tail_vector.
+
+    For a > 0 this is (1/(a q)) sum_r chi(r) [psi((r+a)/q) - psi(r/q)];
+    at a = 0 it degenerates to (1/q^2) sum_r chi(r) zeta(2, r/q).
+    """
+    require_nonprincipal(t, j)
+    return complex(tail_vector(t, ShiftParam.of(a))[j])
+
+
+def l1_chi_a(t: CharacterTable, j: int, a, method: str = "closed_direct") -> ShiftedLValue:
+    """L(1, chi_j, a) by one of the two closed routes: entry j of l1a_vector.
+
+    a = 0 reduces to L(1, chi_j) on either route.
+    """
+    require_nonprincipal(t, j)
+    a = ShiftParam.of(a)
+    return ShiftedLValue(t.q, j, a, method, complex(l1a_vector(t, a, method)[j]), _CLOSED_ERROR_BUDGET)
+
+
 def l1_chi_a_truncated(t: CharacterTable, j: int, a, n_terms: int | None = None) -> ShiftedLValue:
-    """Partial sum sum_{n<=N} chi_j(n)/(n+a) with rigorous tail bound.
+    """Partial sum sum_{n<=N} chi_j(n)/(n+a) with rigorous tail bound: entry
+    j of truncated_vector.
 
     N must be a multiple of q (so the cut falls on a period boundary) and at
     least 10q.  The bound 2q/(N+1) comes from Abel summation against the
     partial character sums, which are bounded by q since full periods cancel.
     """
-    _require_nonprincipal(t, j)
-    a = ShiftParam.of(a)
-    q = t.q
-    if n_terms is None:
-        n_terms = default_truncation(q)
-    if n_terms % q != 0 or n_terms < 10 * q:
-        raise ValueError(f"truncation length must be a multiple of q and >= 10q, got N={n_terms}, q={q}")
-    w = _folded_weights(q, a, n_terms)
-    value = complex(t.values_matrix()[j] @ w)
-    return ShiftedLValue(q, j, a, "truncated", value, 2.0 * q / (n_terms + 1))
+    return evaluate(t, j, a, "truncated", n_terms)
 
 
 def evaluate(t: CharacterTable, j: int, a, method: str, n_terms: int | None = None) -> ShiftedLValue:
-    """Dispatch on method name; the CLI and report layer funnel through here."""
-    if method == "truncated":
-        return l1_chi_a_truncated(t, j, a, n_terms)
-    if method in ("closed_direct", "closed_lemma1"):
-        return l1_chi_a(t, j, a, method)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """L(1, chi_j, a) by the named route: entry j of route_vector."""
+    require_nonprincipal(t, j)
+    a = ShiftParam.of(a)
+    vals, bound = route_vector(t, a, method, n_terms)
+    return ShiftedLValue(t.q, j, a, method, complex(vals[j]), bound)

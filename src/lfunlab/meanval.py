@@ -30,8 +30,8 @@ import numpy as np
 
 from . import lfun
 from .arith import divisors, euler_phi, factorize, is_prime, moebius
-from .cache import ReportCache
-from .chars import CharacterTable, get_table
+from .cache import ReportCache, load_table
+from .chars import CharacterTable
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
 from .specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
 
@@ -73,6 +73,23 @@ def _check_modulus(q) -> None:
         raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
 
 
+def _check_weight(k, q: int) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
+    if math.gcd(k, q) != 1:
+        raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
+
+
+def _check_shift_at_least_one(a: ShiftParam) -> None:
+    if a.numerator < a.denominator:
+        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+
+
+def _check_prime_modulus(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"thm2 modulus must be prime, got {p}")
+
+
 def validate_query(query: MeanValueQuery) -> None:
     if query.target not in TARGETS:
         raise ValueError(f"unknown target {query.target!r}; expected one of {TARGETS}")
@@ -86,20 +103,14 @@ def validate_query(query: MeanValueQuery) -> None:
         if math.gcd(a.numerator, query.q) != 1:
             raise ValueError(f"lemma4 weight a={a} must be coprime to q={query.q}")
         return
-    if a.numerator < a.denominator:
-        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+    _check_shift_at_least_one(a)
     if query.target == "eq1":
         return
     if query.target == "thm1":
-        k = query.k
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-            raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
-        if math.gcd(k, query.q) != 1:
-            raise ValueError(f"thm1 weight k={k} must be coprime to q={query.q}")
+        _check_weight(query.k, query.q)
         return
     # thm2
-    if not is_prime(query.q):
-        raise ValueError(f"thm2 modulus must be prime, got {query.q}")
+    _check_prime_modulus(query.q)
     if query.f is None:
         raise ValueError("thm2 requires a polynomial")
     if not query.f.coprime_to(query.q):
@@ -120,26 +131,19 @@ def _lvalue_vector(t: CharacterTable, a: ShiftParam, method: str,
     """L(1, chi, a) for all characters by the requested route (principal = 0).
 
     Memoized per (q, a, method); the disk cache stores the closed routes only
-    (the truncated route is the oracle and is recomputed on purpose).
+    (the truncated route is the oracle and is recomputed on purpose).  The
+    truncated route runs at the default truncation length.
     """
-    n_terms = lfun.default_truncation(t.q) if method == "truncated" else None
-    key = (t.q, a.numerator, a.denominator, method, n_terms)
+    key = (t.q, a.numerator, a.denominator, method)
     hit = _LVEC_MEMO.get(key)
     if hit is not None:
         return hit
-    vec = None
-    if cache is not None and method != "truncated":
-        vec = cache.get_lvec(t.q, a.numerator, a.denominator, method)
-        if vec is not None and len(vec) != t.phi:
-            vec = None
-    if vec is None:
-        if method == "truncated":
-            vec, _ = lfun.truncated_vector(t, a, n_terms)
-            vec[t.principal_index] = 0.0
-        else:
-            vec = lfun.l1a_vector(t, a, method)
-        if cache is not None and method != "truncated":
-            cache.put_lvec(t.q, a.numerator, a.denominator, method, vec)
+    stored = cache is not None and method != "truncated"
+    vec = cache.get_lvec(*key) if stored else None
+    if vec is None or len(vec) != t.phi:
+        vec, _ = lfun.route_vector(t, a, method)
+        if stored:
+            cache.put_lvec(*key, vec)
     if len(_LVEC_MEMO) >= _LVEC_MEMO_CAP:
         _LVEC_MEMO.clear()
     _LVEC_MEMO[key] = vec
@@ -148,16 +152,6 @@ def _lvalue_vector(t: CharacterTable, a: ShiftParam, method: str,
 
 def clear_memo() -> None:
     _LVEC_MEMO.clear()
-
-
-def _table(q: int, cache: ReportCache | None) -> CharacterTable:
-    if cache is None:
-        return get_table(q)
-    t = cache.get_table(q)
-    if t is None:
-        t = get_table(q)
-        cache.put_table(t)
-    return t
 
 
 def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
@@ -195,10 +189,7 @@ def _mobius_divisor_terms(q: int) -> list[tuple[int, int]]:
 
 def lemma4_lhs(q: int, a, method: str = "closed_direct",
                cache: ReportCache | None = None) -> complex:
-    query = make_query("lemma4", q, a, method=method)
-    t = _table(q, cache)
-    lvec = _lvalue_vector(t, ShiftParam(0), method, cache)
-    return _char_weighted_moment(t, _squared_weights(t, lvec), query.a.numerator)
+    return _lhs(make_query("lemma4", q, a, method=method), cache)
 
 
 def lemma4_main(q: int, a) -> float:
@@ -218,10 +209,7 @@ class Eq1Main(NamedTuple):
 
 def eq1_lhs(q: int, a, method: str = "closed_direct",
             cache: ReportCache | None = None) -> float:
-    query = make_query("eq1", q, a, method=method)
-    t = _table(q, cache)
-    lvec = _lvalue_vector(t, query.a, method, cache)
-    return float(_squared_weights(t, lvec).sum())
+    return _lhs(make_query("eq1", q, a, method=method), cache).real
 
 
 def eq1_main(q: int, a) -> Eq1Main:
@@ -252,10 +240,7 @@ def eq1_main(q: int, a) -> Eq1Main:
 
 def thm1_lhs(q: int, k: int, a, method: str = "closed_direct",
              cache: ReportCache | None = None) -> complex:
-    query = make_query("thm1", q, a, k=k)
-    t = _table(q, cache)
-    lvec = _lvalue_vector(t, query.a, method, cache)
-    return _char_weighted_moment(t, _squared_weights(t, lvec), k)
+    return _lhs(make_query("thm1", q, a, k=k, method=method), cache)
 
 
 def thm1_main(q: int, k: int, a) -> float:
@@ -290,10 +275,7 @@ def thm1_diagonal_oracle(q: int, k: int, a) -> float:
     (phi(q)/k) zeta(2) prod_{p|q}(1 - p^-2).
     """
     _check_modulus(q)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"weight k must be an integer >= 2, got {k!r}")
-    if math.gcd(k, q) != 1:
-        raise ValueError(f"weight k={k} must be coprime to q={q}")
+    _check_weight(k, q)
     a = ShiftParam.of(a)
     phi = euler_phi(factorize(q))
     if a.is_zero:
@@ -310,11 +292,7 @@ def thm1_diagonal_oracle(q: int, k: int, a) -> float:
 
 def thm2_lhs_direct(p: int, f: Polynomial, a, method: str = "closed_direct",
                     cache: ReportCache | None = None) -> float:
-    query = make_query("thm2", p, a, f=f, method=method)
-    t = _table(p, cache)
-    lvec = _lvalue_vector(t, query.a, method, cache)
-    s = weighted_char_sum_all(t, f)
-    return float((np.abs(s) ** 2 * _squared_weights(t, lvec)).sum())
+    return _lhs(make_query("thm2", p, a, f=f, method=method), cache).real
 
 
 def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
@@ -328,7 +306,7 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     whole exponential-sum layer.
     """
     query = make_query("thm2", p, a, f=f, method=method)
-    t = _table(p, cache)
+    t = load_table(p, cache)
     lvec = _lvalue_vector(t, query.a, method, cache)
     w = _squared_weights(t, lvec)
     g = difference_sums(p, f)
@@ -341,11 +319,9 @@ def thm2_main(p: int, a, k_deg: int) -> float:
     with d running over {1, p}."""
     if not isinstance(k_deg, int) or isinstance(k_deg, bool) or k_deg < 1:
         raise ValueError(f"polynomial degree must be an integer >= 1, got {k_deg!r}")
-    if not is_prime(p):
-        raise ValueError(f"thm2 modulus must be prime, got {p}")
+    _check_prime_modulus(p)
     a = ShiftParam.of(a)
-    if a.numerator < a.denominator:
-        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+    _check_shift_at_least_one(a)
     p2 = float(p * p)
     zeta_part = p2 * (hurwitz_zeta(2.0, a.real_value) - hurwitz_zeta(2.0, a.div_value(p)) / (p * p))
     harm_part = 4.0 * p2 / a.real_value * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
@@ -377,7 +353,7 @@ class CrossTerms:
 def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTerms:
     query = make_query("thm1", q, a, k=k)
     a = query.a
-    t = _table(q, cache)
+    t = load_table(q, cache)
     lvec = _lvalue_vector(t, ShiftParam(0), "closed_direct", cache)
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
@@ -455,22 +431,29 @@ def _statistic(query: MeanValueQuery, t: CharacterTable, lvec: np.ndarray,
     return complex((sq_abs_char_sums * w).sum())
 
 
-def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
-    """Evaluate the query, compare lfun routes, and assemble the report row."""
-    validate_query(query)
-    t = _table(query.q, cache)
+def _route_statistics(query: MeanValueQuery, methods: Iterable[str],
+                      cache: ReportCache | None) -> dict[str, complex]:
+    """The query's target statistic from the L-vector of each named route."""
+    t = load_table(query.q, cache)
     lvec_shift = ShiftParam(0) if query.target == "lemma4" else query.a
     sq_sums = None
     if query.target == "thm2":
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
+    return {m: _statistic(query, t, _lvalue_vector(t, lvec_shift, m, cache), sq_sums) for m in methods}
 
+
+def _lhs(query: MeanValueQuery, cache: ReportCache | None) -> complex:
+    """The query's target statistic by its own route."""
+    return _route_statistics(query, (query.method,), cache)[query.method]
+
+
+def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
+    """Evaluate the query, compare lfun routes, and assemble the report row."""
+    validate_query(query)
     methods = ["closed_direct", "closed_lemma1"]
     if query.method == "truncated":
         methods.append("truncated")
-    stats = {
-        m: _statistic(query, t, _lvalue_vector(t, lvec_shift, m, cache), sq_sums)
-        for m in methods
-    }
+    stats = _route_statistics(query, methods, cache)
     lhs = stats[query.method]
     route_agreement = max(
         abs(stats[m1] - stats[m2]) for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
@@ -545,9 +528,7 @@ def _fit_residuals(reports: Iterable[MeanValueReport]) -> tuple[float, float]:
 def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
                  f: Polynomial | None, degree: int | None, seed: int | None,
                  method: str) -> MeanValueQuery:
-    if target == "thm2" and f is None:
-        if degree is None:
-            raise ValueError("thm2 sweep needs --f or a degree to sample")
+    if target == "thm2" and f is None:  # residual_sweep has checked that degree is set
         rng = random.Random((seed if seed is not None else 0) * 1_000_003 + q)
         f = sample_polynomial(rng, degree, q)
     return make_query(target, q, a, k=k, f=f, method=method)

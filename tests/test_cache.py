@@ -16,6 +16,17 @@ def cache(tmp_path):
     return ReportCache(str(tmp_path / "lab-cache"))
 
 
+def edit_entry(path, edit):
+    """Rewrite a cache archive in place after edit(meta, arrays) has changed it."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta, arrays)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
 def test_table_roundtrip_bit_exact(cache):
     t = build_character_table(35)
     cache.put_table(t)
@@ -39,7 +50,7 @@ def test_lvec_roundtrip_bit_exact(cache):
     back = cache.get_lvec(35, 7, 2, "closed_direct")
     assert back is not None
     assert back.dtype == np.complex128
-    assert np.array_equal(back, vec)  # every float64 survives the text format
+    assert np.array_equal(back, vec)  # the complex128 archive is exact
 
 
 def test_lvec_keyed_by_method_and_shift(cache):
@@ -75,24 +86,33 @@ def test_corrupt_table_discarded_with_warning(cache, caplog):
     assert any("discard" in r.message for r in caplog.records)
 
 
+def test_table_meta_without_components_discarded(cache, caplog):
+    cache.put_table(build_character_table(12))
+    path = cache._table_path(12)
+    edit_entry(path, lambda meta, arrays: meta.pop("components"))
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert cache.get_table(12) is None
+    assert not os.path.exists(path)
+    assert any("discard" in r.message for r in caplog.records)
+
+
 def test_corrupt_lvec_discarded(cache, caplog):
     vec = np.ones(4, dtype=np.complex128)
     cache.put_lvec(5, 1, 1, "closed_direct", vec)
     path = cache._lvec_path(5, 1, 1, "closed_direct")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{ broken json")
+    with open(path, "wb") as handle:
+        handle.write(b"not an npz archive")
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
         assert cache.get_lvec(5, 1, 1, "closed_direct") is None
     assert not os.path.exists(path)
+    assert any("discard" in r.message for r in caplog.records)
 
 
 def test_re_im_length_mismatch_discarded(cache):
+    # The stored vector is shorter than the length its meta record declares.
     cache.put_lvec(5, 1, 1, "closed_direct", np.ones(4, dtype=np.complex128))
     path = cache._lvec_path(5, 1, 1, "closed_direct")
-    record = json.loads(open(path, encoding="utf-8").read())
-    record["im"] = record["im"][:-1]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(record))
+    edit_entry(path, lambda meta, arrays: arrays.update(values=arrays["values"][:-1]))
     assert cache.get_lvec(5, 1, 1, "closed_direct") is None
     assert not os.path.exists(path)
 
@@ -100,10 +120,7 @@ def test_re_im_length_mismatch_discarded(cache):
 def test_wrong_key_fields_are_a_miss(cache):
     cache.put_lvec(5, 1, 1, "closed_direct", np.ones(4, dtype=np.complex128))
     path = cache._lvec_path(5, 1, 1, "closed_direct")
-    record = json.loads(open(path, encoding="utf-8").read())
-    record["q"] = 7
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(record))
+    edit_entry(path, lambda meta, arrays: meta.update(q=7))
     assert cache.get_lvec(5, 1, 1, "closed_direct") is None
 
 

@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from lfunlab import cli, meanval
+from lfunlab import chars, cli, lfun, meanval
+from lfunlab.chars import get_table
+from lfunlab.meanval import MeanValueReport
 from lfunlab.specfun import ShiftParam
 
 CSV_HEADER = (
@@ -129,6 +131,44 @@ class TestReportSchema:
                        "--out", str(out_path)) == 0
         assert out_path.read_text().splitlines() == [CSV_HEADER]
 
+    def test_formatter_bytes_pinned(self):
+        reports = [
+            MeanValueReport(
+                target="lemma4", q=7, a=ShiftParam.of(2), k=None, f=None, method="closed_direct",
+                lhs=complex(12.345678901234567, 1e-17), lhs_imag_abs=1e-17, paper_main=10.0,
+                oracle_main=None, residual=2.345678901234567, normalized_residual=0.5,
+                route_agreement=0.0, flags=(),
+            ),
+            MeanValueReport(
+                target="thm1", q=35, a=ShiftParam.of("7/2"), k=3, f=None, method="closed_lemma1",
+                lhs=complex(-0.1, -2.5e-12), lhs_imag_abs=2.5e-12, paper_main=-1.0 / 3,
+                oracle_main=-0.25, residual=0.23333333333333334, normalized_residual=-1.5e-300,
+                route_agreement=3e-13, flags=("main_term_tension",),
+            ),
+        ]
+        assert cli.render_csv(reports) == (
+            CSV_HEADER + "\n"
+            "lemma4,7,2,1,,12.3456789012346,1e-17,10,,2.34567890123457,0.5,0\n"
+            "thm1,35,7,2,3,-0.1,-2.5e-12,-0.333333333333333,-0.25,0.233333333333333,-1.5e-300,3e-13\n"
+        )
+        assert json.loads(cli.render_json(reports)) == {
+            "reports": [
+                {
+                    "target": "lemma4", "q": 7, "a_num": 2, "a_den": 1, "k": None,
+                    "lhs_re": 12.345678901234567, "lhs_im": 1e-17, "paper_main": 10.0,
+                    "oracle_main": None, "residual": 2.345678901234567,
+                    "normalized_residual": 0.5, "route_agreement": 0.0, "flags": [],
+                },
+                {
+                    "target": "thm1", "q": 35, "a_num": 7, "a_den": 2, "k": 3,
+                    "lhs_re": -0.1, "lhs_im": -2.5e-12, "paper_main": -1.0 / 3,
+                    "oracle_main": -0.25, "residual": 0.23333333333333334,
+                    "normalized_residual": -1.5e-300, "route_agreement": 3e-13,
+                    "flags": ["main_term_tension"],
+                },
+            ]
+        }
+
     def test_rejects_unknown_extension(self, tmp_path, capsys):
         code = run_cli("sweep", "--target", "lemma4", "--moduli", "5", "--a", "2",
                        "--out", str(tmp_path / "r.txt"))
@@ -165,6 +205,45 @@ class TestDeterminismAndCache:
         assert run_cli("cache", "--cache-dir", cache_dir, "--clear") == 0
         out = capsys.readouterr().out
         assert "cleared 1" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("lvalue", "--q", "7"),
+        ("chars", "--q", "7"),
+        ("verify", "--target", "orthogonality", "--q", "7"),
+        ("verify", "--target", "lemma1", "--q", "7"),
+        ("verify", "--target", "lemma2", "--p", "7", "--f", "0,1"),
+    ])
+    def test_cache_dir_serves_the_table(self, argv, tmp_path, monkeypatch, capsys):
+        cache_dir = tmp_path / "cache"
+        assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
+        assert (cache_dir / "table_q7.npz").exists()
+        get_table.cache_clear()
+
+        def no_build(q):
+            raise AssertionError(f"table mod {q} rebuilt despite the cache")
+
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
+        capsys.readouterr()
+
+
+class TestOnePathPerQuantity:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--target", "lemma1", "--q", "24", "--a", "3/2"),
+        ("lvalue", "--q", "24", "--a", "2", "--method", "truncated"),
+    ])
+    def test_one_truncated_fold_per_command(self, argv, monkeypatch, capsys):
+        calls = []
+        folded_weights = lfun._folded_weights
+
+        def counting(*args):
+            calls.append(args)
+            return folded_weights(*args)
+
+        monkeypatch.setattr(lfun, "_folded_weights", counting)
+        assert run_cli(*argv) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
 
 
 class TestSmallSurfaces:

@@ -138,6 +138,20 @@ class TestTruncated:
             assert abs(r.value - closed) <= r.error_bound
 
 
+@pytest.mark.parametrize("q", [24, 40, 63])
+@pytest.mark.parametrize("method", ["closed_direct", "closed_lemma1"])
+def test_closed_vectors_inside_partial_sum_bound(q, method):
+    t = get_table(q)
+    n_terms = 1000 * q
+    for a_str in ("0", "1", "7/2"):
+        a = ShiftParam.of(a_str)
+        vec = lfun.l1a_vector(t, a, method)
+        for j in range(t.phi):
+            if j == t.principal_index:
+                continue
+            assert abs(vec[j] - brute_series(q, j, a.real_value, n_terms)) <= 2 * q / (n_terms + 1)
+
+
 class TestValidation:
     def test_principal_rejected(self):
         t = get_table(5)

@@ -104,6 +104,8 @@ class TestThm1:
             meanval.thm1_lhs(4, 2, A(1))  # gcd(k, q) > 1
         with pytest.raises(ValueError):
             meanval.thm1_lhs(5, 2, A("1/2"))  # a < 1
+        with pytest.raises(ValueError, match="unknown method"):
+            meanval.thm1_lhs(5, 2, A(1), method="closed_magic")
 
 
 class TestDiagonalOracle:
