@@ -1,6 +1,7 @@
 """Numeric laboratory for shifted Dirichlet L-series at s = 1.
 
-Builds full character tables for a modulus, evaluates L(1, chi, a) along
+Builds character tables for a modulus as discrete logs over the unit group
+(character sums are FFTs over its cyclic factors), evaluates L(1, chi, a) along
 independent closed and truncated routes, audits complete exponential sums,
 and checks mean-value statistics against their predicted main terms.
 """

@@ -1,15 +1,19 @@
 """On-disk cache for character tables and L-value vectors.
 
-Both entry kinds are .npz archives with a JSON meta record: character
-tables hold the integer exponent matrices, L-value vectors the complex128
+Both entry kinds are .npz archives with a JSON meta record.  A character
+table entry holds the table's O(q) discrete-log data: the per-residue flat
+log index and the conjugation map as arrays, the cyclic orders and group
+components in the meta record.  An L-value vector entry holds the complex128
 values.  Both representations are exact, so a cache hit is bit-identical to
-a recomputation.  Every entry carries a format version and its key; a
-version or key mismatch is a cache miss, and an entry that cannot be opened
-or decoded is deleted with a warning and recomputed by the caller.
+a recomputation.  Every entry carries a format version (2 since tables
+store logs instead of the dense exponent matrix) and its key; a version or
+key mismatch is a cache miss, and an entry that cannot be opened or decoded
+is deleted with a warning and recomputed by the caller.
 
 load_table is the one way the package obtains a character table when a
 cache may be in use: every CLI subcommand that takes --cache/--cache-dir
-and every mean-value statistic goes through it.
+and every mean-value statistic goes through it.  A ReportCache handle
+remembers the tables it loaded, so one command reads each archive once.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .chars import CharacterTable, GroupComponent, get_table
 
 log = logging.getLogger("lfunlab")
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_DIR_ENV = "LFUNLAB_CACHE_DIR"
 
 
@@ -53,18 +58,26 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def _decode_table(meta: dict, archive) -> CharacterTable:
     q, phi = meta["q"], meta["phi"]
-    exps = np.array(archive["value_exponents"], dtype=np.int32)
-    if exps.shape != (phi, q):
-        raise ValueError(f"shape {exps.shape}")
+    components = tuple(
+        GroupComponent(pk, tuple(gens), tuple(orders)) for pk, gens, orders in meta["components"]
+    )
+    orders = tuple(meta["orders"])
+    if orders != tuple(s for c in components for s in c.orders) or math.prod(orders) != phi:
+        raise ValueError(f"orders {orders} do not match the components and phi = {phi}")
+    residue_index = np.array(archive["residue_index"], dtype=np.int64)
+    conjugate_map = np.array(archive["conjugate_map"], dtype=np.int64)
+    if residue_index.shape != (q,) or conjugate_map.shape != (phi,):
+        raise ValueError(f"shapes {residue_index.shape}, {conjugate_map.shape}")
+    if not np.array_equal(np.sort(residue_index[residue_index >= 0]), np.arange(phi)):
+        raise ValueError("residue_index does not place the units on the character grid")
     return CharacterTable(
         q=q,
         phi=phi,
         exponent=meta["exponent"],
-        components=tuple(
-            GroupComponent(pk, tuple(gens), tuple(orders)) for pk, gens, orders in meta["components"]
-        ),
-        value_exponents=exps,
-        conjugate_map=np.array(archive["conjugate_map"], dtype=np.int64),
+        components=components,
+        orders=orders,
+        residue_index=residue_index,
+        conjugate_map=conjugate_map,
     )
 
 
@@ -75,11 +88,20 @@ def _decode_lvec(meta: dict, archive) -> np.ndarray:
     return vec
 
 
+# Tables a ReportCache handle keeps after loading them, oldest dropped first.
+_LOADED_TABLES = 16
+
+
 @dataclass(frozen=True)
 class ReportCache:
-    """Handle on one cache directory; safe to construct per worker process."""
+    """Handle on one cache directory; safe to construct per worker process.
+
+    The handle keeps the last few tables load_table returned through it, so
+    a command that needs one modulus twice decodes its archive once.
+    """
 
     directory: str
+    _loaded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _table_path(self, q: int) -> str:
         return os.path.join(self.directory, f"table_q{q}.npz")
@@ -129,11 +151,12 @@ class ReportCache:
             "components": [
                 [c.prime_power, list(c.generators), list(c.orders)] for c in table.components
             ],
+            "orders": list(table.orders),
         }
         self._write(
             self._table_path(table.q),
             meta,
-            value_exponents=table.value_exponents,
+            residue_index=table.residue_index,
             conjugate_map=table.conjugate_map,
         )
 
@@ -175,11 +198,18 @@ class ReportCache:
 
 def load_table(q: int, cache: ReportCache | None) -> CharacterTable:
     """The character table mod q: read from the cache when it holds one,
-    else built (through the in-process memo) and stored."""
+    else built (through the in-process memo) and stored.  Repeated loads
+    through one handle return the same table object."""
     if cache is None:
         return get_table(q)
-    t = cache.get_table(q)
+    loaded = cache._loaded
+    t = loaded.get(q)
     if t is None:
-        t = get_table(q)
-        cache.put_table(t)
+        t = cache.get_table(q)
+        if t is None:
+            t = get_table(q)
+            cache.put_table(t)
+        if len(loaded) >= _LOADED_TABLES:
+            del loaded[next(iter(loaded))]  # the oldest
+        loaded[q] = t
     return t

@@ -115,12 +115,13 @@ def complete_sum(p: int, coefficients) -> complex:
 
 
 def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
-    """S(chi, f) for every character at once (row j = character j)."""
+    """S(chi, f) for every character at once (row j = character j), by one
+    transform over the unit group."""
     p = t.q
     _check_prime(p)
-    xs = np.arange(1, p, dtype=np.int64)
-    vals = _poly_values_mod(f.coefficients, p, xs)
-    return t.values_matrix()[:, 1:] @ _roots(p)[vals]
+    terms = np.zeros(p, dtype=np.complex128)
+    terms[1:] = _roots(p)[_poly_values_mod(f.coefficients, p, np.arange(1, p, dtype=np.int64))]
+    return t.sums_over_residues(terms)
 
 
 def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
@@ -130,13 +131,44 @@ def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
     return complex(weighted_char_sum_all(t, f)[j])
 
 
+# (x, y) pairs evaluated per block of the difference sums.
+_DIFFERENCE_BLOCK = 2**20
+
+
+def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of g_x mod p (row x - 2) and T(g_x), for x = 2 .. p-1.
+
+    A direct O(p^2) evaluation: g_x(y) mod p by Horner over blocks of x rows
+    against one table of p-th roots of unity.  Degenerate rows (p divides
+    every coefficient) are set to exactly p - 1, with no float summation.
+    """
+    xs = np.arange(2, p, dtype=np.int64)
+    coeffs = np.empty((len(xs), len(f.coefficients)), dtype=np.int64)
+    xi = np.ones_like(xs)
+    for i, a in enumerate(f.coefficients):
+        coeffs[:, i] = (a % p) * (xi - 1) % p
+        xi = xi * xs % p
+    roots = _roots(p)
+    ys = np.arange(1, p, dtype=np.int64)
+    sums = np.empty(len(xs), dtype=np.complex128)
+    rows = max(1, _DIFFERENCE_BLOCK // (p - 1))
+    for lo in range(0, len(xs), rows):
+        block = coeffs[lo:lo + rows]
+        acc = np.empty((len(block), p - 1), dtype=np.int64)
+        acc[:] = block[:, -1:]
+        for i in range(block.shape[1] - 2, -1, -1):  # in place: acc = (acc y + b_i) mod p
+            np.multiply(acc, ys, out=acc)
+            np.add(acc, block[:, i:i + 1], out=acc)
+            np.remainder(acc, p, out=acc)
+        sums[lo:lo + rows] = np.take(roots, acc).sum(axis=1)
+    sums[~coeffs.any(axis=1)] = p - 1
+    return coeffs, sums
+
+
 def difference_sums(p: int, f: Polynomial) -> np.ndarray:
     """T(g_x) for x = 2 .. p-1, where g_x(y) = f(x y) - f(y)."""
     _check_prime(p)
-    return np.array(
-        [complete_sum(p, difference_poly(f, x, p).coefficients) for x in range(2, p)],
-        dtype=np.complex128,
-    )
+    return _difference_table(p, f)[1]
 
 
 def lemma2_defect(t: CharacterTable, f: Polynomial) -> float:
@@ -148,7 +180,9 @@ def lemma2_defect(t: CharacterTable, f: Polynomial) -> float:
     p = t.q
     _check_prime(p)
     s = weighted_char_sum_all(t, f)
-    rhs = (p - 1) + t.values_matrix()[:, 2:] @ difference_sums(p, f)
+    g = np.zeros(p, dtype=np.complex128)
+    g[2:] = difference_sums(p, f)
+    rhs = (p - 1) + t.sums_over_residues(g)
     return float(np.abs(np.abs(s) ** 2 - rhs).max())
 
 
@@ -216,17 +250,16 @@ def lemma3_report(p: int, f: Polynomial) -> WeilAudit:
     degenerate_x = []
     bounds_ok = True
     degenerate_values_ok = True
-    for x in range(2, p):
-        d = difference_poly(f, x, p)
-        val = complete_sum(p, d.coefficients)
+    coeffs, sums = _difference_table(p, f)
+    for x, row, val in zip(range(2, p), coeffs.tolist(), sums.tolist()):
         abs_sum = abs(val)
-        if d.degenerate:
+        if not any(row):
             degenerate_x.append(x)
             if val != complex(p - 1):
                 degenerate_values_ok = False
             entries.append(CompletedSumAudit(x, True, None, abs_sum, None, True, abs_sum / scale))
             continue
-        eff_deg = max(i for i, b in enumerate(d.coefficients) if b != 0)
+        eff_deg = max(i for i, b in enumerate(row) if b != 0)
         bound = eff_deg * math.sqrt(p) + 1.0
         ok = abs_sum <= bound
         bounds_ok = bounds_ok and ok

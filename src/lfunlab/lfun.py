@@ -19,10 +19,14 @@ expressions; the truncated route shares nothing with them and anchors the
 tolerance chain.
 
 Each route is computed for all characters at once (l1a_vector,
-truncated_vector, dispatched by route_vector).  The per-character functions
-(evaluate, l1_chi, shifted_tail_sum, l1_chi_a, l1_chi_a_truncated) validate
-the index and read one entry of those vectors; they are views, not a second
-implementation, so the three routes stay the only independent evaluations.
+truncated_vector, dispatched by route_vector): the residue weights are one
+numpy array expression (digamma and zeta(2, .) take arrays) or one folded
+partial sum, and the character sum over them is one transform over the
+unit group (CharacterTable.sums_over_residues), O(q log q) per modulus.  The
+per-character functions (evaluate, l1_chi, shifted_tail_sum, l1_chi_a,
+l1_chi_a_truncated) validate the index and read one entry of those vectors;
+they are views, not a second implementation, so the three routes stay the
+only independent evaluations.
 """
 
 from __future__ import annotations
@@ -63,11 +67,9 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
 
 
 def _psi_grid(q: int, a: ShiftParam) -> np.ndarray:
-    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 unused)."""
-    af = a.real_value
+    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0)."""
     grid = np.zeros(q)
-    for r in range(1, q):
-        grid[r] = digamma((r + af) / q)
+    grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
     return grid
 
 
@@ -87,18 +89,16 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
     q = t.q
     if a.is_zero:
         grid = np.zeros(q)
-        for r in range(1, q):
-            grid[r] = hurwitz_zeta(2.0, r / q)
-        return (t.values_matrix()[:, 1:] @ grid[1:]) / (q * q)
+        grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
+        return t.sums_over_residues(grid) / (q * q)
     diff = _psi_grid(q, a) - _psi_grid(q, ShiftParam(0))
-    return (t.values_matrix()[:, 1:] @ diff[1:]) / (a.real_value * q)
+    return t.sums_over_residues(diff) / (a.real_value * q)
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
     """L(1, chi, a) for every character by a closed route (principal slot 0)."""
     if method == "closed_direct":
-        psi_a = _psi_grid(t.q, a)
-        vals = -(t.values_matrix()[:, 1:] @ psi_a[1:]) / t.q
+        vals = -t.sums_over_residues(_psi_grid(t.q, a)) / t.q
     elif method == "closed_lemma1":
         vals = l1_vector(t) - a.real_value * tail_vector(t, a)
     else:
@@ -107,10 +107,28 @@ def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") 
     return vals
 
 
+# Terms folded per block of the truncated route: blocks of whole periods,
+# about 2 MB of float64, keep its memory O(q) rather than O(N).
+_FOLD_BLOCK_TERMS = 2**18
+
+
 def _folded_weights(q: int, a: ShiftParam, n_terms: int) -> np.ndarray:
-    """W[c] = sum over n <= N with n == c (mod q) of 1/(n + a), c = 0..q-1."""
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
-    return np.bincount(n % q, weights=1.0 / (n + a.real_value), minlength=q)
+    """W[c] = sum over n <= N with n == c (mod q) of 1/(n + a), c = 0..q-1.
+
+    N is a whole number of periods.  Period k covers n = kq+1 .. kq+q, whose
+    residues are 1, ..., q-1, 0, so a block of periods laid out as rows of q
+    terms sums column-wise onto the residues.
+    """
+    periods = n_terms // q
+    rows = max(1, _FOLD_BLOCK_TERMS // q)
+    acc = np.zeros(q)
+    for k in range(0, periods, rows):
+        # n < 2^53, so the float64 range holds each n exactly
+        terms = np.arange(k * q + 1, min(k + rows, periods) * q + 1, dtype=np.float64)
+        terms += a.real_value
+        np.reciprocal(terms, out=terms)
+        acc += terms.reshape(-1, q).sum(axis=0)
+    return np.roll(acc, 1)
 
 
 def truncated_vector(t: CharacterTable, a: ShiftParam, n_terms: int) -> tuple[np.ndarray, float]:
@@ -119,9 +137,7 @@ def truncated_vector(t: CharacterTable, a: ShiftParam, n_terms: int) -> tuple[np
     q = t.q
     if n_terms % q != 0 or n_terms < 10 * q:
         raise ValueError(f"truncation length must be a multiple of q and >= 10q, got N={n_terms}, q={q}")
-    w = _folded_weights(q, a, n_terms)
-    vals = t.values_matrix() @ w
-    return vals, 2.0 * q / (n_terms + 1)
+    return t.sums_over_residues(_folded_weights(q, a, n_terms)), 2.0 * q / (n_terms + 1)
 
 
 def default_truncation(q: int) -> int:

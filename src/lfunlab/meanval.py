@@ -160,10 +160,16 @@ def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
     return w
 
 
+def _char_column(t: CharacterTable, x: int) -> np.ndarray:
+    """chi_j(x) for every character j: the transform of a point mass at x."""
+    delta = np.zeros(t.q)
+    delta[x % t.q] = 1.0
+    return t.sums_over_residues(delta)
+
+
 def _char_weighted_moment(t: CharacterTable, weights: np.ndarray, x: int) -> complex:
     """sum_{chi != chi0} chi(x) w_chi for a real weight vector."""
-    col = t.values_matrix()[:, x % t.q]
-    return complex(col @ weights)
+    return complex(_char_column(t, x) @ weights)
 
 
 def _sieve_factor(q: int) -> float:
@@ -310,7 +316,7 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     lvec = _lvalue_vector(t, query.a, method, cache)
     w = _squared_weights(t, lvec)
     g = difference_sums(p, f)
-    moments = t.values_matrix()[:, 2:].T @ w  # chi(x)-weighted moment per x = 2..p-1
+    moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return complex((p - 1) * w.sum() + g @ moments)
 
 
@@ -357,7 +363,7 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
     lvec = _lvalue_vector(t, ShiftParam(0), "closed_direct", cache)
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
-    col = t.values_matrix()[:, k % q]
+    col = _char_column(t, k)
     conj = t.conjugate_map
     m1 = complex(col @ (tvec * lvec[conj]))
     m2 = complex(col @ (np.conj(tvec) * lvec))

@@ -3,8 +3,10 @@
 The two analytic workhorses are the digamma function psi(x) and the Hurwitz
 zeta function zeta(s, alpha), both evaluated by shifting the argument into the
 asymptotic regime and applying a fixed-order expansion with Bernoulli numbers
-through B14.  Both are scalar, pure-stdlib, and deterministic; accuracy is
-~1e-13 absolute for psi and ~1e-12 relative for zeta on the domains used here.
+through B14.  Both take a float or a numpy array (elementwise, one
+implementation for both) and are deterministic; accuracy is ~1e-13 absolute
+for psi and ~1e-12 relative for zeta on the domains used here.  A float
+argument gives a float result.
 
 ShiftParam carries the series shift a as an exact reduced fraction so that
 floor quantities like [a/d] never go through floating point.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 # Bernoulli numbers B_2, B_4, ..., B_14 as exact ratios.
 _B2K = (
@@ -33,32 +37,46 @@ _PSI_COEFFS = tuple(b / (2.0 * (k + 1)) for k, b in enumerate(_B2K))
 _SHIFT_CUTOFF = 10.0  # asymptotic series kicks in at x >= 10
 
 
-def digamma(x: float) -> float:
-    """psi(x) for real x > 0, absolute error below 1e-13.
+def _positive_array(x, requirement: str) -> np.ndarray:
+    """x as a float64 array; a non-finite or nonpositive entry raises ValueError."""
+    arr = np.asarray(x, dtype=np.float64)
+    bad = ~(np.isfinite(arr) & (arr > 0.0))
+    if bad.any():
+        raise ValueError(f"{requirement}, got {arr[bad].flat[0]}")
+    return arr
+
+
+def _result(arr: np.ndarray):
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def digamma(x):
+    """psi(x) for real x > 0 (float or array), absolute error below 1e-13.
 
     Small arguments are shifted up with psi(x) = psi(x+1) - 1/x until
     x >= 10, where ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}) (k <= 7) applies;
     the first omitted term is below 5e-17 there.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"digamma requires finite x > 0, got {x}")
-    shift = 0.0
-    while x < _SHIFT_CUTOFF:
-        shift -= 1.0 / x
-        x += 1.0
+    x = _positive_array(x, "digamma requires finite x > 0")
+    shift = np.zeros_like(x)
+    small = x < _SHIFT_CUTOFF
+    while small.any():  # at most 10 rounds, since x > 0
+        shift -= np.where(small, 1.0 / x, 0.0)
+        x = np.where(small, x + 1.0, x)
+        small = x < _SHIFT_CUTOFF
     w = 1.0 / (x * x)
-    series = 0.0
+    series = np.zeros_like(x)
     for c in reversed(_PSI_COEFFS):
         series = (series + c) * w
-    return shift + math.log(x) - 0.5 / x - series
+    return _result(shift + np.log(x) - 0.5 / x - series)
 
 
-def hurwitz_zeta(s: float, alpha: float) -> float:
-    """zeta(s, alpha) = sum_{n>=0} (n + alpha)^(-s) for s > 1, alpha > 0.
+def hurwitz_zeta(s: float, alpha):
+    """zeta(s, alpha) = sum_{n>=0} (n + alpha)^(-s) for s > 1, alpha > 0
+    (alpha a float or array).
 
-    Terms with n + alpha < 10 are summed directly; the remainder is the
-    Euler-Maclaurin tail at c = M + alpha:
+    Terms with n + alpha < 10 are summed directly, smallest first; the
+    remainder is the Euler-Maclaurin tail at c = M + alpha:
 
         c^(1-s)/(s-1) + c^(-s)/2
           + sum_{j=1..7} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * c^(1-s-2j).
@@ -67,13 +85,13 @@ def hurwitz_zeta(s: float, alpha: float) -> float:
     s in (1, ~30] is safe at this cutoff).
     """
     s = float(s)
-    alpha = float(alpha)
     if not math.isfinite(s) or s <= 1.0:
         raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"hurwitz_zeta requires alpha > 0, got {alpha}")
-    m = max(0, math.ceil(_SHIFT_CUTOFF - alpha))
-    direct = math.fsum((n + alpha) ** (-s) for n in range(m))
+    alpha = _positive_array(alpha, "hurwitz_zeta requires alpha > 0")
+    m = np.maximum(0.0, np.ceil(_SHIFT_CUTOFF - alpha))
+    direct = np.zeros_like(alpha)
+    for n in range(int(m.max(initial=0.0)) - 1, -1, -1):
+        direct += np.where(n < m, (n + alpha) ** (-s), 0.0)
     c = m + alpha
     tail = c ** (1.0 - s) / (s - 1.0) + 0.5 * c ** (-s)
     rising = s  # s (s+1) ... (s + 2j - 2), grown incrementally
@@ -82,8 +100,8 @@ def hurwitz_zeta(s: float, alpha: float) -> float:
     for j, b in enumerate(_B2K, start=1):
         tail += b / math.factorial(2 * j) * rising * cpow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
-        cpow *= inv_c2
-    return direct + tail
+        cpow = cpow * inv_c2
+    return _result(direct + tail)
 
 
 def harmonic(n: int) -> float:

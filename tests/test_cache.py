@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lfunlab.cache import CACHE_DIR_ENV, CACHE_VERSION, ReportCache, default_cache_dir
+from lfunlab.cache import CACHE_DIR_ENV, CACHE_VERSION, ReportCache, default_cache_dir, load_table
 from lfunlab.chars import build_character_table
 
 
@@ -33,6 +33,8 @@ def test_table_roundtrip_bit_exact(cache):
     back = cache.get_table(35)
     assert back is not None
     assert back.q == t.q and back.phi == t.phi and back.exponent == t.exponent
+    assert back.orders == t.orders
+    assert np.array_equal(back.residue_index, t.residue_index)
     assert np.array_equal(back.value_exponents, t.value_exponents)
     assert np.array_equal(back.conjugate_map, t.conjugate_map)
     assert back.components == t.components
@@ -72,6 +74,48 @@ def test_version_mismatch_is_silent_miss(cache, tmp_path):
     np.savez(path.removesuffix(".npz"), **data)
     assert cache.get_table(12) is None
     assert os.path.exists(path)  # future versions are left alone
+
+
+def test_version_1_dense_table_is_silent_miss(cache, caplog):
+    # Version 1 stored the dense exponent matrix instead of the logs.
+    t = build_character_table(12)
+    cache.put_table(t)
+    path = cache._table_path(12)
+
+    def to_version_1(meta, arrays):
+        meta["version"] = 1
+        meta.pop("orders")
+        del arrays["residue_index"]
+        arrays["value_exponents"] = t.value_exponents
+
+    edit_entry(path, to_version_1)
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert cache.get_table(12) is None
+    assert os.path.exists(path)
+    assert not caplog.records
+
+
+def test_table_with_misplaced_logs_discarded(cache, caplog):
+    cache.put_table(build_character_table(12))
+    path = cache._table_path(12)
+
+    def place_two_units_on_one_character(meta, arrays):
+        arrays["residue_index"] = arrays["residue_index"].copy()
+        arrays["residue_index"][5] = arrays["residue_index"][7]
+
+    edit_entry(path, place_two_units_on_one_character)
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert cache.get_table(12) is None
+    assert not os.path.exists(path)
+
+
+def test_load_table_returns_one_object_per_handle(cache):
+    first = load_table(35, cache)  # built and stored
+    assert load_table(35, cache) is first
+    warm = ReportCache(cache.directory)
+    decoded = load_table(35, warm)  # read from the archive
+    assert decoded is not first
+    assert load_table(35, warm) is decoded
 
 
 def test_corrupt_table_discarded_with_warning(cache, caplog):

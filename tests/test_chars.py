@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lfunlab import chars
 from lfunlab.chars import (
     build_character_table,
     char_value,
@@ -150,3 +151,67 @@ def test_two_power_structure():
     assert comp.prime_power == 16
     assert comp.orders == (2, 4)  # <-1> x <5>
     assert t.phi == 8
+
+
+def _random_complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _assert_transform_matches_oracle(q, seed):
+    t = build_character_table(q)
+    V = t.values_matrix()
+    rng = np.random.default_rng(seed)
+    x, w = _random_complex(rng, q), _random_complex(rng, t.phi)
+    assert np.abs(t.sums_over_residues(x) - V @ x).max() <= 1e-12 * t.phi
+    assert np.abs(t.sums_over_characters(w) - V.T @ w).max() <= 1e-12 * t.phi
+
+
+def test_transform_matches_dense_oracle_q_1_to_200():
+    # q = 1 and 2 (trivial group), 2^e with e >= 3 (two factors for 2^e) and
+    # q = 2m (no factor for the 2) are all in range.
+    for q in range(1, 201):
+        _assert_transform_matches_oracle(q, q)
+
+
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.sampled_from([1, 3, 5, 7, 9, 15, 21, 25, 27, 35, 45]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_transform_matches_oracle_with_two_power_factor(e, m, seed):
+    _assert_transform_matches_oracle(2**e * m, seed)
+
+
+def test_residue_index_marks_units_by_gcd():
+    for q in (1, 2, 6, 10, 18, 40, 98):
+        t = build_character_table(q)
+        units = [n for n in range(q) if math.gcd(n, q) == 1]
+        assert t.unit_residues().tolist() == units
+        assert sorted(t.residue_index[units].tolist()) == list(range(t.phi))
+
+
+class TestDenseOracleBudget:
+    def test_oversized_request_raises_before_allocating(self):
+        import tracemalloc
+
+        t = get_table(99991)  # the transform table itself is O(q)
+        assert t.residue_index.nbytes == 8 * 99991
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                t.values_matrix()
+            with pytest.raises(ValueError, match="budget"):
+                t.value_exponents
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_is_a_byte_estimate(self, monkeypatch):
+        t = build_character_table(13)  # phi * q = 12 * 13 entries
+        need = chars._DENSE_BYTES_PER_ENTRY * 12 * 13
+        monkeypatch.setattr(chars, "_DENSE_ORACLE_BYTES", need - 1)
+        with pytest.raises(ValueError):
+            t.values_matrix()
+        monkeypatch.setattr(chars, "_DENSE_ORACLE_BYTES", need)
+        assert t.values_matrix().shape == (12, 13)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lfunlab import chars, cli, lfun, meanval
+from lfunlab import cache, chars, cli, lfun, meanval
 from lfunlab.chars import get_table
 from lfunlab.meanval import MeanValueReport
 from lfunlab.specfun import ShiftParam
@@ -40,7 +40,8 @@ class TestContractedInvocations:
             "sweep", "--target", "lemma4", "--primes", "101..199", "--a", "2",
             "--out", str(out_path),
         ) == 0
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as handle:
+            rows = list(csv.DictReader(handle))
         primes = [n for n in range(101, 200) if all(n % d for d in range(2, n))]
         assert [int(r["q"]) for r in rows] == primes
 
@@ -92,12 +93,14 @@ class TestReportSchema:
     def test_csv_k_and_oracle_cells(self, tmp_path):
         out_path = tmp_path / "r.csv"
         run_cli("sweep", "--target", "lemma4", "--moduli", "5,7", "--a", "2", "--out", str(out_path))
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert all(r["k"] == "" for r in rows)
         assert all(r["oracle_main"] == "" for r in rows)
         run_cli("sweep", "--target", "thm1", "--moduli", "5,7", "--a", "1", "--k", "3",
                 "--out", str(out_path))
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert all(r["k"] == "3" for r in rows)
         assert all(r["oracle_main"] != "" for r in rows)
 
@@ -107,7 +110,8 @@ class TestReportSchema:
         run_cli(*args, "--out", str(csv_path))
         run_cli(*args, "--out", str(json_path))
         doc = json.loads(json_path.read_text())
-        csv_rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open() as handle:
+            csv_rows = list(csv.DictReader(handle))
         assert len(doc["reports"]) == len(csv_rows)
         for jrow, crow in zip(doc["reports"], csv_rows):
             for field in ("target",):
@@ -227,6 +231,28 @@ class TestDeterminismAndCache:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--target", "thm2", "--p", "101", "--f", "1,0,3,2"),
+        ("verify", "--target", "recombination", "--q", "35", "--k", "2", "--a", "2"),
+    ])
+    def test_one_archive_decode_per_command(self, argv, tmp_path, monkeypatch, capsys):
+        cache_dir = str(tmp_path / "cache")
+        assert run_cli(*argv, "--cache-dir", cache_dir) == 0  # fills the cache
+        get_table.cache_clear()
+        meanval.clear_memo()
+        decodes = []
+        decode_table = cache._decode_table
+
+        def counting(*args):
+            decodes.append(args)
+            return decode_table(*args)
+
+        monkeypatch.setattr(cache, "_decode_table", counting)
+        assert run_cli(*argv, "--cache-dir", cache_dir) == 0
+        assert len(decodes) == 1
+        capsys.readouterr()
+
+
 class TestOnePathPerQuantity:
     @pytest.mark.parametrize("argv", [
         ("verify", "--target", "lemma1", "--q", "24", "--a", "3/2"),
@@ -244,6 +270,33 @@ class TestOnePathPerQuantity:
         assert run_cli(*argv) == 0
         assert len(calls) == 1
         capsys.readouterr()
+
+
+class TestNoDenseMatrix:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--target", "lemma4", "--moduli", "7,9,16,40", "--a", "3"),
+        ("sweep", "--target", "eq1", "--moduli", "7,9,16,40", "--a", "3/2"),
+        ("sweep", "--target", "thm1", "--moduli", "7,9,16,40", "--a", "2", "--k", "3"),
+        ("sweep", "--target", "thm2", "--moduli", "7,11,13", "--a", "2", "--degree", "3"),
+        ("sweep", "--target", "thm1", "--moduli", "7,16", "--a", "2", "--k", "3", "--method", "truncated"),
+        ("lvalue", "--q", "24", "--a", "3/2"),
+        ("expsum", "--p", "13", "--f", "1,0,3,2"),
+        ("verify", "--target", "lemma1", "--q", "24", "--a", "3/2"),
+        ("verify", "--target", "lemma2", "--p", "13", "--f", "1,0,3,2"),
+        ("verify", "--target", "thm2", "--p", "13", "--f", "1,0,3,2", "--a", "2"),
+        ("verify", "--target", "recombination", "--q", "35", "--k", "2", "--a", "2"),
+    ])
+    def test_report_and_verify_paths_never_build_it(self, argv, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError(f"dense character matrix mod {self.q} built")
+
+        monkeypatch.setattr(chars.CharacterTable, "values_matrix", refuse)
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+
+    def test_oversized_dense_request_exits_2(self, capsys):
+        assert run_cli("chars", "--q", "99991") == 2
+        assert "budget" in capsys.readouterr().err
 
 
 class TestSmallSurfaces:

@@ -11,11 +11,13 @@ import random
 
 import pytest
 
+from lfunlab import expsum
 from lfunlab.chars import char_value, get_table
 from lfunlab.expsum import (
     Polynomial,
     complete_sum,
     difference_poly,
+    difference_sums,
     lemma2_defect,
     lemma3_report,
     sample_polynomial,
@@ -153,6 +155,29 @@ class TestCompleteSum:
                 cmath.exp(2j * cmath.pi * poly_mod(coeffs, y, p) / p) for y in range(p)
             )
             assert abs(complete_sum(p, coeffs) - (full - cmath.exp(2j * cmath.pi * coeffs[0] / p))) < 1e-12
+
+
+class TestDifferenceSums:
+    @pytest.mark.parametrize("p", [7, 101, 211, 397])
+    def test_blocks_match_per_x_complete_sums(self, p, monkeypatch):
+        # Blocks of 5 rows: several whole blocks and a shorter last one.
+        monkeypatch.setattr(expsum, "_DIFFERENCE_BLOCK", 5 * (p - 1))
+        rng = random.Random(p)
+        # f(x) = x^3 and x^6 have degenerate x (cube and sixth roots of unity).
+        for f in (Polynomial((0, 0, 0, 1)), Polynomial((1, 0, 0, 0, 0, 0, 1)),
+                  Polynomial(tuple(rng.randrange(-p, 2 * p) for _ in range(5)))):
+            values = difference_sums(p, f)
+            degenerate = 0
+            for x in range(2, p):
+                d = difference_poly(f, x, p)
+                expected = complete_sum(p, d.coefficients)
+                if d.degenerate:
+                    degenerate += 1
+                    assert values[x - 2] == complex(p - 1)
+                else:
+                    assert abs(values[x - 2] - expected) <= 1e-12 * p
+            if p % 3 == 1 and f.degree in (3, 6):
+                assert degenerate > 0
 
 
 class TestWeightedCharSum:

@@ -180,3 +180,13 @@ class TestValidation:
 def test_default_truncation_scale():
     assert lfun.default_truncation(7) == 7 * 10**4
     assert lfun.default_truncation(7) % 7 == 0
+
+
+@pytest.mark.parametrize("q, periods", [(3, 10), (24, 1000), (97, 355)])
+def test_folded_weights_match_one_pass_bincount(q, periods, monkeypatch):
+    # Blocks of 7 periods: several whole blocks and a shorter last one.
+    monkeypatch.setattr(lfun, "_FOLD_BLOCK_TERMS", 7 * q)
+    a = ShiftParam.of("3/2")
+    n = np.arange(1, periods * q + 1)
+    reference = np.bincount(n % q, weights=1.0 / (n + 1.5), minlength=q)
+    assert np.allclose(lfun._folded_weights(q, a, periods * q), reference, rtol=1e-14, atol=0)

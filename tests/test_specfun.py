@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, strategies as st
@@ -76,6 +77,33 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, -3.0)
+
+
+class TestArrayArguments:
+    GRID = np.concatenate([np.linspace(1e-3, 60.0, 2001), (np.arange(1, 1000) + 1.5) / 1000])
+
+    def test_digamma_elementwise(self):
+        psi = digamma(self.GRID)
+        ref = scipy.special.psi(self.GRID)
+        assert psi.shape == self.GRID.shape
+        assert np.all(np.abs(psi - ref) < 1e-13 * np.maximum(1.0, np.abs(ref)))
+        scalar = np.array([digamma(float(x)) for x in self.GRID])
+        assert np.all(np.abs(psi - scalar) <= 1e-15 * np.maximum(1.0, np.abs(psi)))
+
+    def test_hurwitz_zeta_elementwise(self):
+        zeta = hurwitz_zeta(2.0, self.GRID)
+        assert np.allclose(zeta, scipy.special.zeta(2.0, self.GRID), rtol=1e-11, atol=0.0)
+        assert np.allclose(zeta, [hurwitz_zeta(2.0, float(x)) for x in self.GRID], rtol=1e-15, atol=0.0)
+
+    def test_float_argument_gives_float(self):
+        assert type(digamma(2.5)) is float
+        assert type(hurwitz_zeta(2, 2.5)) is float
+
+    def test_one_bad_entry_rejects_the_array(self):
+        with pytest.raises(ValueError):
+            digamma(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            hurwitz_zeta(2.0, np.array([1.0, np.nan]))
 
 
 class TestHarmonic:
