@@ -32,7 +32,8 @@ from . import lfun, meanval
 from .arith import euler_phi, factorize, is_prime
 from .cache import ReportCache, default_cache_dir, load_table
 from .chars import orthogonality_defect, nonprincipal_period_sum_defect
-from .expsum import Polynomial, complete_sum, lemma2_defect, lemma3_report, weighted_char_sum_all
+from .expsum import (Polynomial, complete_sum, lemma2_defect, lemma3_report, weighted_char_sum,
+                     weighted_char_sum_all)
 from .meanval import MeanValueReport, ResidualSeries, build_report, cross_terms, residual_sweep
 from .specfun import ShiftParam
 
@@ -103,6 +104,11 @@ def render_json(reports, series: ResidualSeries | None = None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _check_output_path(path: str) -> None:
+    if not path.endswith((".csv", ".json")):
+        raise ValueError(f"output path must end in .csv or .json, got {path!r}")
+
+
 def emit_report(reports, path: str | None, series: ResidualSeries | None = None) -> None:
     """Write reports to path (.csv or .json by extension); stdout if no path."""
     if isinstance(reports, MeanValueReport):
@@ -110,12 +116,8 @@ def emit_report(reports, path: str | None, series: ResidualSeries | None = None)
     if path is None:
         sys.stdout.write(render_csv(reports))
         return
-    if path.endswith(".json"):
-        payload = render_json(reports, series)
-    elif path.endswith(".csv"):
-        payload = render_csv(reports)
-    else:
-        raise ValueError(f"output path must end in .csv or .json, got {path!r}")
+    _check_output_path(path)
+    payload = render_json(reports, series) if path.endswith(".json") else render_csv(reports)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(payload)
 
@@ -215,8 +217,12 @@ def _normalize(ns: argparse.Namespace) -> None:
         ns.a = ShiftParam.of(ns.a)
     if hasattr(ns, "p") and getattr(ns, "q", None) is None:
         ns.q = ns.p
-    if ns.subcommand == "sweep":
+    if ns.subcommand == "sweep":  # every sweep flag is checked before any table is built
         ns.moduli = _parse_moduli(ns.primes, ns.moduli)
+        if ns.out is not None:
+            _check_output_path(ns.out)
+        if ns.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
 
 
 def _cache_from(ns: argparse.Namespace) -> ReportCache | None:
@@ -286,11 +292,13 @@ def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     f = ns.f
     _require(f is not None, "--f is required")
     t = load_table(p, cache)
-    sums = weighted_char_sum_all(t, f)
+    if ns.j is None:
+        indices, sums = range(t.phi), weighted_char_sum_all(t, f)
+    else:  # weighted_char_sum rejects an index outside 0 .. phi-1
+        indices, sums = [ns.j], {ns.j: weighted_char_sum(t, ns.j, f)}
     total = complete_sum(p, f.coefficients)
     print(f"p = {p}, f = {f}  (degree {f.degree}, sqrt(p) = {math.sqrt(p):.6f})")
     print(f"complete sum over y=1..p-1: {total.real:+.6f}{total.imag:+.6f}i  |T| = {abs(total):.6f}")
-    indices = [ns.j] if ns.j is not None else range(t.phi)
     for j in indices:
         s = sums[j]
         tag = " (principal)" if j == t.principal_index else ""

@@ -16,7 +16,13 @@ Routes:
 
 The closed routes share the digamma backend but assemble different
 expressions; the truncated route shares nothing with them and anchors the
-tolerance chain.
+tolerance chain.  The psi grids psi((r + a)/q) are memoized per (q, a),
+read-only and emptied by meanval.clear_memo, so a report evaluates each
+grid once and both closed routes read it.  Each route would compute a
+bit-identical grid anyway (same function, same inputs), so the sharing
+changes no number: route_agreement still compares closed_direct's transform
+of psi((r + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces
+are transformed separately.
 
 Each route is computed for all characters at once (l1a_vector,
 truncated_vector, dispatched by route_vector): the residue weights are one
@@ -66,11 +72,32 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
         raise ValueError("L(1, chi) requires a non-principal character")
 
 
+# Evaluated psi grids by (q, a.numerator, a.denominator), oldest first.  A
+# report needs at most two (shift a and shift 0), so a few entries suffice.
+_PSI_MEMO: dict[tuple[int, int, int], np.ndarray] = {}
+_PSI_MEMO_CAP = 4
+
+
 def _psi_grid(q: int, a: ShiftParam) -> np.ndarray:
-    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0)."""
-    grid = np.zeros(q)
-    grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
+    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0).
+
+    Memoized and read-only: both closed routes read the same grid.
+    """
+    key = (q, a.numerator, a.denominator)
+    grid = _PSI_MEMO.get(key)
+    if grid is None:
+        grid = np.zeros(q)
+        grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
+        grid.flags.writeable = False
+        if len(_PSI_MEMO) >= _PSI_MEMO_CAP:
+            del _PSI_MEMO[next(iter(_PSI_MEMO))]
+        _PSI_MEMO[key] = grid
     return grid
+
+
+def clear_psi_memo() -> None:
+    """Forget every memoized psi grid."""
+    _PSI_MEMO.clear()
 
 
 def l1_vector(t: CharacterTable) -> np.ndarray:
@@ -100,7 +127,9 @@ def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") 
     if method == "closed_direct":
         vals = -t.sums_over_residues(_psi_grid(t.q, a)) / t.q
     elif method == "closed_lemma1":
-        vals = l1_vector(t) - a.real_value * tail_vector(t, a)
+        vals = l1_vector(t)
+        if not a.is_zero:  # the a * tail term is exactly 0 at a = 0
+            vals -= a.real_value * tail_vector(t, a)
     else:
         raise ValueError(f"unknown closed method {method!r}; expected closed_direct or closed_lemma1")
     vals[t.principal_index] = 0.0

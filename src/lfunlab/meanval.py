@@ -145,13 +145,15 @@ def _lvalue_vector(t: CharacterTable, a: ShiftParam, method: str,
         if stored:
             cache.put_lvec(*key, vec)
     if len(_LVEC_MEMO) >= _LVEC_MEMO_CAP:
-        _LVEC_MEMO.clear()
+        del _LVEC_MEMO[next(iter(_LVEC_MEMO))]  # evict the oldest entry
     _LVEC_MEMO[key] = vec
     return vec
 
 
 def clear_memo() -> None:
+    """Forget the memoized L-vectors and psi grids."""
     _LVEC_MEMO.clear()
+    lfun.clear_psi_memo()
 
 
 def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
@@ -231,11 +233,10 @@ def eq1_main(q: int, a) -> Eq1Main:
     query = make_query("eq1", q, a)
     a = query.a
     phi = euler_phi(factorize(q))
-    zeta_sum = 0.0
-    harmonic_sum = 0.0
-    for d, mu in _mobius_divisor_terms(q):
-        zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.div_value(d))
-        harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
+    terms = _mobius_divisor_terms(q)
+    zetas = hurwitz_zeta(2.0, np.array([a.div_value(d) for d, _ in terms]))
+    zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
+    harmonic_sum = sum(mu / d * harmonic(floor_ratio(a, d)) for d, mu in terms)
     first = phi * zeta_sum
     full = first - 4.0 * phi / a.real_value * harmonic_sum
     return Eq1Main(full, first)
@@ -286,11 +287,10 @@ def thm1_diagonal_oracle(q: int, k: int, a) -> float:
     phi = euler_phi(factorize(q))
     if a.is_zero:
         return phi / k * _ZETA2 * _sieve_factor(q)
-    total = 0.0
-    af = a.real_value
-    for d, mu in _mobius_divisor_terms(q):
-        total += mu / d * (digamma(1.0 + a.div_value(d)) - digamma(1.0 + a.div_value(k * d)))
-    return phi / (af * (k - 1)) * total
+    terms = _mobius_divisor_terms(q)
+    psi = digamma(np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in terms]))
+    total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(terms, psi)))
+    return phi / (a.real_value * (k - 1)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,8 @@ def thm2_main(p: int, a, k_deg: int) -> float:
     a = ShiftParam.of(a)
     _check_shift_at_least_one(a)
     p2 = float(p * p)
-    zeta_part = p2 * (hurwitz_zeta(2.0, a.real_value) - hurwitz_zeta(2.0, a.div_value(p)) / (p * p))
+    zeta_a, zeta_ap = hurwitz_zeta(2.0, np.array([a.real_value, a.div_value(p)]))
+    zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
     harm_part = 4.0 * p2 / a.real_value * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
     return zeta_part - harm_part
 

@@ -8,6 +8,16 @@ implementation for both) and are deterministic; accuracy is ~1e-13 absolute
 for psi and ~1e-12 relative for zeta on the domains used here.  A float
 argument gives a float result.
 
+The digamma kernel is the shift-to-asymptotic method (J. M. Bernardo,
+Algorithm AS 103, Appl. Statist. 25, 1976) over arrays: each entry's number
+of unit steps n = ceil(10 - x) is computed once, the recurrence terms
+1/(x + i) are subtracted in place, over the whole array for the steps every
+entry needs and under a mask for the rest, and the series is a Horner
+evaluation in place.  An entry's arithmetic never depends on the other
+entries, so an array call equals the entry-by-entry calls bit for bit.  The
+Hurwitz zeta sums its (at most ten) direct terms as one (n, alpha) array
+before adding the Euler-Maclaurin tail.
+
 ShiftParam carries the series shift a as an exact reduced fraction so that
 floor quantities like [a/d] never go through floating point.
 """
@@ -53,30 +63,47 @@ def _result(arr: np.ndarray):
 def digamma(x):
     """psi(x) for real x > 0 (float or array), absolute error below 1e-13.
 
-    Small arguments are shifted up with psi(x) = psi(x+1) - 1/x until
-    x >= 10, where ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}) (k <= 7) applies;
-    the first omitted term is below 5e-17 there.
+    Small arguments are shifted up with psi(x) = psi(x+1) - 1/x: an entry
+    takes n = ceil(10 - x) unit steps (0 from 10 on), so psi(x) =
+    psi(x + n) - sum_{i<n} 1/(x + i), and ln y - 1/(2y) - sum B_{2k}/(2k y^{2k})
+    (k <= 7) applies at y = x + n >= 10; the first omitted term is below
+    5e-17 there.  The steps all entries share run unmasked, the rest masked.
     """
     x = _positive_array(x, "digamma requires finite x > 0")
+    shape = x.shape
+    x = x.reshape(-1)  # 1-D, so the in-place steps below also run on a float
+    steps = np.maximum(np.ceil(_SHIFT_CUTOFF - x), 0.0)
+    shared, rounds = (int(steps.min()), int(steps.max())) if steps.size else (0, 0)
     shift = np.zeros_like(x)
-    small = x < _SHIFT_CUTOFF
-    while small.any():  # at most 10 rounds, since x > 0
-        shift -= np.where(small, 1.0 / x, 0.0)
-        x = np.where(small, x + 1.0, x)
-        small = x < _SHIFT_CUTOFF
-    w = 1.0 / (x * x)
-    series = np.zeros_like(x)
-    for c in reversed(_PSI_COEFFS):
-        series = (series + c) * w
-    return _result(shift + np.log(x) - 0.5 / x - series)
+    term = np.empty_like(x)
+    for i in range(rounds):  # at most 10, since x > 0
+        np.add(x, i, out=term)
+        np.reciprocal(term, out=term)
+        np.subtract(shift, term, out=shift, where=True if i < shared else steps > i)
+    y = x + steps
+    w = y * y
+    np.reciprocal(w, out=w)
+    series = np.full_like(x, _PSI_COEFFS[-1])
+    for c in reversed(_PSI_COEFFS[:-1]):
+        series *= w
+        series += c
+    series *= w
+    out = np.log(y)
+    out += shift
+    np.reciprocal(y, out=y)
+    y *= 0.5
+    out -= y
+    out -= series
+    return _result(out.reshape(shape))
 
 
 def hurwitz_zeta(s: float, alpha):
     """zeta(s, alpha) = sum_{n>=0} (n + alpha)^(-s) for s > 1, alpha > 0
     (alpha a float or array).
 
-    Terms with n + alpha < 10 are summed directly, smallest first; the
-    remainder is the Euler-Maclaurin tail at c = M + alpha:
+    Terms with n + alpha < 10 are summed directly, as one (n, alpha) array
+    summed over n from the smallest terms; the remainder is the
+    Euler-Maclaurin tail at c = M + alpha:
 
         c^(1-s)/(s-1) + c^(-s)/2
           + sum_{j=1..7} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * c^(1-s-2j).
@@ -89,9 +116,9 @@ def hurwitz_zeta(s: float, alpha):
         raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
     alpha = _positive_array(alpha, "hurwitz_zeta requires alpha > 0")
     m = np.maximum(0.0, np.ceil(_SHIFT_CUTOFF - alpha))
-    direct = np.zeros_like(alpha)
-    for n in range(int(m.max(initial=0.0)) - 1, -1, -1):
-        direct += np.where(n < m, (n + alpha) ** (-s), 0.0)
+    # rows n = M-1 .. 0 (largest n, smallest terms, first) against every alpha
+    n = np.arange(m.max(initial=0.0) - 1.0, -1.0, -1.0).reshape((-1,) + (1,) * alpha.ndim)
+    direct = np.where(n < m, (n + alpha) ** (-s), 0.0).sum(axis=0)
     c = m + alpha
     tail = c ** (1.0 - s) / (s - 1.0) + 0.5 * c ** (-s)
     rising = s  # s (s+1) ... (s + 2j - 2), grown incrementally

@@ -65,6 +65,29 @@ class TestExitCodes:
         assert run_cli("verify", "--target", "lemma2", "--p", "13", "--f", "0,1") == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("j", ["99", "-1"])
+    def test_expsum_index_out_of_range_exits_2(self, j, capsys):
+        assert run_cli("expsum", "--p", "13", "--f", "1,0,3,2", "--j", j) == 2
+        captured = capsys.readouterr()
+        assert f"character index {j} out of range for modulus 13" in captured.err
+        assert "S =" not in captured.out
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--out", "report.txt"), "output path must end in .csv or .json"),
+        (("--jobs", "0"), "--jobs must be at least 1"),
+        (("--jobs", "-3"), "--jobs must be at least 1"),
+    ])
+    def test_bad_sweep_flags_fail_before_any_work(self, flags, message, tmp_path, monkeypatch, capsys):
+        def no_build(q):
+            raise AssertionError(f"table mod {q} built before the flags were checked")
+
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sweep", "--target", "eq1", "--moduli", "7,11", "--a", "1", *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
     def test_success_paths_exit_0(self, capsys):
         assert run_cli("chars", "--q", "35") == 0
         assert run_cli("expsum", "--p", "7", "--f", "0,0,1") == 0

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from lfunlab import lfun
+from lfunlab import lfun, meanval
 from lfunlab.chars import conjugate_index, get_table
+from lfunlab.expsum import Polynomial
 from lfunlab.specfun import ShiftParam, hurwitz_zeta
 
 
@@ -190,3 +191,67 @@ def test_folded_weights_match_one_pass_bincount(q, periods, monkeypatch):
     n = np.arange(1, periods * q + 1)
     reference = np.bincount(n % q, weights=1.0 / (n + 1.5), minlength=q)
     assert np.allclose(lfun._folded_weights(q, a, periods * q), reference, rtol=1e-14, atol=0)
+
+
+class TestPsiGridWork:
+    """Each report evaluates each distinct psi grid once (calls counted, not timed)."""
+
+    @staticmethod
+    def _record_grid_sizes(monkeypatch):
+        sizes = {"digamma": [], "hurwitz_zeta": []}
+        for module in (lfun, meanval):
+            for name, log in sizes.items():
+                def counting(*args, _fn=getattr(module, name), _log=log):
+                    _log.append(np.size(args[-1]))
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counting)
+        return sizes
+
+    @pytest.mark.parametrize("target, a, extra, psi_grids", [
+        ("eq1", "3/2", {}, 2),
+        ("thm1", "3/2", {"k": 2}, 2),
+        ("thm2", "3/2", {"f": Polynomial.parse("1,0,3,2")}, 2),
+        ("lemma4", "2", {}, 1),
+    ])
+    def test_build_report_grid_count(self, target, a, extra, psi_grids, monkeypatch):
+        q = 101
+        query = meanval.make_query(target, q, a, **extra)
+        meanval.clear_memo()
+        sizes = self._record_grid_sizes(monkeypatch)
+        meanval.build_report(query)
+        assert sizes["digamma"].count(q - 1) == psi_grids
+        assert sizes["hurwitz_zeta"].count(q - 1) == 0
+        meanval.clear_memo()
+
+    def test_clear_memo_empties_the_grid_memo(self):
+        meanval.build_report(meanval.make_query("eq1", 13, "2"))
+        assert lfun._PSI_MEMO
+        meanval.clear_memo()
+        assert not lfun._PSI_MEMO
+
+    def test_memoized_grids_are_read_only_and_shared(self):
+        meanval.clear_memo()
+        grid = lfun._psi_grid(11, ShiftParam.of("3/2"))
+        assert lfun._psi_grid(11, ShiftParam.of("3/2")) is grid
+        with pytest.raises(ValueError):
+            grid[1] = 0.0
+        meanval.clear_memo()
+
+    def test_grid_memo_evicts_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(lfun, "_PSI_MEMO_CAP", 2)
+        meanval.clear_memo()
+        for num in (1, 2, 3):
+            lfun._psi_grid(7, ShiftParam.of(num))
+        assert list(lfun._PSI_MEMO) == [(7, 2, 1), (7, 3, 1)]
+        meanval.clear_memo()
+
+    @pytest.mark.parametrize("q", [5, 24, 101])
+    def test_closed_lemma1_at_zero_is_l1_vector(self, q, monkeypatch):
+        t = get_table(q)
+        expected = lfun.l1_vector(t)
+
+        def no_tail(*args):
+            raise AssertionError("closed_lemma1 built a Hurwitz grid at a = 0")
+
+        monkeypatch.setattr(lfun, "hurwitz_zeta", no_tail)
+        assert np.array_equal(lfun.l1a_vector(t, ShiftParam(0), "closed_lemma1"), expected)

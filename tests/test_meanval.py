@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from lfunlab import lfun, meanval
+from lfunlab.arith import euler_phi, factorize
 from lfunlab.chars import char_value, conjugate_index, get_table
 from lfunlab.expsum import Polynomial, weighted_char_sum
-from lfunlab.specfun import ShiftParam, digamma, harmonic, hurwitz_zeta
+from lfunlab.specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
 
 A = ShiftParam.of
 ZETA2 = math.pi**2 / 6
@@ -316,3 +317,38 @@ def test_memo_and_cache_clear():
     meanval.eq1_lhs(7, A(1))
     meanval.clear_memo()
     assert abs(meanval.eq1_lhs(7, A(1)) - meanval.eq1_lhs(7, A(1))) == 0.0
+
+
+def test_lvec_memo_evicts_only_the_oldest(monkeypatch):
+    monkeypatch.setattr(meanval, "_LVEC_MEMO_CAP", 3)
+    meanval.clear_memo()
+    for q in (5, 7, 11, 13):
+        meanval.eq1_lhs(q, A(1))
+    assert [key[0] for key in meanval._LVEC_MEMO] == [7, 11, 13]
+    meanval.clear_memo()
+
+
+@pytest.mark.parametrize("q", [2310, 30030])
+@pytest.mark.parametrize("a_str", ["1", "7/2", "45"])
+class TestMainTermsMatchDivisorLoop:
+    """One special-function call per main term gives the per-divisor loop's value."""
+
+    def test_eq1_main(self, q, a_str):
+        a = A(a_str)
+        phi = euler_phi(factorize(q))
+        zeta_sum = harmonic_sum = 0.0
+        for d, mu in meanval._mobius_divisor_terms(q):
+            zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.div_value(d))
+            harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
+        main = meanval.eq1_main(q, a)
+        assert math.isclose(main.first_term_only, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
+        full = phi * zeta_sum - 4.0 * phi / a.real_value * harmonic_sum
+        assert math.isclose(main.full, full, rel_tol=1e-14, abs_tol=0.0)
+
+    def test_thm1_diagonal_oracle(self, q, a_str):
+        a, k = A(a_str), 17
+        total = 0.0
+        for d, mu in meanval._mobius_divisor_terms(q):
+            total += mu / d * (digamma(1.0 + a.div_value(d)) - digamma(1.0 + a.div_value(k * d)))
+        expected = euler_phi(factorize(q)) / (a.real_value * (k - 1)) * total
+        assert math.isclose(meanval.thm1_diagonal_oracle(q, k, a), expected, rel_tol=1e-14, abs_tol=0.0)

@@ -106,6 +106,48 @@ class TestArrayArguments:
             hurwitz_zeta(2.0, np.array([1.0, np.nan]))
 
 
+class TestKernels:
+    # x = 10 - n + u needs exactly n unit shifts (n = 0 .. 10), mixed in one array
+    MIXED = np.random.default_rng(7).permutation(
+        np.concatenate([10.0 - n + np.array([0.05, 0.5, 0.95]) for n in range(11)]
+                       + [np.array([10 - 1e-12, 10.0, 10 + 1e-12])])
+    )
+
+    def test_digamma_mixed_shifts_against_scipy(self):
+        assert set(np.maximum(np.ceil(10.0 - self.MIXED), 0.0).tolist()) == set(range(11))
+        psi = digamma(self.MIXED)
+        assert np.all(np.abs(psi - scipy.special.psi(self.MIXED)) < 1e-13)
+
+    def test_digamma_array_equals_entry_by_entry(self):
+        # masked rounds must not let an entry's arithmetic depend on its neighbours
+        psi = digamma(self.MIXED)
+        assert np.array_equal(psi, [digamma(float(x)) for x in self.MIXED])
+
+    def test_digamma_two_dimensional(self):
+        grid = self.MIXED[:36].reshape(6, 6)
+        psi = digamma(grid)
+        assert psi.shape == (6, 6)
+        assert np.array_equal(psi, digamma(grid.ravel()).reshape(6, 6))
+        assert np.all(np.abs(psi - scipy.special.psi(grid)) < 1e-13)
+
+    def test_digamma_leaves_its_argument_alone(self):
+        x = self.MIXED.copy()
+        digamma(x)
+        assert np.array_equal(x, self.MIXED)
+
+    @pytest.mark.parametrize("shape", [(), (40,), (8, 5)])
+    def test_hurwitz_zeta_shapes_against_scipy(self, shape):
+        alpha = np.exp(np.random.default_rng(3).uniform(math.log(1e-6), math.log(20.0), size=shape))
+        zeta = hurwitz_zeta(2.0, alpha)
+        assert np.shape(zeta) == shape
+        assert np.all(np.abs(zeta / scipy.special.zeta(2.0, alpha) - 1.0) < 1e-12)
+
+    def test_hurwitz_zeta_domain_ends(self):
+        alpha = np.array([1e-6, 0.5, 10 - 1e-12, 10.0, 10 + 1e-12, 20.0])
+        zeta = hurwitz_zeta(2.0, alpha)
+        assert np.all(np.abs(zeta / scipy.special.zeta(2.0, alpha) - 1.0) < 1e-12)
+
+
 class TestHarmonic:
     def test_small(self):
         assert harmonic(0) == 0.0
