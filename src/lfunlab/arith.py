@@ -3,13 +3,16 @@
 Integer factorization by deterministic trial division, the multiplicative
 functions built on top of it (Euler phi, Moebius mu, divisor lists), smallest
 primitive roots of prime powers, and discrete-logarithm tables for cyclic unit
-groups.  Everything here is exact integer arithmetic; no floats.
+groups.  Everything here is exact integer arithmetic; no floats.  The
+power and log tables are int64 numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -133,24 +136,49 @@ def primitive_root(pk: int) -> int:
     raise ValueError(f"no primitive root found modulo {pk}")  # unreachable for valid pk
 
 
+def powers_mod(g: int, m: int, count: int) -> np.ndarray:
+    """g^t mod m for t = 0 .. count-1 as int64, by doubling:
+    pow[s:2s] = pow[:s] * g^s mod m.  Products stay below m^2 < 2^63."""
+    if (m - 1) ** 2 >= 2**63:
+        raise ValueError(f"powers_mod needs (m - 1)^2 < 2^63, got m = {m}")
+    pows = np.empty(count, dtype=np.int64)
+    if count:
+        pows[0] = 1 % m
+    s, g_s = 1, g % m
+    while s < count:
+        n = min(s, count - s)
+        np.remainder(pows[:n] * g_s, m, out=pows[s:s + n])
+        s, g_s = s + n, g_s * g_s % m
+    return pows
+
+
+def discrete_log_array(pk: int, g: int) -> np.ndarray:
+    """Length-pk int64 array: entry u is the exponent t with g^t = u (mod pk)
+    for each unit u, and -1 on non-units.
+
+    g must generate the full unit group: a repeated power, or g^phi(pk) != 1,
+    raises ValueError.
+    """
+    if pk < 1:
+        raise ValueError(f"discrete logs need pk >= 1, got {pk}")
+    if pk > 1 and math.gcd(g, pk) != 1:
+        raise ValueError(f"{g} is not a unit modulo {pk}")
+    phi = euler_phi(factorize(pk))
+    pows = powers_mod(g, pk, phi)
+    logs = np.full(pk, -1, dtype=np.int64)
+    logs[pows] = np.arange(phi)
+    if np.count_nonzero(logs >= 0) != phi or int(pows[-1]) * g % pk != 1 % pk:
+        raise ValueError(f"{g} does not generate the units modulo {pk}")
+    return logs
+
+
 def discrete_log_table(pk: int, g: int) -> dict[int, int]:
     """Map unit residue -> exponent t with g^t = residue (mod pk).
 
     g must generate the full unit group; the table has exactly phi(pk)
-    entries, one per unit, with exponents 0 .. phi(pk)-1.
+    entries, one per unit, with exponents 0 .. phi(pk)-1.  A dict view of
+    discrete_log_array.
     """
-    if pk < 1:
-        raise ValueError(f"discrete_log_table expects pk >= 1, got {pk}")
-    if pk > 1 and math.gcd(g, pk) != 1:
-        raise ValueError(f"{g} is not a unit modulo {pk}")
-    phi = euler_phi(factorize(pk))
-    table: dict[int, int] = {}
-    x = 1 % pk
-    for t in range(phi):
-        if x in table:
-            raise ValueError(f"{g} does not generate the units modulo {pk}")
-        table[x] = t
-        x = (x * g) % pk
-    if x != 1 % pk:
-        raise ValueError(f"{g} does not generate the units modulo {pk}")
-    return table
+    logs = discrete_log_array(pk, g)
+    units = np.flatnonzero(logs >= 0)
+    return dict(zip(units.tolist(), logs[units].tolist()))

@@ -14,9 +14,23 @@ Routes:
                     2 q / (N + 1) from Abel summation (period sums of chi
                     vanish, so partial character sums are bounded by q).
 
+The truncated route folds the partial sum onto the q residues.  The first
+100 periods (n <= 100 q) are summed term by term.  The later periods of each
+residue class, 1/(q (k + beta)) for k = 100 .. N/q - 1 with beta = (c + a)/q,
+are summed in closed form by two-point Euler-Maclaurin with B_2, B_4, B_6,
+so the cost is O(100 q) for any N and the value is still the partial sum
+to N.  The terms are completely monotone, so each weight's remainder is at
+most the first omitted term |B_8|/(8q) (100 + beta)^-8 (DLMF 2.10(i)); the
+route's bound is 2q/(N+1) plus q times that (about 4e-19).
+
 The closed routes share the digamma backend but assemble different
 expressions; the truncated route shares nothing with them and anchors the
-tolerance chain.  The psi grids psi((r + a)/q) are memoized per (q, a),
+tolerance chain.  Caveat: digamma's asymptotic series is the same
+Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart because
+this code is separate (its own Bernoulli constants, nothing imported from
+specfun) and applies the expansion only at k + beta >= 100 after 100 q
+direct terms, while digamma shifts its argument to x >= 10 and uses no
+direct terms.  The psi grids psi((r + a)/q) are memoized per (q, a),
 read-only and emptied by meanval.clear_memo, so a report evaluates each
 grid once and both closed routes read it.  Each route would compute a
 bit-identical grid anyway (same function, same inputs), so the sharing
@@ -140,33 +154,81 @@ def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") 
 # about 2 MB of float64, keep its memory O(q) rather than O(N).
 _FOLD_BLOCK_TERMS = 2**18
 
+# Periods the truncated route sums term by term; later periods are summed in
+# closed form.  At k + beta >= 100 the first omitted Euler-Maclaurin term is
+# below 5e-19 per L-value.
+_HEAD_PERIODS = 100
+
+# B_2, B_4, B_6 of the Euler-Maclaurin corrections, and |B_8|, whose term is
+# the first one omitted.
+_EM_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
+_EM_OMITTED_B8 = 1.0 / 30.0
+
+
+def _far_periods(q: int, a: ShiftParam, periods: int) -> np.ndarray:
+    """sum_{k=H}^{periods-1} 1/(kq + i + 1 + a) for each row i = 0..q-1, where
+    H = _HEAD_PERIODS < periods.
+
+    With beta = (i + 1 + a)/q the terms are f(k) = 1/(q (k + beta)); two-point
+    Euler-Maclaurin from lo = H + beta to hi = periods - 1 + beta gives
+    (1/q)[ln(hi/lo) + (1/lo + 1/hi)/2 - sum_{j<=3} B_2j/(2j) (hi^-2j - lo^-2j)],
+    with ln(hi/lo) taken as log1p of the exact integer hi - lo over lo.
+    """
+    span = periods - 1 - _HEAD_PERIODS
+    lo = _HEAD_PERIODS + (np.arange(1, q + 1) + a.real_value) / q
+    hi = lo + span
+    total = np.log1p(span / lo) + 0.5 * (1.0 / lo + 1.0 / hi)
+    for j, b in enumerate(_EM_BERNOULLI, start=1):
+        total -= b / (2 * j) * (hi ** (-2 * j) - lo ** (-2 * j))
+    return total / q
+
+
+def _far_remainder(q: int, a: ShiftParam, periods: int) -> float:
+    """Bound on the Euler-Maclaurin remainder of the whole character sum.
+
+    The even derivatives of f(k) = 1/(q (k + beta)) are all positive, so the
+    remainder of each weight is at most the first omitted term,
+    |B_8|/(8q) lo^-8 (DLMF 2.10(i)); q weights of modulus-one characters
+    multiply that by q.  0 when every period is summed directly.
+    """
+    if periods <= _HEAD_PERIODS:
+        return 0.0
+    lo_min = _HEAD_PERIODS + (1 + a.real_value) / q
+    return _EM_OMITTED_B8 / 8.0 * lo_min ** -8
+
 
 def _folded_weights(q: int, a: ShiftParam, n_terms: int) -> np.ndarray:
     """W[c] = sum over n <= N with n == c (mod q) of 1/(n + a), c = 0..q-1.
 
     N is a whole number of periods.  Period k covers n = kq+1 .. kq+q, whose
     residues are 1, ..., q-1, 0, so a block of periods laid out as rows of q
-    terms sums column-wise onto the residues.
+    terms sums column-wise onto the residues.  The first _HEAD_PERIODS
+    periods are folded term by term, the rest added by _far_periods.
     """
     periods = n_terms // q
+    head = min(periods, _HEAD_PERIODS)
     rows = max(1, _FOLD_BLOCK_TERMS // q)
     acc = np.zeros(q)
-    for k in range(0, periods, rows):
+    for k in range(0, head, rows):
         # n < 2^53, so the float64 range holds each n exactly
-        terms = np.arange(k * q + 1, min(k + rows, periods) * q + 1, dtype=np.float64)
+        terms = np.arange(k * q + 1, min(k + rows, head) * q + 1, dtype=np.float64)
         terms += a.real_value
         np.reciprocal(terms, out=terms)
         acc += terms.reshape(-1, q).sum(axis=0)
+    if periods > head:
+        acc += _far_periods(q, a, periods)
     return np.roll(acc, 1)
 
 
 def truncated_vector(t: CharacterTable, a: ShiftParam, n_terms: int) -> tuple[np.ndarray, float]:
     """Partial sums sum_{n<=N} chi(n)/(n+a) for every character, with the
-    shared rigorous tail bound 2q/(N+1)."""
+    shared rigorous bound 2q/(N+1) on the series tail plus the
+    Euler-Maclaurin remainder of the far periods."""
     q = t.q
     if n_terms % q != 0 or n_terms < 10 * q:
         raise ValueError(f"truncation length must be a multiple of q and >= 10q, got N={n_terms}, q={q}")
-    return t.sums_over_residues(_folded_weights(q, a, n_terms)), 2.0 * q / (n_terms + 1)
+    bound = 2.0 * q / (n_terms + 1) + _far_remainder(q, a, n_terms // q)
+    return t.sums_over_residues(_folded_weights(q, a, n_terms)), bound
 
 
 def default_truncation(q: int) -> int:
@@ -222,8 +284,12 @@ def l1_chi_a_truncated(t: CharacterTable, j: int, a, n_terms: int | None = None)
     j of truncated_vector.
 
     N must be a multiple of q (so the cut falls on a period boundary) and at
-    least 10q.  The bound 2q/(N+1) comes from Abel summation against the
-    partial character sums, which are bounded by q since full periods cancel.
+    least 10q.  The first 100 periods are summed term by term and the later
+    ones per residue class by Euler-Maclaurin, so the work is O(100 q) for
+    any N.  The bound 2q/(N+1) comes from Abel summation against the partial
+    character sums, which are bounded by q since full periods cancel; the
+    Euler-Maclaurin remainder, q |B_8|/(8q) (100 + (1 + a)/q)^-8, is added
+    to it.
     """
     return evaluate(t, j, a, "truncated", n_terms)
 

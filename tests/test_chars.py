@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lfunlab import chars
+from lfunlab.arith import discrete_log_array, euler_phi, factorize, is_prime, primitive_root
 from lfunlab.chars import (
     build_character_table,
     char_value,
@@ -215,3 +216,49 @@ class TestDenseOracleBudget:
             t.values_matrix()
         monkeypatch.setattr(chars, "_DENSE_ORACLE_BYTES", need)
         assert t.values_matrix().shape == (12, 13)
+
+
+def _pow_loop_logs(pk, g, count):
+    """Exponent t of each g^t mod pk, t < count, by a plain multiplication loop."""
+    logs = np.full(pk, -1, dtype=np.int64)
+    x = 1 % pk
+    for t in range(count):
+        logs[x] = t
+        x = x * g % pk
+    return logs
+
+
+class TestDiscreteLogsByDoubling:
+    def test_prime_power_logs_match_pow_loop(self):
+        prime_powers = [p**e for p in range(2, 2001) if is_prime(p)
+                        for e in range(1, 12) if p**e <= 2000 and (p > 2 or e <= 2)]
+        for pk in prime_powers:
+            g = primitive_root(pk)
+            phi = euler_phi(factorize(pk))
+            assert np.array_equal(discrete_log_array(pk, g), _pow_loop_logs(pk, g, phi)), pk
+
+    def test_two_power_logs_match_pow_loop(self):
+        for e in range(3, 17):
+            pk = 2**e
+            t0 = np.full(pk, -1, dtype=np.int64)
+            t1 = np.full(pk, -1, dtype=np.int64)
+            x = 1
+            for i in range(2 ** (e - 2)):  # u = (-1)^t0 5^t1
+                t0[x], t1[x] = 0, i
+                t0[pk - x], t1[pk - x] = 1, i
+                x = x * 5 % pk
+            got = chars._two_power_logs(e)
+            assert np.array_equal(got[0], t0) and np.array_equal(got[1], t1), e
+
+    def test_every_non_generator_rejected(self):
+        for pk in (7, 9, 25, 27, 49, 121, 169, 2 * 49):
+            phi = euler_phi(factorize(pk))
+            for g in range(2, pk):
+                if math.gcd(g, pk) != 1:
+                    continue
+                order = next(s for s in range(1, phi + 1) if pow(g, s, pk) == 1)
+                if order == phi:
+                    assert discrete_log_array(pk, g)[g] == 1
+                else:
+                    with pytest.raises(ValueError, match="does not generate"):
+                        discrete_log_array(pk, g)

@@ -5,10 +5,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from lfunlab import cache, chars, cli, lfun, meanval
+from lfunlab import cache, chars, cli, expsum, lfun, meanval
 from lfunlab.chars import get_table
 from lfunlab.meanval import MeanValueReport
 from lfunlab.specfun import ShiftParam
@@ -87,6 +88,29 @@ class TestExitCodes:
         assert run_cli("sweep", "--target", "eq1", "--moduli", "7,11", "--a", "1", *flags) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("target", ["thm2", "lemma2", "lemma3"])
+    def test_oversized_difference_table_refused_before_any_work(self, target, monkeypatch, capsys):
+        def no_evaluation(*args):
+            raise AssertionError("difference sums evaluated past their budget")
+
+        monkeypatch.setattr(expsum, "_difference_block_sums", no_evaluation)
+        start = time.perf_counter()
+        assert run_cli("verify", "--target", target, "--p", "99991", "--f", "1,2,3,4") == 2
+        assert time.perf_counter() - start < 1.0
+        assert "over their budget" in capsys.readouterr().err
+
+    def test_truncated_route_cost_does_not_grow_with_n(self, capsys):
+        start = time.perf_counter()
+        assert run_cli("lvalue", "--method", "truncated", "--q", "99991", "--j", "1",
+                       "--n-terms", "99991000000") == 0
+        assert time.perf_counter() - start < 2.0
+        assert "j=1:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_terms", ["1011", "909"])  # not a multiple of q; below 10q
+    def test_bad_truncation_length_exits_2(self, n_terms, capsys):
+        assert run_cli("lvalue", "--method", "truncated", "--q", "101", "--n-terms", n_terms) == 2
+        assert "truncation length" in capsys.readouterr().err
 
     def test_success_paths_exit_0(self, capsys):
         assert run_cli("chars", "--q", "35") == 0

@@ -180,6 +180,14 @@ class TestDifferenceSums:
                 assert degenerate > 0
 
 
+    def test_budget_counts_p_minus_2_times_p_evaluations(self, monkeypatch):
+        p, f = 101, Polynomial((0, 1, 1))
+        monkeypatch.setattr(expsum, "_DIFFERENCE_EVALUATIONS", 99 * 101 - 1)
+        with pytest.raises(ValueError, match=r"1.0e\+04 evaluations"):
+            difference_sums(p, f)
+        monkeypatch.setattr(expsum, "_DIFFERENCE_EVALUATIONS", 99 * 101)
+        assert len(difference_sums(p, f)) == 99
+
 class TestWeightedCharSum:
     def test_gauss_sum_modulus(self):
         t = get_table(5)

@@ -1,5 +1,6 @@
 """Shifted L-values at s=1: closed routes vs truncated partial-sum oracle."""
 
+import inspect
 import math
 import random
 
@@ -192,6 +193,75 @@ def test_folded_weights_match_one_pass_bincount(q, periods, monkeypatch):
     reference = np.bincount(n % q, weights=1.0 / (n + 1.5), minlength=q)
     assert np.allclose(lfun._folded_weights(q, a, periods * q), reference, rtol=1e-14, atol=0)
 
+
+
+def _blocked_fold(q, a_value, periods):
+    """The term-by-term fold of every period, blocks of _FOLD_BLOCK_TERMS terms."""
+    rows = max(1, lfun._FOLD_BLOCK_TERMS // q)
+    acc = np.zeros(q)
+    for k in range(0, periods, rows):
+        terms = np.arange(k * q + 1, min(k + rows, periods) * q + 1, dtype=np.float64)
+        terms += a_value
+        np.reciprocal(terms, out=terms)
+        acc += terms.reshape(-1, q).sum(axis=0)
+    return np.roll(acc, 1)
+
+
+class TestFarPeriods:
+    """The truncated route sums 100 periods term by term and the rest by Euler-Maclaurin."""
+
+    @pytest.mark.parametrize("q", [3, 24, 97, 1009])
+    def test_weights_match_40_digit_partial_sums(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        periods = 10**4
+        with mpmath.workdps(40):
+            for a in (ShiftParam(0), ShiftParam.of("3/2"), ShiftParam.of(7)):
+                weights = lfun._folded_weights(q, a, periods * q)
+                a_mp = mpmath.mpf(a.numerator) / a.denominator
+                # residue c collects n = kq + c (c = q for residue 0), k = 0 .. P-1
+                betas = [(c + a_mp) / q for c in [q] + list(range(1, q))]
+                exact = np.array([float((mpmath.digamma(periods + b) - mpmath.digamma(b)) / q) for b in betas])
+                assert np.abs(weights / exact - 1).max() <= 2e-15, (q, a)
+
+    @pytest.mark.parametrize("q, periods", [(3, 10), (24, 57), (97, 100), (1009, 100)])
+    @pytest.mark.parametrize("block_periods", [7, None])
+    def test_head_only_is_the_blocked_fold_bit_for_bit(self, q, periods, block_periods, monkeypatch):
+        if block_periods:
+            monkeypatch.setattr(lfun, "_FOLD_BLOCK_TERMS", block_periods * q)
+        a = ShiftParam.of("3/2")
+        assert np.array_equal(lfun._folded_weights(q, a, periods * q), _blocked_fold(q, 1.5, periods))
+
+    @pytest.mark.parametrize("q, periods", [(5, 10), (5, 100), (5, 101), (24, 10**4), (97, 355)])
+    @pytest.mark.parametrize("a_str", ["0", "3/2", "7"])
+    def test_bound_covers_the_euler_maclaurin_remainder(self, q, periods, a_str):
+        a = ShiftParam.of(a_str)
+        n_terms = periods * q
+        _, bound = lfun.truncated_vector(get_table(q), a, n_terms)
+        far = 0.0
+        if periods > 100:  # |B_8| / (8q) (100 + beta_min)^-8 per weight, q weights
+            far = (1 / 30) / 8 * (100 + (1 + a.real_value) / q) ** -8
+        assert far < 1e-18  # printed bounds do not move
+        # the series bound alone is 1e14 times larger, so check the EM term on its own too
+        assert lfun._far_remainder(q, a, periods) >= far
+        assert bound >= 2 * q / (n_terms + 1) + far
+
+    def test_truncated_route_uses_no_special_function(self, monkeypatch):
+        from lfunlab import specfun
+
+        t = get_table(97)
+        a = ShiftParam.of("3/2")
+        expected, expected_bound = lfun.truncated_vector(t, a, 10**4 * 97)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the truncated route called a special function")
+
+        monkeypatch.setattr(lfun, "digamma", forbidden)
+        monkeypatch.setattr(lfun, "hurwitz_zeta", forbidden)
+        for name, obj in vars(specfun).items():
+            if inspect.isfunction(obj) and obj.__module__ == specfun.__name__:
+                monkeypatch.setattr(specfun, name, forbidden)
+        values, bound = lfun.truncated_vector(t, a, 10**4 * 97)
+        assert np.array_equal(values, expected) and bound == expected_bound
 
 class TestPsiGridWork:
     """Each report evaluates each distinct psi grid once (calls counted, not timed)."""
