@@ -32,8 +32,8 @@ from . import lfun, meanval
 from .arith import euler_phi, factorize, is_prime
 from .cache import ReportCache, default_cache_dir, load_table
 from .chars import orthogonality_defect, nonprincipal_period_sum_defect
-from .expsum import (Polynomial, complete_sum, lemma2_defect, lemma3_report, weighted_char_sum,
-                     weighted_char_sum_all)
+from .expsum import (Polynomial, check_difference_budget, complete_sum, lemma2_defect, lemma3_report,
+                     weighted_char_sum, weighted_char_sum_all)
 from .meanval import MeanValueReport, ResidualSeries, build_report, cross_terms, residual_sweep
 from .specfun import ShiftParam
 
@@ -333,6 +333,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
     if target == "lemma2":
         _require(ns.q is not None and ns.f is not None, "--p and --f are required")
+        check_difference_budget(ns.q)
         t = load_table(ns.q, cache)
         defect = lemma2_defect(t, ns.f)
         tol = 1e-7 * ns.q
@@ -355,6 +356,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
     if target == "thm2":
         _require(ns.q is not None and ns.f is not None, "--p and --f are required")
+        check_difference_budget(ns.q)  # before the direct side, which needs no difference table
         direct = meanval.thm2_lhs_direct(ns.q, ns.f, ns.a, cache=cache)
         decomposed = meanval.thm2_lhs_decomposed(ns.q, ns.f, ns.a, cache=cache)
         gap = abs(direct - decomposed)

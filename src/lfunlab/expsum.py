@@ -10,6 +10,15 @@ T(h) = sum_{y=1}^{p-1} e(h(y)/p).  It follows from substituting y -> x y in
 one factor and holds for every character, principal included.  The module
 evaluates both sides exactly enough to use the identity as a cross-check, and
 audits each completed sum against the square-root cancellation bound.
+
+The table of T(g_x) is a direct Horner evaluation over y that uses no
+characters, discrete logs or transforms, so the identity stays a check of the
+character side.  It does only the work the algebra leaves: since
+g_{1/x}(x y) = -g_x(y), the row of 1/x mod p is the complex conjugate of the
+row of x (same |T|, effective degree and degeneracy), so half the rows are
+summed; and the int64 accumulator is reduced mod p only when the next Horner
+step could overflow, once per cubic for p < 5.5e4, which leaves the residues,
+and so the sums, bit-identical to a reduction after every step.
 """
 
 from __future__ import annotations
@@ -134,51 +143,99 @@ def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
 # (x, y) pairs evaluated per block of the difference sums.
 _DIFFERENCE_BLOCK = 2**20
 
-# Measured on a 2-core x86-64 host: 21-29 ns per (x, y) evaluation for a cubic
-# f at p = 2203 .. 10007 (36 ns at degree 6), so 4e8 evaluations, p near
-# 2e4, is about 10 s.
+# Counted as all (p - 2) p (x, y) pairs, although only one row of each
+# inverse pair is evaluated.  Measured on a 2-core x86-64 host: 5.6-7.0 ns
+# per counted pair for a cubic f at p = 2203 .. 10007 (9.3-11.5 ns at degree
+# 6), so 4e8 of them, p near 2e4, is about 2-5 s.
 _DIFFERENCE_EVALUATIONS = 4 * 10**8
 
-
-def _difference_block_sums(block: np.ndarray, p: int, ys: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """T(g_x) for the rows of a block of difference coefficients, by Horner
-    over y = 1 .. p-1."""
-    acc = np.empty((len(block), p - 1), dtype=np.int64)
-    acc[:] = block[:, -1:]
-    for i in range(block.shape[1] - 2, -1, -1):  # in place: acc = (acc y + b_i) mod p
-        np.multiply(acc, ys, out=acc)
-        np.add(acc, block[:, i:i + 1], out=acc)
-        np.remainder(acc, p, out=acc)
-    return np.take(roots, acc).sum(axis=1)
+_INT64_MAX = 2**63 - 1
 
 
-def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of g_x mod p (row x - 2) and T(g_x), for x = 2 .. p-1.
-
-    A direct O(p^2) evaluation: g_x(y) mod p by Horner over blocks of x rows
-    against one table of p-th roots of unity.  Degenerate rows (p divides
-    every coefficient) are set to exactly p - 1, with no float summation.
-    Refused before any work when the (p - 2) p evaluations exceed
-    _DIFFERENCE_EVALUATIONS.
-    """
+def check_difference_budget(p: int) -> None:
+    """Refuse, before any work, a difference table of more than
+    _DIFFERENCE_EVALUATIONS (p - 2) p evaluations."""
     need = (p - 2) * p
     if need > _DIFFERENCE_EVALUATIONS:
         raise ValueError(
             f"the difference sums mod {p} need about {need:.1e} evaluations, "
             f"over their budget of {_DIFFERENCE_EVALUATIONS:.1e}"
         )
+
+
+def _difference_block_sums(block: np.ndarray, p: int, ys: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """T(g_x) for the rows of a block of difference coefficients, by Horner
+    over y = 1 .. p-1.
+
+    The accumulator is reduced mod p only when the next acc y + b could pass
+    2^63 - 1 (tracked by a Python-side bound on acc), plus once at the end,
+    so the reduced values equal those of a remainder after every step.
+    """
+    acc = np.empty((len(block), p - 1), dtype=np.int64)
+    acc[:] = block[:, -1:]
+    bound = p - 1  # acc <= bound entrywise
+    for i in range(block.shape[1] - 2, -1, -1):  # in place: acc = acc y + b_i
+        if (bound + 1) * (p - 1) > _INT64_MAX:
+            np.remainder(acc, p, out=acc)
+            bound = p - 1
+        np.multiply(acc, ys, out=acc)
+        np.add(acc, block[:, i:i + 1], out=acc)
+        bound = (bound + 1) * (p - 1)
+    np.remainder(acc, p, out=acc)
+    return np.take(roots, acc).sum(axis=1)
+
+
+def _inverses(xs: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p, the inverse of each unit x, by square and multiply."""
+    inv = np.ones_like(xs)
+    base = xs % p
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    return inv
+
+
+def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of g_x mod p (row x - 2) and T(g_x), for x = 2 .. p-1.
+
+    A direct O(p^2) evaluation, with no characters or discrete logs: g_x(y)
+    mod p by Horner over blocks of x rows against one table of p-th roots of
+    unity, reducing mod p only when int64 could overflow.
+
+    Only one row of each inverse pair is evaluated.  Substituting y -> x y
+    gives g_{1/x}(x y) = f(y) - f(x y) = -g_x(y), so T(g_{1/x}) is the
+    complex conjugate of T(g_x): the rows with x <= 1/x mod p (the
+    self-inverse x = p - 1 among them) are summed and each partner is their
+    conjugate.  Since x^i = 1 exactly when x^-i = 1, b_i(1/x) vanishes
+    exactly when b_i(x) does, so partners share |T|, effective degree and
+    degeneracy; the coefficient rows are still computed for every x.
+    Degenerate rows (p divides every coefficient) are set to exactly p - 1,
+    with no float summation.  Refused before any work when the (p - 2) p
+    evaluations exceed _DIFFERENCE_EVALUATIONS.
+    """
+    check_difference_budget(p)
     xs = np.arange(2, p, dtype=np.int64)
     coeffs = np.empty((len(xs), len(f.coefficients)), dtype=np.int64)
     xi = np.ones_like(xs)
     for i, a in enumerate(f.coefficients):
         coeffs[:, i] = (a % p) * (xi - 1) % p
         xi = xi * xs % p
+    inv = _inverses(xs, p)
+    evaluated = xs <= inv
+    half = coeffs[evaluated]
     roots = _roots(p)
     ys = np.arange(1, p, dtype=np.int64)
-    sums = np.empty(len(xs), dtype=np.complex128)
+    half_sums = np.empty(len(half), dtype=np.complex128)
     rows = max(1, _DIFFERENCE_BLOCK // (p - 1))
-    for lo in range(0, len(xs), rows):
-        sums[lo:lo + rows] = _difference_block_sums(coeffs[lo:lo + rows], p, ys, roots)
+    for lo in range(0, len(half), rows):
+        half_sums[lo:lo + rows] = _difference_block_sums(half[lo:lo + rows], p, ys, roots)
+    sums = np.empty(len(xs), dtype=np.complex128)
+    sums[evaluated] = half_sums
+    paired = xs < inv
+    sums[inv[paired] - 2] = np.conj(sums[paired])
     sums[~coeffs.any(axis=1)] = p - 1
     return coeffs, sums
 
@@ -252,6 +309,11 @@ def lemma3_report(p: int, f: Polynomial) -> WeilAudit:
     such x satisfy x^l = 1 mod p for any l >= 1 with p not dividing a_l, so
     there are at most degree-1 of them and each exceeds p^(1/degree).
 
+    The sums come from the shared difference table, where T(g_{1/x}) is the
+    conjugate of T(g_x): the entries of x and 1/x mod p carry the same
+    |T|, effective degree, bound verdict and degeneracy.  The classification
+    reads every row, so the audit covers all x in 2..p-1.
+
     Rejects polynomials that are constant mod p: then g_x vanishes for every
     x, the degenerate count bound has no content, and the audit would be
     vacuous.
@@ -262,35 +324,31 @@ def lemma3_report(p: int, f: Polynomial) -> WeilAudit:
     if all(c % p == 0 for c in f.coefficients[1:]):
         raise ValueError(f"{f} is constant mod {p}; every difference polynomial vanishes")
     k = f.degree
-    scale = p ** (1.0 - 1.0 / k)
-    x_floor = p ** (1.0 / k)
-    entries = []
-    degenerate_x = []
-    bounds_ok = True
-    degenerate_values_ok = True
     coeffs, sums = _difference_table(p, f)
-    for x, row, val in zip(range(2, p), coeffs.tolist(), sums.tolist()):
-        abs_sum = abs(val)
-        if not any(row):
-            degenerate_x.append(x)
-            if val != complex(p - 1):
-                degenerate_values_ok = False
-            entries.append(CompletedSumAudit(x, True, None, abs_sum, None, True, abs_sum / scale))
-            continue
-        eff_deg = max(i for i, b in enumerate(row) if b != 0)
-        bound = eff_deg * math.sqrt(p) + 1.0
-        ok = abs_sum <= bound
-        bounds_ok = bounds_ok and ok
-        entries.append(CompletedSumAudit(x, False, eff_deg, abs_sum, bound, ok, abs_sum / scale))
+    nonzero = coeffs != 0
+    degenerate = ~nonzero.any(axis=1)
+    eff_deg = k - np.argmax(nonzero[:, ::-1], axis=1)  # highest nonzero b_i
+    abs_sums = np.abs(sums)
+    bounds = eff_deg * math.sqrt(p) + 1.0
+    within = degenerate | (abs_sums <= bounds)
+    scaled = abs_sums / p ** (1.0 - 1.0 / k)
+    entries = tuple(
+        CompletedSumAudit(x, True, None, a, None, True, s) if d
+        else CompletedSumAudit(x, False, e, a, b, ok, s)
+        for x, d, e, a, b, ok, s in zip(range(2, p), degenerate.tolist(), eff_deg.tolist(),
+                                         abs_sums.tolist(), bounds.tolist(), within.tolist(),
+                                         scaled.tolist())
+    )
+    degenerate_x = tuple((np.flatnonzero(degenerate) + 2).tolist())
     return WeilAudit(
         p=p,
         degree=k,
-        entries=tuple(entries),
-        degenerate_x=tuple(degenerate_x),
-        bounds_ok=bounds_ok,
-        degenerate_values_ok=degenerate_values_ok,
+        entries=entries,
+        degenerate_x=degenerate_x,
+        bounds_ok=bool(within.all()),
+        degenerate_values_ok=bool((sums[degenerate] == p - 1).all()),
         degenerate_count_ok=len(degenerate_x) <= k - 1,
-        degenerate_x_bound_ok=all(x >= x_floor for x in degenerate_x),
+        degenerate_x_bound_ok=all(x >= p ** (1.0 / k) for x in degenerate_x),
     )
 
 

@@ -100,6 +100,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert "over their budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["thm2", "lemma2"])
+    def test_difference_budget_checked_before_the_direct_side(self, target, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("direct side computed before the difference-table budget check")
+
+        monkeypatch.setattr(meanval, "thm2_lhs_direct", no_work)
+        monkeypatch.setattr(expsum, "weighted_char_sum_all", no_work)
+        assert run_cli("verify", "--target", target, "--p", "99991", "--f", "1,2,3,4") == 2
+        assert "over their budget" in capsys.readouterr().err
+
     def test_truncated_route_cost_does_not_grow_with_n(self, capsys):
         start = time.perf_counter()
         assert run_cli("lvalue", "--method", "truncated", "--q", "99991", "--j", "1",

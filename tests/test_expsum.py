@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lfunlab import expsum
@@ -32,6 +33,28 @@ def poly_mod(coefficients, x, p):
 
 def brute_complete_sum(p, coefficients):
     return sum(cmath.exp(2j * cmath.pi * poly_mod(coefficients, y, p) / p) for y in range(1, p))
+
+
+def full_difference_table(p, f):
+    """Coefficient rows and T(g_x) for every x = 2..p-1, each row summed on
+    its own with a remainder after every Horner step: the table before the
+    inverse-pair halving and the deferred reduction."""
+    xs = np.arange(2, p, dtype=np.int64)
+    coeffs = np.array([[a * (pow(int(x), i, p) - 1) % p for i, a in enumerate(f.coefficients)]
+                       for x in xs], dtype=np.int64).reshape(len(xs), len(f.coefficients))
+    ys = np.arange(1, p, dtype=np.int64)
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    sums = per_step_block_sums(coeffs, p, ys, roots)
+    sums[~coeffs.any(axis=1)] = p - 1
+    return coeffs, sums
+
+
+def per_step_block_sums(block, p, ys, roots):
+    acc = np.empty((len(block), p - 1), dtype=np.int64)
+    acc[:] = block[:, -1:]
+    for i in range(block.shape[1] - 2, -1, -1):
+        acc = (acc * ys + block[:, i:i + 1]) % p
+    return np.take(roots, acc).sum(axis=1)
 
 
 def brute_weighted_sum(t, j, f):
@@ -158,7 +181,7 @@ class TestCompleteSum:
 
 
 class TestDifferenceSums:
-    @pytest.mark.parametrize("p", [7, 101, 211, 397])
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 211, 397])
     def test_blocks_match_per_x_complete_sums(self, p, monkeypatch):
         # Blocks of 5 rows: several whole blocks and a shorter last one.
         monkeypatch.setattr(expsum, "_DIFFERENCE_BLOCK", 5 * (p - 1))
@@ -179,6 +202,56 @@ class TestDifferenceSums:
             if p % 3 == 1 and f.degree in (3, 6):
                 assert degenerate > 0
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
+    def test_inverse_pair_halving_matches_full_rows(self, p, monkeypatch):
+        # Blocks of 3 rows, so the (p - 1)/2 evaluated rows span several blocks.
+        monkeypatch.setattr(expsum, "_DIFFERENCE_BLOCK", 3 * (p - 1))
+        evaluated = []
+        kernel = expsum._difference_block_sums
+
+        def spy(block, *args):
+            evaluated.extend(map(tuple, block.tolist()))
+            return kernel(block, *args)
+
+        monkeypatch.setattr(expsum, "_difference_block_sums", spy)
+        rng = random.Random(p + 1)
+        for f in (Polynomial((0, 0, 0, 1)), Polynomial((1, 0, 0, 0, 0, 0, 1)),
+                  Polynomial(tuple(rng.randrange(p) for _ in range(4))),
+                  Polynomial(tuple(rng.randrange(-p, 2 * p) for _ in range(7)))):
+            evaluated.clear()
+            values = difference_sums(p, f)
+            coeffs, full = full_difference_table(p, f)
+            assert np.abs(values - full).max() <= 1e-13 * p
+            representatives = [x for x in range(2, p) if x <= pow(x, -1, p)]
+            assert p - 1 in representatives
+            assert sorted(evaluated) == sorted(tuple(coeffs[x - 2].tolist()) for x in representatives)
+            for x in range(2, p - 1):  # p - 1 is its own inverse, summed directly
+                assert values[pow(x, -1, p) - 2] == np.conj(values[x - 2])
+            degenerate = ~coeffs.any(axis=1)
+            assert np.array_equal(values[degenerate], full[degenerate])
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    @pytest.mark.parametrize("degree", [1, 3, 6, 12])
+    def test_deferred_reduction_is_bit_identical(self, p, degree):
+        rng = random.Random(degree * p)
+        rows = [[p - 1] * (degree + 1), [0] * degree + [p - 1]]  # largest accumulator, lone top term
+        rows += [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(5)]
+        self._check_kernel(np.array(rows, dtype=np.int64), p)
+
+    # At p = 65521 a cubic's last Horner step can reach (p-1)^4 + ... > 2^63,
+    # just under 2^64, so it needs a reduction before the last step.
+    @pytest.mark.parametrize("p, degree", [(19997, 6), (65521, 3)])
+    def test_deferred_reduction_large_p(self, p, degree):
+        rng = random.Random(p)
+        rows = [[p - 1] * (degree + 1)] + [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(2)]
+        self._check_kernel(np.array(rows, dtype=np.int64), p)
+
+    @staticmethod
+    def _check_kernel(block, p):
+        ys = np.arange(1, p, dtype=np.int64)
+        roots = np.exp(2j * np.pi * np.arange(p) / p)
+        got = expsum._difference_block_sums(block, p, ys, roots)
+        assert np.array_equal(got, per_step_block_sums(block, p, ys, roots))
 
     def test_budget_counts_p_minus_2_times_p_evaluations(self, monkeypatch):
         p, f = 101, Polynomial((0, 1, 1))
@@ -187,6 +260,7 @@ class TestDifferenceSums:
             difference_sums(p, f)
         monkeypatch.setattr(expsum, "_DIFFERENCE_EVALUATIONS", 99 * 101)
         assert len(difference_sums(p, f)) == 99
+
 
 class TestWeightedCharSum:
     def test_gauss_sum_modulus(self):
@@ -289,6 +363,32 @@ class TestLemma3Report:
                 audit = lemma3_report(p, f)
                 assert audit.bounds_ok, (p, f)
                 assert audit.degenerate_values_ok and audit.degenerate_count_ok
+
+    @pytest.mark.parametrize("p", [7, 13, 31, 97, 211])
+    def test_inverse_pairs_share_their_audit(self, p):
+        rng = random.Random(3 * p)
+        for f in (Polynomial((0, 0, 0, 1)), Polynomial((2, 0, 0, 0, 0, 0, 1)),
+                  Polynomial((0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, p - 1)),
+                  sample_polynomial(rng, 4, p)):
+            audit = lemma3_report(p, f)
+            for entry in audit.entries:
+                partner = audit.entries[pow(entry.x, -1, p) - 2]
+                assert (partner.abs_sum, partner.effective_degree, partner.bound_ok, partner.degenerate) == (
+                    entry.abs_sum, entry.effective_degree, entry.bound_ok, entry.degenerate)
+            # The same classification from the full, unpaired table.
+            coeffs, full = full_difference_table(p, f)
+            degenerate = ~coeffs.any(axis=1)
+            eff_deg = [max((i for i, b in enumerate(row) if b), default=0) for row in coeffs.tolist()]
+            within = [d or abs(t) <= e * math.sqrt(p) + 1.0 for d, t, e in zip(degenerate, full, eff_deg)]
+            degenerate_x = tuple(int(x) for x in np.flatnonzero(degenerate) + 2)
+            assert audit.degenerate_x == degenerate_x
+            assert [e.bound_ok for e in audit.entries] == within
+            assert [e.effective_degree for e in audit.entries] == [
+                None if d else e for d, e in zip(degenerate, eff_deg)]
+            assert audit.bounds_ok == all(within)
+            assert audit.degenerate_values_ok == bool((full[degenerate] == p - 1).all())
+            assert audit.degenerate_count_ok == (len(degenerate_x) <= f.degree - 1)
+            assert audit.degenerate_x_bound_ok == all(x >= p ** (1 / f.degree) for x in degenerate_x)
 
     def test_rejects_zero_mod_p(self):
         with pytest.raises(ValueError):
