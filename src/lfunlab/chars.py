@@ -21,7 +21,10 @@ bit-reproducible.  The dense phi(q) x q matrices of exact exponents
 (value_exponents) and complex values (values_matrix()) are small-q oracles,
 built on first use and refused beyond a fixed byte budget; only the
 orthogonality and period-sum checks, `lfunlab chars --out` and the tests use
-them.
+them.  The orthogonality check never forms the phi x phi Gram product: it
+certifies in exact integers that the exponent rows follow the group law,
+which makes every Gram entry a period sum, read off the row sums in
+O(phi q).  It stays independent of the transform.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ from .arith import discrete_log_array, euler_phi, factorize, powers_mod, primiti
 _MAX_MODULUS = 10**5
 
 # Peak bytes of the dense oracle per phi(q) * q entry: the complex matrix
-# (16), the int32 exponents (4) and the three complex phi x phi copies
-# orthogonality_defect makes (48); 1.13 GB peak RSS measured at q = 4093.
-_DENSE_BYTES_PER_ENTRY = 68
+# (16), the int32 exponents (4), and the int32 unit block and its shifted
+# copy in the group-law certificate (4 + 4).  With all of them built, the
+# traced peak is 28.0 B at q = 997 and 4093 and 28.8 B at q = 211, and the
+# peak RSS grows by 28.5 B (997) and 28.0 B (4093, 479 MB in all).
+_DENSE_BYTES_PER_ENTRY = 30
 _DENSE_ORACLE_BYTES = 2**30
 
 
@@ -251,14 +256,62 @@ def conjugate_index(t: CharacterTable, j: int) -> int:
     return int(t.conjugate_map[j])
 
 
+def _row_sums(t: CharacterTable) -> np.ndarray:
+    """sum_{n=1..q} chi_j(n) for every character j, from the dense oracle."""
+    return t.values_matrix().sum(axis=1)
+
+
+def _follows_group_law(t: CharacterTable) -> bool:
+    """Exact integer certificate that the dense rows form the character group.
+
+    With U the unit columns of value_exponents on the grid of exponent tuples
+    and c_i the row of the i-th unit tuple, checks along every axis i of the
+    grid, cyclically, that U[e + e_i] - U[e] = U[c_i] mod L.  The step at
+    e = 0 gives U[0] = 0 (trivially so when phi = 1 and L = 1), induction on
+    e then gives U[e] = sum_i e_i U[c_i] mod L, and the wrap-around step
+    gives s_i U[c_i] = 0 mod L.
+    """
+    shape = t.grid_shape
+    rows = t.value_exponents[:, t.unit_residues()]
+    grid = rows.reshape(*shape, t.phi)
+    for axis, s in enumerate(shape):
+        if s == 1:
+            continue
+        gap = np.roll(grid, -1, axis=axis)
+        gap -= grid
+        gap -= rows[math.prod(shape[axis + 1 :])]  # c_i: the i-th unit tuple, C order
+        gap %= t.exponent
+        if gap.any():
+            return False
+    return True
+
+
 def orthogonality_defect(t: CharacterTable) -> float:
-    """max over unit pairs (n, l) of |sum_chi chi(n) conj(chi(l)) - phi [n==l]|,
-    from the dense oracle."""
-    units = t.unit_residues()
-    v = t.values_matrix()[:, units]
-    gram = v.conj().T @ v
-    gram[np.diag_indices_from(gram)] -= t.phi
-    return float(np.abs(gram).max())
+    """max_j |sum_{n=1..q} chi_j(n) - phi [chi_j = chi_0]|, from the dense oracle
+    (value_exponents and values_matrix() only), or inf when its rows break
+    the group law.
+
+    _follows_group_law first certifies, in exact integers, that row e of the
+    exponents is sum_i e_i times the row of the i-th unit tuple mod L.  Then
+    chi_e(n) conj(chi_e'(n)) = chi_{e-e'}(n) for every unit n, with the same
+    roots-table entries, so each entry of the Gram matrix of the rows is a
+    period sum:
+
+        sum_n chi_e(n) conj(chi_e'(n)) = sum_n chi_{e-e'}(n),
+
+    and every row sum is an entry (e' = 0).  The largest entry of |V V^H - phi I|
+    over the phi x phi unit block V is therefore this defect, in O(phi q)
+    instead of the O(phi^3) Gram product.  V is square, so V V^H = phi I (the
+    first orthogonality relation) holds exactly when V^H V = phi I (the
+    second, over pairs of units) does: the step by which Apostol,
+    Introduction to Analytic Number Theory, ch. 6, proves the second relation
+    from the first.
+    """
+    if not _follows_group_law(t):
+        return math.inf
+    sums = _row_sums(t)
+    sums[t.principal_index] -= t.phi
+    return float(np.abs(sums).max())
 
 
 def nonprincipal_period_sum_defect(t: CharacterTable) -> float:
@@ -266,6 +319,6 @@ def nonprincipal_period_sum_defect(t: CharacterTable) -> float:
     from the dense oracle."""
     if t.phi == 1:
         return 0.0
-    sums = t.values_matrix().sum(axis=1)
+    sums = _row_sums(t)
     sums[t.principal_index] = 0.0
     return float(np.abs(sums).max())

@@ -1,5 +1,6 @@
 """Character tables: exact exponent arithmetic, orthogonality, conjugation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -183,6 +184,103 @@ def test_transform_matches_oracle_with_two_power_factor(e, m, seed):
     _assert_transform_matches_oracle(2**e * m, seed)
 
 
+def _gram_defect(t):
+    """Oracle: max over unit pairs (n, l) of |sum_chi chi(n) conj(chi(l)) - phi [n == l]|,
+    by the O(phi^3) Gram product of the dense unit block."""
+    v = t.values_matrix()[:, t.unit_residues()]
+    gram = v.conj().T @ v
+    gram[np.diag_indices_from(gram)] -= t.phi
+    return float(np.abs(gram).max())
+
+
+def _assert_defect_matches_gram_oracle(q):
+    t = build_character_table(q)
+    assert orthogonality_defect(t) < 1e-9 * t.phi
+    assert _gram_defect(t) < 1e-9 * t.phi
+
+
+def test_defect_matches_gram_oracle_q_1_to_200():
+    for q in range(1, 201):
+        _assert_defect_matches_gram_oracle(q)
+    for q in (1, 2):
+        assert orthogonality_defect(build_character_table(q)) == 0.0
+
+
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.sampled_from([1, 3, 5, 7, 9, 15, 21, 25, 27, 35, 45]),
+)
+def test_defect_matches_gram_oracle_with_two_power_factor(e, m):
+    _assert_defect_matches_gram_oracle(2**e * m)
+
+
+def _with_exponents(q, edit):
+    """A fresh table mod q whose dense exponent oracle is edit(t, correct exponents)."""
+    t = build_character_table(q)
+    t.value_exponents = edit(t, t.value_exponents.copy())  # values_matrix() is not built yet
+    return t
+
+
+def _swap_rows(t, exps):
+    exps[[1, 2]] = exps[[2, 1]]
+    return exps
+
+
+class TestGroupLawCertificate:
+    """Broken tables the orthogonality check must reject."""
+
+    @pytest.mark.parametrize("q", [13, 15, 16, 35])
+    def test_two_residues_sharing_a_slot(self, q):
+        t = build_character_table(q)
+        n, m = t.unit_residues()[1:3]
+        residue_index = t.residue_index.copy()
+        residue_index[m] = residue_index[n]
+        broken = dataclasses.replace(t, residue_index=residue_index)
+        assert orthogonality_defect(broken) > 1e-9 * t.phi
+
+    @pytest.mark.parametrize("q", [13, 15, 16])
+    def test_swapped_rows(self, q):
+        t = _with_exponents(q, _swap_rows)
+        assert _gram_defect(t) < 1e-9 * t.phi  # the unit-pair Gram is blind to row order
+        assert orthogonality_defect(t) == math.inf
+
+    @pytest.mark.parametrize("q", [15, 16])
+    def test_rows_relabelled_off_the_group_law_at_the_wrap(self, q):
+        # Row (e0, e1) holds character (e0, e0 + e1 mod 4): a bijection of the
+        # grid, additive inside it, but twice row (1, 0) is not row (0, 0).
+        def relabel(t, exps):
+            e0, e1 = np.unravel_index(np.arange(8), (2, 4))
+            return exps[np.ravel_multi_index((e0, (e0 + e1) % 4), (2, 4))]
+
+        t = _with_exponents(q, relabel)
+        assert _gram_defect(t) < 1e-9 * t.phi
+        assert nonprincipal_period_sum_defect(t) < 1e-9
+        assert orthogonality_defect(t) == math.inf
+
+    @pytest.mark.parametrize("q", [15, 16])
+    def test_unit_pairing_weights(self, q):
+        def weights_one(t, exps):
+            units, shape = t.unit_residues(), t.grid_shape
+            tuples = np.stack(np.unravel_index(np.arange(t.phi), shape), axis=1)
+            logs = np.stack(np.unravel_index(t.residue_index[units], shape), axis=1)
+            exps[:, units] = tuples @ logs.T % t.exponent
+            return exps
+
+        t = _with_exponents(q, weights_one)
+        assert t.orders == (2, 4)  # weights L / s_i = (2, 1)
+        assert orthogonality_defect(t) > 1e-9 * t.phi
+
+    @pytest.mark.parametrize("q, j, n", [(13, 5, 7), (13, 1, 2), (13, 0, 7), (16, 3, 3), (15, 6, 2)])
+    def test_one_exponent_off_by_one(self, q, j, n):
+        assert math.gcd(n, q) == 1
+
+        def bump(t, exps):
+            exps[j, n] = (exps[j, n] + 1) % t.exponent
+            return exps
+
+        assert orthogonality_defect(_with_exponents(q, bump)) == math.inf
+
+
 def test_residue_index_marks_units_by_gcd():
     for q in (1, 2, 6, 10, 18, 40, 98):
         t = build_character_table(q)
@@ -216,6 +314,22 @@ class TestDenseOracleBudget:
             t.values_matrix()
         monkeypatch.setattr(chars, "_DENSE_ORACLE_BYTES", need)
         assert t.values_matrix().shape == (12, 13)
+
+    def test_estimate_covers_the_oracle_peak(self):
+        import tracemalloc
+
+        for q in (211, 997, 2310):
+            t = build_character_table(q)
+            tracemalloc.start()
+            try:
+                t.value_exponents
+                t.values_matrix()
+                orthogonality_defect(t)
+                nonprincipal_period_sum_defect(t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= chars._DENSE_BYTES_PER_ENTRY * t.phi * q
 
 
 def _pow_loop_logs(pk, g, count):

@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "lemma2_defect", lambda t, f: 1.0)
         assert run_cli("verify", "--target", "lemma2", "--p", "13", "--f", "0,1") == 1
         capsys.readouterr()
+
+    def test_orthogonality_with_swapped_rows_exits_1(self, monkeypatch, capsys):
+        broken = chars.build_character_table(13)
+        exps = broken.value_exponents.copy()
+        exps[[1, 2]] = exps[[2, 1]]
+        broken.value_exponents = exps
+        monkeypatch.setattr(cli, "load_table", lambda q, cache: broken)
+        assert run_cli("verify", "--target", "orthogonality", "--q", "13") == 1
+        assert "defect for q=13: inf" in capsys.readouterr().out
 
     @pytest.mark.parametrize("j", ["99", "-1"])
     def test_expsum_index_out_of_range_exits_2(self, j, capsys):
@@ -382,9 +393,13 @@ class TestSmallSurfaces:
         assert f"sqrt(p) = {math.sqrt(5):.6f}" in out
 
     def test_entry_point_runs(self):
+        # The child finds the package where this process imported it from,
+        # also when pytest put src/ on sys.path rather than on PYTHONPATH.
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "lfunlab.cli", "lvalue", "--q", "4", "--a", "1"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "0.34657359" in proc.stdout
