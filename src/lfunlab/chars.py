@@ -17,14 +17,14 @@ over the grid (Rader 1968; Platt 2016), O(q log q) time and O(q) memory:
     sums_over_characters: sum_j chi_j(n) w_j  for every residue n
 
 The table itself holds O(q) exact integers, so cached tables are
-bit-reproducible.  The dense phi(q) x q matrices of exact exponents
-(value_exponents) and complex values (values_matrix()) are small-q oracles,
-built on first use and refused beyond a fixed byte budget; only the
-orthogonality and period-sum checks, `lfunlab chars --out` and the tests use
-them.  The orthogonality check never forms the phi x phi Gram product: it
-certifies in exact integers that the exponent rows follow the group law,
-which makes every Gram entry a period sum, read off the row sums in
-O(phi q).  It stays independent of the transform.
+bit-reproducible.  The orthogonality and period-sum checks certify these
+logs in exact integers in O(q): residue_index must be an isomorphism of the
+unit group onto the grid group and conjugate_map its negation, which makes
+both orthogonality relations exact (Apostol, Introduction to Analytic Number
+Theory, ch. 6).  The certificate reads no character value and stays
+independent of the transform.  The dense phi(q) x q matrix (values_matrix())
+is a small-q oracle for tests and API users, refused beyond a fixed byte
+budget; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ from .arith import discrete_log_array, euler_phi, factorize, powers_mod, primiti
 # 50 MB peak RSS.  Larger moduli are untested.
 _MAX_MODULUS = 10**5
 
-# Peak bytes of the dense oracle per phi(q) * q entry: the complex matrix
-# (16), the int32 exponents (4), and the int32 unit block and its shifted
-# copy in the group-law certificate (4 + 4).  With all of them built, the
-# traced peak is 28.0 B at q = 997 and 4093 and 28.8 B at q = 211, and the
-# peak RSS grows by 28.5 B (997) and 28.0 B (4093, 479 MB in all).
-_DENSE_BYTES_PER_ENTRY = 30
 _DENSE_ORACLE_BYTES = 2**30
 
 
@@ -78,7 +72,6 @@ class CharacterTable:
     residue_index: np.ndarray
     conjugate_map: np.ndarray
     principal_index: int = 0
-    _values: np.ndarray | None = field(default=None, init=False, repr=False)
     _roots: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -116,36 +109,31 @@ class CharacterTable:
     def unit_residues(self) -> np.ndarray:
         return np.flatnonzero(self.residue_index >= 0)
 
-    def _check_dense_budget(self) -> None:
-        need = _DENSE_BYTES_PER_ENTRY * self.phi * self.q
+    def values_matrix(self) -> np.ndarray:
+        """Dense small-q oracle: complex phi(q) x q matrix of character values
+        (column n = residue n), from the exact exponents sum_i e_i t_i(n) L / s_i.
+
+        The estimate is 48 B per phi * q entry: the complex result (16) and,
+        per pair of a character and a unit, the int64 exponent (8) and its
+        gathered root (16), with room for the O(q) index arrays.  The traced
+        peak is 40.0 B per entry at q = 997 and 4093, 40.2 B at q = 211.
+        """
+        need = 48 * self.phi * self.q
         if need > _DENSE_ORACLE_BYTES:
             raise ValueError(
                 f"the dense character oracle mod {self.q} needs about {need / 2**20:.0f} MiB, "
                 f"over its {_DENSE_ORACLE_BYTES / 2**20:.0f} MiB budget"
             )
-
-    @functools.cached_property
-    def value_exponents(self) -> np.ndarray:
-        """Dense oracle: int32 phi(q) x q matrix with chi_j(n) =
-        exp(2 pi i value_exponents[j, n] / exponent), and -1 where gcd(n, q) > 1."""
-        self._check_dense_budget()
         shape = self.grid_shape
         units = self.unit_residues()
         tuples = np.stack(np.unravel_index(np.arange(self.phi), shape), axis=1)
         logs = np.stack(np.unravel_index(self.residue_index[units], shape), axis=1)
         weights = np.array([self.exponent // s for s in shape], dtype=np.int64)
-        exps = np.full((self.phi, self.q), -1, dtype=np.int32)
-        exps[:, units] = (tuples * weights) @ logs.T % self.exponent
-        return exps
-
-    def values_matrix(self) -> np.ndarray:
-        """Dense oracle: complex phi(q) x q matrix of character values (column n = residue n)."""
-        if self._values is None:
-            exps = self.value_exponents
-            vals = self.roots_of_unity()[np.maximum(exps, 0)]
-            vals[exps < 0] = 0.0
-            self._values = vals
-        return self._values
+        exps = (tuples * weights) @ logs.T
+        exps %= self.exponent
+        vals = np.zeros((self.phi, self.q), dtype=np.complex128)
+        vals[:, units] = self.roots_of_unity()[exps]
+        return vals
 
 
 def _two_power_logs(e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +198,6 @@ def build_character_table(q: int) -> CharacterTable:
     # Non-units by gcd: q = 2m has no log column for the factor 2.
     residue_index[np.gcd(np.arange(q), q) != 1] = -1
 
-    shape = tuple(orders) or (1,)
-    coords = np.unravel_index(np.arange(phi), shape)
-    conjugate_map = np.ravel_multi_index([(-c) % s for c, s in zip(coords, shape)], shape)
-
     return CharacterTable(
         q=q,
         phi=phi,
@@ -221,7 +205,7 @@ def build_character_table(q: int) -> CharacterTable:
         components=tuple(components),
         orders=tuple(orders),
         residue_index=residue_index,
-        conjugate_map=conjugate_map.astype(np.int64),
+        conjugate_map=_negation(tuple(orders) or (1,)),
     )
 
 
@@ -256,69 +240,79 @@ def conjugate_index(t: CharacterTable, j: int) -> int:
     return int(t.conjugate_map[j])
 
 
-def _row_sums(t: CharacterTable) -> np.ndarray:
-    """sum_{n=1..q} chi_j(n) for every character j, from the dense oracle."""
-    return t.values_matrix().sum(axis=1)
+def _negation(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of -e (mod shape) for every flat index e of the grid."""
+    coords = np.unravel_index(np.arange(math.prod(shape)), shape)
+    return np.ravel_multi_index([(-c) % s for c, s in zip(coords, shape)], shape).astype(np.int64)
 
 
-def _follows_group_law(t: CharacterTable) -> bool:
-    """Exact integer certificate that the dense rows form the character group.
+def _certifies_logs(t: CharacterTable) -> bool:
+    """Exact O(q) certificate that the logs of t give the whole character group.
 
-    With U the unit columns of value_exponents on the grid of exponent tuples
-    and c_i the row of the i-th unit tuple, checks along every axis i of the
-    grid, cyclically, that U[e + e_i] - U[e] = U[c_i] mod L.  The step at
-    e = 0 gives U[0] = 0 (trivially so when phi = 1 and L = 1), induction on
-    e then gives U[e] = sum_i e_i U[c_i] mod L, and the wrap-around step
-    gives s_i U[c_i] = 0 mod L.
+    With t(n) the grid tuple at residue_index[n] and u_i the unit at the flat
+    index of the unit vector e_i, checks that residue_index >= 0 exactly on
+    the units, that the units hit every grid index once, that t(u_i n) =
+    t(n) + e_i (mod orders) for every unit n and every axis with s_i > 1,
+    and that conjugate_map is e -> -e.
+
+    The third check gives t(u^k n) = t(n) + k for every product u^k of the
+    u_i.  By the second, the tuples t(1) + k cover the grid, so every unit is
+    some u^k with t(u^k) = t(1) + k, and t(u_i) = e_i forces t(1) = 0
+    (trivially so when phi = 1).  So
+    t(mn) = t(m) + t(n): t is an isomorphism of the units onto the grid
+    group, the tuples are exactly the phi characters, and both
+    orthogonality relations hold exactly.
     """
-    shape = t.grid_shape
-    rows = t.value_exponents[:, t.unit_residues()]
-    grid = rows.reshape(*shape, t.phi)
-    for axis, s in enumerate(shape):
-        if s == 1:
-            continue
-        gap = np.roll(grid, -1, axis=axis)
-        gap -= grid
-        gap -= rows[math.prod(shape[axis + 1 :])]  # c_i: the i-th unit tuple, C order
-        gap %= t.exponent
-        if gap.any():
-            return False
-    return True
+    q, shape, idx = t.q, t.grid_shape, t.residue_index
+    if t.phi != math.prod(shape):
+        return False
+    units = np.ones(q, dtype=bool)
+    for p, _ in factorize(q).factors:
+        units[::p] = False  # the multiples of p, 0 included
+    if not np.array_equal(idx >= 0, units):  # also False on a length other than q
+        return False
+    flat, unit_list = idx[units], np.flatnonzero(units)
+    counts = np.bincount(flat, minlength=t.phi)
+    if counts.size != t.phi or (counts != 1).any():
+        return False
+    unit_at = np.empty(t.phi, dtype=np.int64)
+    unit_at[flat] = unit_list
+    stride = 1
+    for s in reversed(shape):  # C order: the last axis has stride 1
+        if s > 1:
+            coord = flat // stride % s
+            step = np.where(coord == s - 1, (1 - s) * stride, stride)
+            if not np.array_equal(idx[unit_at[stride] * unit_list % q], flat + step):
+                return False
+        stride *= s
+    return np.array_equal(t.conjugate_map, _negation(shape))
+
+
+def _period_sums(t: CharacterTable) -> np.ndarray:
+    """sum_{n=1..q} chi_j(n) for every character j: the transform of the unit indicator."""
+    return t.sums_over_residues((t.residue_index >= 0).astype(np.float64))
 
 
 def orthogonality_defect(t: CharacterTable) -> float:
-    """max_j |sum_{n=1..q} chi_j(n) - phi [chi_j = chi_0]|, from the dense oracle
-    (value_exponents and values_matrix() only), or inf when its rows break
-    the group law.
+    """max_j |sum_{n=1..q} chi_j(n) - phi [chi_j = chi_0]|, or inf when the
+    logs fail the exact certificate of _certifies_logs.
 
-    _follows_group_law first certifies, in exact integers, that row e of the
-    exponents is sum_i e_i times the row of the i-th unit tuple mod L.  Then
-    chi_e(n) conj(chi_e'(n)) = chi_{e-e'}(n) for every unit n, with the same
-    roots-table entries, so each entry of the Gram matrix of the rows is a
-    period sum:
-
-        sum_n chi_e(n) conj(chi_e'(n)) = sum_n chi_{e-e'}(n),
-
-    and every row sum is an entry (e' = 0).  The largest entry of |V V^H - phi I|
-    over the phi x phi unit block V is therefore this defect, in O(phi q)
-    instead of the O(phi^3) Gram product.  V is square, so V V^H = phi I (the
-    first orthogonality relation) holds exactly when V^H V = phi I (the
-    second, over pairs of units) does: the step by which Apostol,
-    Introduction to Analytic Number Theory, ch. 6, proves the second relation
-    from the first.
+    A certified table satisfies both orthogonality relations exactly, so the
+    float defect is the transform's rounding on the unit indicator.  Reads
+    only orders, residue_index and conjugate_map; no dense matrix is formed.
     """
-    if not _follows_group_law(t):
+    if not _certifies_logs(t):
         return math.inf
-    sums = _row_sums(t)
+    sums = _period_sums(t)
     sums[t.principal_index] -= t.phi
     return float(np.abs(sums).max())
 
 
 def nonprincipal_period_sum_defect(t: CharacterTable) -> float:
     """max over chi != chi_0 of |sum_{n=1..q} chi(n)| (exactly 0 in theory),
-    from the dense oracle."""
-    if t.phi == 1:
-        return 0.0
-    sums = _row_sums(t)
+    or inf when the logs fail the exact certificate."""
+    if not _certifies_logs(t):
+        return math.inf
+    sums = _period_sums(t)
     sums[t.principal_index] = 0.0
     return float(np.abs(sums).max())

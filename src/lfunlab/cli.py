@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chars = sub.add_parser("chars", help="character-group structure and defects for one modulus")
     p_chars.add_argument("--q", type=int, required=True)
-    p_chars.add_argument("--out", help="write the exponent table as JSON")
+    p_chars.add_argument("--out", help="write the discrete-log table as JSON")
     add_cache_args(p_chars)
 
     p_lval = sub.add_parser("lvalue", help="L(1, chi, a) for the non-principal characters mod q")
@@ -257,12 +257,13 @@ def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
             "phi": t.phi,
             "exponent": t.exponent,
             "principal_index": t.principal_index,
-            "value_exponents": t.value_exponents.tolist(),
+            "orders": list(t.orders),
+            "residue_index": t.residue_index.tolist(),
             "conjugate_map": t.conjugate_map.tolist(),
         }
         with open(ns.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
-        print(f"wrote exponent table to {ns.out}")
+        print(f"wrote the discrete-log table to {ns.out}")
     return 0
 
 

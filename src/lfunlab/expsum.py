@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,8 +262,7 @@ def lemma2_defect(t: CharacterTable, f: Polynomial) -> float:
     return float(np.abs(np.abs(s) ** 2 - rhs).max())
 
 
-@dataclass(frozen=True)
-class CompletedSumAudit:
+class CompletedSumAudit(NamedTuple):
     """One x in 2..p-1: the completed sum of the difference polynomial and
     its classification against the square-root cancellation bound."""
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -569,6 +568,8 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
             skipped.append((q, str(exc)))
     cache_dir = cache.directory if cache is not None else None
     if jobs > 1 and len(queries) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays this import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_report_for, [(qu, cache_dir) for qu in queries]))
     else:

@@ -35,7 +35,7 @@ def test_table_roundtrip_bit_exact(cache):
     assert back.q == t.q and back.phi == t.phi and back.exponent == t.exponent
     assert back.orders == t.orders
     assert np.array_equal(back.residue_index, t.residue_index)
-    assert np.array_equal(back.value_exponents, t.value_exponents)
+    assert np.array_equal(back.values_matrix(), t.values_matrix())
     assert np.array_equal(back.conjugate_map, t.conjugate_map)
     assert back.components == t.components
     assert back.principal_index == t.principal_index
@@ -86,7 +86,9 @@ def test_version_1_dense_table_is_silent_miss(cache, caplog):
         meta["version"] = 1
         meta.pop("orders")
         del arrays["residue_index"]
-        arrays["value_exponents"] = t.value_exponents
+        # The int32 phi x q matrix in its version-1 shape; a version mismatch
+        # is a miss before any array is read.
+        arrays["value_exponents"] = np.full((t.phi, t.q), -1, dtype=np.int32)
 
     edit_entry(path, to_version_1)
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):

@@ -22,6 +22,20 @@ from lfunlab.chars import (
 MODULI = [3, 4, 5, 7, 8, 9, 12, 16, 24, 35, 36, 49, 72, 100]
 
 
+def dense_exponents(t):
+    """Dense oracle: int64 phi(q) x q matrix E with chi_j(n) = exp(2 pi i E[j, n] / L),
+    and -1 where gcd(n, q) > 1, from the pairing sum_i e_i t_i(n) L / s_i of the
+    exponent tuple e of chi_j with the log tuple t(n)."""
+    shape = t.grid_shape
+    units = t.unit_residues()
+    tuples = np.stack(np.unravel_index(np.arange(t.phi), shape), axis=1)
+    logs = np.stack(np.unravel_index(t.residue_index[units], shape), axis=1)
+    weights = np.array([t.exponent // s for s in shape], dtype=np.int64)
+    exps = np.full((t.phi, t.q), -1, dtype=np.int64)
+    exps[:, units] = (tuples * weights) @ logs.T % t.exponent
+    return exps
+
+
 def test_q4_unique_nonprincipal():
     t = build_character_table(4)
     assert t.phi == 2
@@ -58,15 +72,20 @@ def test_q2_group_of_order_one():
 class TestTableInvariants:
     def test_row_count_and_distinct(self, q):
         t = get_table(q)
-        assert t.value_exponents.shape == (t.phi, q)
-        rows = {tuple(row) for row in t.value_exponents.tolist()}
+        E = dense_exponents(t)
+        assert E.shape == (t.phi, q)
+        rows = {tuple(row) for row in E.tolist()}
         assert len(rows) == t.phi
+        V = t.values_matrix()  # the public oracle reads the same exponents
+        assert np.array_equal(V[E >= 0], t.roots_of_unity()[E[E >= 0]])
+        assert not V[E < 0].any()
 
     def test_principal_row(self, q):
         t = get_table(q)
         assert is_principal(t, t.principal_index)
+        E = dense_exponents(t)
         for n in range(q):
-            e = t.value_exponents[t.principal_index, n]
+            e = E[t.principal_index, n]
             if math.gcd(n, q) == 1:
                 assert e == 0
             else:
@@ -83,7 +102,7 @@ class TestTableInvariants:
 
     def test_exponent_multiplicativity_exact(self, q):
         t = get_table(q)
-        E, L = t.value_exponents, t.exponent
+        E, L = dense_exponents(t), t.exponent
         units = [n for n in range(q) if math.gcd(n, q) == 1]
         for n in units:
             for m in units:
@@ -92,7 +111,7 @@ class TestTableInvariants:
 
     def test_conjugation_involution_and_negation(self, q):
         t = get_table(q)
-        E, L = t.value_exponents, t.exponent
+        E, L = dense_exponents(t), t.exponent
         for j in range(t.phi):
             jc = conjugate_index(t, j)
             assert conjugate_index(t, jc) == j
@@ -135,7 +154,8 @@ def test_conjugate_values(q, n):
 def test_deterministic_construction():
     a = build_character_table(36)
     b = build_character_table(36)
-    assert np.array_equal(a.value_exponents, b.value_exponents)
+    assert np.array_equal(a.residue_index, b.residue_index)
+    assert np.array_equal(dense_exponents(a), dense_exponents(b))
     assert np.array_equal(a.conjugate_map, b.conjugate_map)
     assert a.components == b.components
 
@@ -214,20 +234,21 @@ def test_defect_matches_gram_oracle_with_two_power_factor(e, m):
     _assert_defect_matches_gram_oracle(2**e * m)
 
 
-def _with_exponents(q, edit):
-    """A fresh table mod q whose dense exponent oracle is edit(t, correct exponents)."""
+def _with_logs(q, **edits):
+    """A fresh table mod q with each named array replaced by edit(t, a copy of it)."""
     t = build_character_table(q)
-    t.value_exponents = edit(t, t.value_exponents.copy())  # values_matrix() is not built yet
-    return t
+    return dataclasses.replace(t, **{name: edit(t, np.copy(getattr(t, name))) for name, edit in edits.items()})
 
 
-def _swap_rows(t, exps):
-    exps[[1, 2]] = exps[[2, 1]]
-    return exps
+def _swap_rows(t, residue_index):
+    """The units at grid indices 1 and 2 swap their log tuples."""
+    n, m = (int(np.flatnonzero(residue_index == k)[0]) for k in (1, 2))
+    residue_index[[n, m]] = residue_index[[m, n]]
+    return residue_index
 
 
 class TestGroupLawCertificate:
-    """Broken tables the orthogonality check must reject."""
+    """Broken logs the orthogonality check must reject."""
 
     @pytest.mark.parametrize("q", [13, 15, 16, 35])
     def test_two_residues_sharing_a_slot(self, q):
@@ -240,45 +261,67 @@ class TestGroupLawCertificate:
 
     @pytest.mark.parametrize("q", [13, 15, 16])
     def test_swapped_rows(self, q):
-        t = _with_exponents(q, _swap_rows)
-        assert _gram_defect(t) < 1e-9 * t.phi  # the unit-pair Gram is blind to row order
+        t = _with_logs(q, residue_index=_swap_rows)
+        assert _gram_defect(t) < 1e-9 * t.phi  # the unit-pair Gram is blind to the swap
         assert orthogonality_defect(t) == math.inf
+        assert nonprincipal_period_sum_defect(t) == math.inf
 
     @pytest.mark.parametrize("q", [15, 16])
     def test_rows_relabelled_off_the_group_law_at_the_wrap(self, q):
-        # Row (e0, e1) holds character (e0, e0 + e1 mod 4): a bijection of the
-        # grid, additive inside it, but twice row (1, 0) is not row (0, 0).
-        def relabel(t, exps):
-            e0, e1 = np.unravel_index(np.arange(8), (2, 4))
-            return exps[np.ravel_multi_index((e0, (e0 + e1) % 4), (2, 4))]
+        # Log tuple (e0, e1) becomes (e0, e0 + e1 mod 4): a bijection of the
+        # grid that keeps every step along e1 and the step along e0 from
+        # e0 = 0, but twice (1, 0) is not (0, 0).
+        def relabel(t, residue_index):
+            units = residue_index >= 0
+            e0, e1 = np.unravel_index(residue_index[units], (2, 4))
+            residue_index[units] = np.ravel_multi_index((e0, (e0 + e1) % 4), (2, 4))
+            return residue_index
 
-        t = _with_exponents(q, relabel)
+        t = _with_logs(q, residue_index=relabel)
+        assert t.orders == (2, 4)
+        assert sorted(t.residue_index[t.unit_residues()].tolist()) == list(range(8))
         assert _gram_defect(t) < 1e-9 * t.phi
-        assert nonprincipal_period_sum_defect(t) < 1e-9
         assert orthogonality_defect(t) == math.inf
 
     @pytest.mark.parametrize("q", [15, 16])
     def test_unit_pairing_weights(self, q):
-        def weights_one(t, exps):
-            units, shape = t.unit_residues(), t.grid_shape
-            tuples = np.stack(np.unravel_index(np.arange(t.phi), shape), axis=1)
-            logs = np.stack(np.unravel_index(t.residue_index[units], shape), axis=1)
-            exps[:, units] = tuples @ logs.T % t.exponent
-            return exps
-
-        t = _with_exponents(q, weights_one)
-        assert t.orders == (2, 4)  # weights L / s_i = (2, 1)
-        assert orthogonality_defect(t) > 1e-9 * t.phi
+        # orders (4, 2) read the same logs on the transposed grid: the pairing
+        # weights L / s_i become (1, 2) instead of (2, 1).  conjugate_map is
+        # the negation on that grid, so only the group law can fail.
+        t = build_character_table(q)
+        assert t.orders == (2, 4)
+        broken = dataclasses.replace(t, orders=(4, 2), conjugate_map=chars._negation((4, 2)))
+        assert orthogonality_defect(broken) == math.inf
 
     @pytest.mark.parametrize("q, j, n", [(13, 5, 7), (13, 1, 2), (13, 0, 7), (16, 3, 3), (15, 6, 2)])
     def test_one_exponent_off_by_one(self, q, j, n):
+        # The conjugate of chi_j one grid index off, or the log tuple of the
+        # unit n one step off along the last axis.
         assert math.gcd(n, q) == 1
 
-        def bump(t, exps):
-            exps[j, n] = (exps[j, n] + 1) % t.exponent
-            return exps
+        def bump_conjugate(t, conjugate_map):
+            conjugate_map[j] = (conjugate_map[j] + 1) % t.phi
+            return conjugate_map
 
-        assert orthogonality_defect(_with_exponents(q, bump)) == math.inf
+        def bump_log(t, residue_index):
+            s = t.orders[-1]
+            residue_index[n] += (residue_index[n] + 1) % s - residue_index[n] % s
+            return residue_index
+
+        assert orthogonality_defect(_with_logs(q, conjugate_map=bump_conjugate)) == math.inf
+        assert orthogonality_defect(_with_logs(q, residue_index=bump_log)) == math.inf
+
+    @pytest.mark.parametrize("q, n", [(13, 0), (15, 0), (15, 3), (15, 5), (16, 0), (16, 2)])
+    def test_non_unit_marked_as_unit(self, q, n):
+        assert math.gcd(n, q) > 1
+
+        def mark(t, residue_index):
+            residue_index[n] = 0
+            return residue_index
+
+        t = _with_logs(q, residue_index=mark)
+        assert orthogonality_defect(t) == math.inf
+        assert nonprincipal_period_sum_defect(t) == math.inf
 
 
 def test_residue_index_marks_units_by_gcd():
@@ -299,8 +342,6 @@ class TestDenseOracleBudget:
         try:
             with pytest.raises(ValueError, match="budget"):
                 t.values_matrix()
-            with pytest.raises(ValueError, match="budget"):
-                t.value_exponents
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -308,7 +349,7 @@ class TestDenseOracleBudget:
 
     def test_budget_is_a_byte_estimate(self, monkeypatch):
         t = build_character_table(13)  # phi * q = 12 * 13 entries
-        need = chars._DENSE_BYTES_PER_ENTRY * 12 * 13
+        need = 48 * 12 * 13  # the estimate in values_matrix's docstring
         monkeypatch.setattr(chars, "_DENSE_ORACLE_BYTES", need - 1)
         with pytest.raises(ValueError):
             t.values_matrix()
@@ -322,14 +363,40 @@ class TestDenseOracleBudget:
             t = build_character_table(q)
             tracemalloc.start()
             try:
-                t.value_exponents
                 t.values_matrix()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 48 * t.phi * q
+
+
+class TestCertificateWithoutDenseMatrix:
+    @pytest.fixture(autouse=True)
+    def refuse_dense(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"dense character matrix mod {self.q} built")
+
+        monkeypatch.setattr(chars.CharacterTable, "values_matrix", refuse)
+
+    @pytest.mark.parametrize("q", [1, 2, 997, 2310, 2**16, 99990, 99991])
+    def test_both_defects_pass(self, q):
+        t = build_character_table(q)
+        assert orthogonality_defect(t) < 1e-9 * t.phi
+        assert nonprincipal_period_sum_defect(t) < 1e-9
+
+    def test_memory_is_linear_in_q(self):
+        import tracemalloc
+
+        for q in (997, 2310, 10007, 99991):
+            t = build_character_table(q)
+            tracemalloc.start()
+            try:
                 orthogonality_defect(t)
                 nonprincipal_period_sum_defect(t)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= chars._DENSE_BYTES_PER_ENTRY * t.phi * q
+            assert peak <= 128 * q  # 73-75 B per residue at prime q
 
 
 def _pow_loop_logs(pk, g, count):

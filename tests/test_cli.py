@@ -1,6 +1,7 @@
 """Command-line surface: contracted invocations, exit codes, report schema."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lfunlab import cache, chars, cli, expsum, lfun, meanval
@@ -69,13 +71,28 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_orthogonality_with_swapped_rows_exits_1(self, monkeypatch, capsys):
-        broken = chars.build_character_table(13)
-        exps = broken.value_exponents.copy()
-        exps[[1, 2]] = exps[[2, 1]]
-        broken.value_exponents = exps
+        t = chars.build_character_table(13)
+        residue_index = t.residue_index.copy()
+        residue_index[[2, 4]] = residue_index[[4, 2]]  # 2 and 4 = 2^2 swap their logs
+        broken = dataclasses.replace(t, residue_index=residue_index)
         monkeypatch.setattr(cli, "load_table", lambda q, cache: broken)
         assert run_cli("verify", "--target", "orthogonality", "--q", "13") == 1
         assert "defect for q=13: inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", [15, 16])
+    @pytest.mark.parametrize("field, edit", [
+        ("residue_index", lambda t, a: np.where(np.arange(t.q) == 0, 0, a)),  # a non-unit marked
+        ("conjugate_map", lambda t, a: np.where(np.arange(t.phi) == 3, a + 1, a)),
+        ("residue_index", lambda t, a: np.where(a >= 0, a // 4 * 4 + (a // 4 + a % 4) % 4, a)),  # (e0, e0 + e1)
+        ("orders", lambda t, a: a[::-1]),
+    ])
+    def test_orthogonality_with_broken_logs_exits_1(self, q, field, edit, monkeypatch, capsys):
+        t = chars.build_character_table(q)
+        assert t.orders == (2, 4)
+        broken = dataclasses.replace(t, **{field: edit(t, getattr(t, field))})
+        monkeypatch.setattr(cli, "load_table", lambda q, cache: broken)
+        assert run_cli("verify", "--target", "orthogonality", "--q", str(q)) == 1
+        assert f"defect for q={q}: inf" in capsys.readouterr().out
 
     @pytest.mark.parametrize("j", ["99", "-1"])
     def test_expsum_index_out_of_range_exits_2(self, j, capsys):
@@ -353,6 +370,8 @@ class TestNoDenseMatrix:
         ("verify", "--target", "lemma2", "--p", "13", "--f", "1,0,3,2"),
         ("verify", "--target", "thm2", "--p", "13", "--f", "1,0,3,2", "--a", "2"),
         ("verify", "--target", "recombination", "--q", "35", "--k", "2", "--a", "2"),
+        ("verify", "--target", "orthogonality", "--q", "99991"),
+        ("chars", "--q", "99991"),
     ])
     def test_report_and_verify_paths_never_build_it(self, argv, monkeypatch, capsys):
         def refuse(self):
@@ -362,9 +381,11 @@ class TestNoDenseMatrix:
         assert run_cli(*argv) == 0
         capsys.readouterr()
 
-    def test_oversized_dense_request_exits_2(self, capsys):
-        assert run_cli("chars", "--q", "99991") == 2
-        assert "budget" in capsys.readouterr().err
+    def test_chars_at_the_table_bound_exits_0(self, capsys):
+        # The log certificate is O(q): the largest table is checked in full.
+        assert run_cli("chars", "--q", "99991") == 0
+        out = capsys.readouterr().out
+        assert "phi(q) = 99990" in out and "orthogonality defect" in out
 
 
 class TestSmallSurfaces:
@@ -373,7 +394,11 @@ class TestSmallSurfaces:
         assert run_cli("chars", "--q", "8", "--out", str(out_path)) == 0
         doc = json.loads(out_path.read_text())
         assert doc["q"] == 8 and doc["phi"] == 4
-        assert len(doc["value_exponents"]) == 4
+        assert set(doc) == {"q", "phi", "exponent", "principal_index", "orders", "residue_index",
+                            "conjugate_map"}
+        t = chars.build_character_table(8)
+        assert doc["orders"] == [2, 2] and doc["residue_index"] == t.residue_index.tolist()
+        assert doc["conjugate_map"] == t.conjugate_map.tolist()
         capsys.readouterr()
 
     def test_lvalue_warns_below_one(self, capsys):

@@ -15,6 +15,7 @@ import pytest
 from lfunlab import expsum
 from lfunlab.chars import char_value, get_table
 from lfunlab.expsum import (
+    CompletedSumAudit,
     Polynomial,
     complete_sum,
     difference_poly,
@@ -389,6 +390,25 @@ class TestLemma3Report:
             assert audit.degenerate_values_ok == bool((full[degenerate] == p - 1).all())
             assert audit.degenerate_count_ok == (len(degenerate_x) <= f.degree - 1)
             assert audit.degenerate_x_bound_ok == all(x >= p ** (1 / f.degree) for x in degenerate_x)
+
+    @pytest.mark.parametrize("coefficients", [(5, 0, 3, 1), (5, 0, 0, 1)])  # x^3 = 1 has 3 roots mod 1993
+    def test_entries_match_a_per_x_rebuild(self, coefficients):
+        # Each entry is the tuple of fields rebuilt for its x alone, from the
+        # exact coefficients of g_x and the shared |T(g_x)|.
+        p, f = 1993, Polynomial(coefficients)
+        abs_sums = np.abs(difference_sums(p, f))
+        rebuilt = []
+        for x in range(2, p):
+            g = difference_poly(f, x, p)
+            abs_sum = float(abs_sums[x - 2])
+            eff = None if g.degenerate else max(i for i, b in enumerate(g.coefficients) if b)
+            bound = None if g.degenerate else eff * math.sqrt(p) + 1.0
+            rebuilt.append(CompletedSumAudit(
+                x=x, degenerate=g.degenerate, effective_degree=eff, abs_sum=abs_sum, bound=bound,
+                bound_ok=g.degenerate or abs_sum <= bound, scaled=abs_sum / p ** (1.0 - 1.0 / f.degree)))
+        audit = lemma3_report(p, f)
+        assert list(audit.entries) == rebuilt
+        assert len(audit.degenerate_x) == (2 if coefficients == (5, 0, 0, 1) else 0)
 
     def test_rejects_zero_mod_p(self):
         with pytest.raises(ValueError):

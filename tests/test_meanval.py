@@ -7,6 +7,9 @@ implementation under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +300,13 @@ class TestResidualSweep:
         serial = meanval.residual_sweep("thm1", [11, 13, 17, 19], A(1), k=2, jobs=1)
         parallel = meanval.residual_sweep("thm1", [11, 13, 17, 19], A(1), k=2, jobs=2)
         assert serial.reports == parallel.reports
+
+    def test_import_leaves_the_process_pool_out(self):
+        # Only --jobs > 1 needs concurrent.futures; a plain import does not pay for it.
+        code = "import sys, lfunlab; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "[]"
 
     def test_thm2_sampling_deterministic(self):
         kwargs = dict(degree=3, seed=5, a=A(1))
