@@ -12,8 +12,8 @@ is deleted with a warning and recomputed by the caller.
 
 load_table is the one way the package obtains a character table when a
 cache may be in use: every CLI subcommand that takes --cache/--cache-dir
-and every mean-value statistic goes through it.  A ReportCache handle
-remembers the tables it loaded, so one command reads each archive once.
+and every mean-value statistic goes through it.  A ReportCache handle holds
+only its directory: every load reads the archive again.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,20 +88,11 @@ def _decode_lvec(meta: dict, archive) -> np.ndarray:
     return vec
 
 
-# Tables a ReportCache handle keeps after loading them, oldest dropped first.
-_LOADED_TABLES = 16
-
-
 @dataclass(frozen=True)
 class ReportCache:
-    """Handle on one cache directory; safe to construct per worker process.
-
-    The handle keeps the last few tables load_table returned through it, so
-    a command that needs one modulus twice decodes its archive once.
-    """
+    """Handle on one cache directory; safe to construct per worker process."""
 
     directory: str
-    _loaded: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _table_path(self, q: int) -> str:
         return os.path.join(self.directory, f"table_q{q}.npz")
@@ -198,18 +189,11 @@ class ReportCache:
 
 def load_table(q: int, cache: ReportCache | None) -> CharacterTable:
     """The character table mod q: read from the cache when it holds one,
-    else built (through the in-process memo) and stored.  Repeated loads
-    through one handle return the same table object."""
+    else built (through the in-process memo) and stored."""
     if cache is None:
         return get_table(q)
-    loaded = cache._loaded
-    t = loaded.get(q)
+    t = cache.get_table(q)
     if t is None:
-        t = cache.get_table(q)
-        if t is None:
-            t = get_table(q)
-            cache.put_table(t)
-        if len(loaded) >= _LOADED_TABLES:
-            del loaded[next(iter(loaded))]  # the oldest
-        loaded[q] = t
+        t = get_table(q)
+        cache.put_table(t)
     return t

@@ -190,13 +190,15 @@ def build_character_table(q: int) -> CharacterTable:
     if q > _MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds the table bound {_MAX_MODULUS}")
     components, orders, log_columns = _component_logs(q)
-    phi = euler_phi(factorize(q))
+    fac = factorize(q)
+    phi = euler_phi(fac)
 
     residue_index = np.zeros(q, dtype=np.int64)
     for col, s in zip(log_columns, orders):
         residue_index = residue_index * s + col
-    # Non-units by gcd: q = 2m has no log column for the factor 2.
-    residue_index[np.gcd(np.arange(q), q) != 1] = -1
+    # Non-units by prime factor (q = 2m has no log column for 2); _certifies_logs checks this mask.
+    for p, _ in fac.factors:
+        residue_index[::p] = -1
 
     return CharacterTable(
         q=q,

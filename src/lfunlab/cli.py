@@ -217,6 +217,10 @@ def _normalize(ns: argparse.Namespace) -> None:
         ns.a = ShiftParam.of(ns.a)
     if hasattr(ns, "p") and getattr(ns, "q", None) is None:
         ns.q = ns.p
+    # --n-terms sets the truncated route's N; only these two commands run that route.
+    truncates = getattr(ns, "method", None) == "truncated" or getattr(ns, "target", None) == "lemma1"
+    if getattr(ns, "n_terms", None) is not None and not truncates:
+        raise ValueError("--n-terms applies only to lvalue --method truncated and verify --target lemma1")
     if ns.subcommand == "sweep":  # every sweep flag is checked before any table is built
         ns.moduli = _parse_moduli(ns.primes, ns.moduli)
         if ns.out is not None:
@@ -323,9 +327,9 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
         a = ns.a
         # Every route leaves the principal slot 0, so it adds nothing to either maximum.
-        direct, _ = lfun.route_vector(t, a, "closed_direct")
-        lemma, _ = lfun.route_vector(t, a, "closed_lemma1")
-        trunc, bound = lfun.route_vector(t, a, "truncated", ns.n_terms)
+        routes = lfun.route_vectors(t, a, lfun.METHODS, ns.n_terms)
+        direct, lemma = routes["closed_direct"][0], routes["closed_lemma1"][0]
+        trunc, bound = routes["truncated"]
         worst_gap = float(np.abs(direct - lemma).max())
         worst_excess = float(max(np.abs(direct - trunc).max(), np.abs(lemma - trunc).max())) - bound
         print(f"closed-route gap for q={ns.q}, a={a}: {worst_gap:.3e} (tolerance 1e-09)")

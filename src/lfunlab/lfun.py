@@ -30,16 +30,15 @@ Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart because
 this code is separate (its own Bernoulli constants, nothing imported from
 specfun) and applies the expansion only at k + beta >= 100 after 100 q
 direct terms, while digamma shifts its argument to x >= 10 and uses no
-direct terms.  The psi grids psi((r + a)/q) are memoized per (q, a),
-read-only and emptied by meanval.clear_memo, so a report evaluates each
-grid once and both closed routes read it.  Each route would compute a
-bit-identical grid anyway (same function, same inputs), so the sharing
-changes no number: route_agreement still compares closed_direct's transform
-of psi((r + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces
-are transformed separately.
+direct terms.  route_vectors evaluates psi((r + a)/q) and psi(r/q) once per
+call for the closed routes it is asked for and keeps neither.  Each route
+would compute a bit-identical grid (same function, same inputs), so the
+sharing changes no number: route_agreement still compares closed_direct's
+transform of psi((r + a)/q) with closed_lemma1's L(1, chi) - a * tail,
+whose pieces are transformed separately.
 
 Each route is computed for all characters at once (l1a_vector,
-truncated_vector, dispatched by route_vector): the residue weights are one
+truncated_vector, dispatched by route_vectors): the residue weights are one
 numpy array expression (digamma and zeta(2, .) take arrays) or one folded
 partial sum, and the character sum over them is one transform over the
 unit group (CharacterTable.sums_over_residues), O(q log q) per modulus.  The
@@ -51,6 +50,8 @@ only independent evaluations.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,32 +87,16 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
         raise ValueError("L(1, chi) requires a non-principal character")
 
 
-# Evaluated psi grids by (q, a.numerator, a.denominator), oldest first.  A
-# report needs at most two (shift a and shift 0), so a few entries suffice.
-_PSI_MEMO: dict[tuple[int, int, int], np.ndarray] = {}
-_PSI_MEMO_CAP = 4
-
-
 def _psi_grid(q: int, a: ShiftParam) -> np.ndarray:
-    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0).
-
-    Memoized and read-only: both closed routes read the same grid.
-    """
-    key = (q, a.numerator, a.denominator)
-    grid = _PSI_MEMO.get(key)
-    if grid is None:
-        grid = np.zeros(q)
-        grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
-        grid.flags.writeable = False
-        if len(_PSI_MEMO) >= _PSI_MEMO_CAP:
-            del _PSI_MEMO[next(iter(_PSI_MEMO))]
-        _PSI_MEMO[key] = grid
+    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0)."""
+    grid = np.zeros(q)
+    grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
     return grid
 
 
-def clear_psi_memo() -> None:
-    """Forget every memoized psi grid."""
-    _PSI_MEMO.clear()
+def _tail(t: CharacterTable, a: ShiftParam, psi_a: np.ndarray, psi_0: np.ndarray) -> np.ndarray:
+    """tail_vector for a > 0 from the grids psi((r + a)/q) and psi(r/q)."""
+    return t.sums_over_residues(psi_a - psi_0) / (a.real_value * t.q)
 
 
 def l1_vector(t: CharacterTable) -> np.ndarray:
@@ -132,22 +117,14 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
         grid = np.zeros(q)
         grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
         return t.sums_over_residues(grid) / (q * q)
-    diff = _psi_grid(q, a) - _psi_grid(q, ShiftParam(0))
-    return t.sums_over_residues(diff) / (a.real_value * q)
+    return _tail(t, a, _psi_grid(q, a), _psi_grid(q, ShiftParam(0)))
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
     """L(1, chi, a) for every character by a closed route (principal slot 0)."""
-    if method == "closed_direct":
-        vals = -t.sums_over_residues(_psi_grid(t.q, a)) / t.q
-    elif method == "closed_lemma1":
-        vals = l1_vector(t)
-        if not a.is_zero:  # the a * tail term is exactly 0 at a = 0
-            vals -= a.real_value * tail_vector(t, a)
-    else:
+    if method not in ("closed_direct", "closed_lemma1"):
         raise ValueError(f"unknown closed method {method!r}; expected closed_direct or closed_lemma1")
-    vals[t.principal_index] = 0.0
-    return vals
+    return route_vectors(t, a, (method,))[method][0]
 
 
 # Terms folded per block of the truncated route: blocks of whole periods,
@@ -236,21 +213,41 @@ def default_truncation(q: int) -> int:
     return 10**4 * q
 
 
+def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
+                  n_terms: int | None = None) -> dict[str, tuple[np.ndarray, float]]:
+    """L(1, chi, a) for every character by each named route, with the route's
+    error bound: {method: (values, error_bound)}, principal slot 0.
+
+    psi((r + a)/q) and psi(r/q) are evaluated at most once per call, for
+    whichever closed routes are requested; each route applies its own
+    transforms to them.  n_terms is the truncated route's N
+    (default_truncation(q) when None); the closed routes ignore it.
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    q = t.q
+    psi = functools.cache(functools.partial(_psi_grid, q))  # psi((r + shift)/q), once per shift
+    out = {}
+    for method in methods:
+        bound = _CLOSED_ERROR_BUDGET
+        if method == "closed_direct":
+            vals = -t.sums_over_residues(psi(a)) / q
+        elif method == "closed_lemma1":
+            vals = -t.sums_over_residues(psi(ShiftParam(0))) / q
+            if not a.is_zero:  # the a * tail term is exactly 0 at a = 0
+                vals -= a.real_value * _tail(t, a, psi(a), psi(ShiftParam(0)))
+        else:
+            vals, bound = truncated_vector(t, a, default_truncation(q) if n_terms is None else n_terms)
+        vals[t.principal_index] = 0.0
+        out[method] = (vals, bound)
+    return out
+
+
 def route_vector(t: CharacterTable, a: ShiftParam, method: str,
                  n_terms: int | None = None) -> tuple[np.ndarray, float]:
-    """L(1, chi, a) for every character by the named route, with the route's
-    error bound (principal slot 0).
-
-    n_terms is the truncated route's N (default_truncation(q) when None);
-    the closed routes ignore it.
-    """
-    if method == "truncated":
-        vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
-        vals[t.principal_index] = 0.0
-        return vals, bound
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return l1a_vector(t, a, method), _CLOSED_ERROR_BUDGET
+    """route_vectors for one route: (values, error_bound)."""
+    return route_vectors(t, a, (method,), n_terms)[method]
 
 
 def l1_chi(t: CharacterTable, j: int) -> complex:

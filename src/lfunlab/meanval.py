@@ -23,14 +23,14 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import lfun
 from .arith import divisors, euler_phi, factorize, is_prime, moebius
 from .cache import ReportCache, load_table
-from .chars import CharacterTable
+from .chars import CharacterTable, get_table
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
 from .specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
 
@@ -119,40 +119,33 @@ def validate_query(query: MeanValueQuery) -> None:
 
 
 # ---------------------------------------------------------------------------
-# L-value vectors, memoized in-process and optionally on disk.
+# L-value vectors, optionally stored on disk
 
-_LVEC_MEMO: dict[tuple, np.ndarray] = {}
-_LVEC_MEMO_CAP = 128
+def _lvalue_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
+                    cache: ReportCache | None = None) -> dict[str, np.ndarray]:
+    """L(1, chi, a) for all characters by each requested route (principal = 0).
 
-
-def _lvalue_vector(t: CharacterTable, a: ShiftParam, method: str,
-                   cache: ReportCache | None = None) -> np.ndarray:
-    """L(1, chi, a) for all characters by the requested route (principal = 0).
-
-    Memoized per (q, a, method); the disk cache stores the closed routes only
-    (the truncated route is the oracle and is recomputed on purpose).  The
-    truncated route runs at the default truncation length.
+    The disk cache stores the closed routes only (the truncated route is the
+    oracle and is recomputed on purpose, at the default truncation length);
+    one lfun.route_vectors call computes the routes it does not supply.
     """
-    key = (t.q, a.numerator, a.denominator, method)
-    hit = _LVEC_MEMO.get(key)
-    if hit is not None:
-        return hit
-    stored = cache is not None and method != "truncated"
-    vec = cache.get_lvec(*key) if stored else None
-    if vec is None or len(vec) != t.phi:
-        vec, _ = lfun.route_vector(t, a, method)
-        if stored:
-            cache.put_lvec(*key, vec)
-    if len(_LVEC_MEMO) >= _LVEC_MEMO_CAP:
-        del _LVEC_MEMO[next(iter(_LVEC_MEMO))]  # evict the oldest entry
-    _LVEC_MEMO[key] = vec
-    return vec
+    key = (t.q, a.numerator, a.denominator)
+    stored = [m for m in methods if m != "truncated"] if cache is not None else []
+    vecs = {m: cache.get_lvec(*key, m) for m in stored}
+    vecs = {m: v for m, v in vecs.items() if v is not None and len(v) == t.phi}
+    missing = [m for m in methods if m not in vecs]
+    if missing:
+        for method, (vec, _) in lfun.route_vectors(t, a, missing).items():
+            vecs[method] = vec
+            if method in stored:
+                cache.put_lvec(*key, method, vec)
+    return vecs
 
 
 def clear_memo() -> None:
-    """Forget the memoized L-vectors and psi grids."""
-    _LVEC_MEMO.clear()
-    lfun.clear_psi_memo()
+    """Forget the in-process character tables (chars.get_table, the one
+    in-process memo); nothing else outlives a report."""
+    get_table.cache_clear()
 
 
 def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
@@ -312,8 +305,7 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     """
     query = make_query("thm2", p, a, f=f, method=method)
     t = load_table(p, cache)
-    lvec = _lvalue_vector(t, query.a, method, cache)
-    w = _squared_weights(t, lvec)
+    w = _squared_weights(t, _lvalue_vectors(t, query.a, (method,), cache)[method])
     g = difference_sums(p, f)
     moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return complex((p - 1) * w.sum() + g @ moments)
@@ -360,7 +352,7 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
     query = make_query("thm1", q, a, k=k)
     a = query.a
     t = load_table(q, cache)
-    lvec = _lvalue_vector(t, ShiftParam(0), "closed_direct", cache)
+    lvec = _lvalue_vectors(t, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
     col = _char_column(t, k)
@@ -437,7 +429,7 @@ def _statistic(query: MeanValueQuery, t: CharacterTable, lvec: np.ndarray,
     return complex((sq_abs_char_sums * w).sum())
 
 
-def _route_statistics(query: MeanValueQuery, methods: Iterable[str],
+def _route_statistics(query: MeanValueQuery, methods: Sequence[str],
                       cache: ReportCache | None) -> dict[str, complex]:
     """The query's target statistic from the L-vector of each named route."""
     t = load_table(query.q, cache)
@@ -445,7 +437,8 @@ def _route_statistics(query: MeanValueQuery, methods: Iterable[str],
     sq_sums = None
     if query.target == "thm2":
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
-    return {m: _statistic(query, t, _lvalue_vector(t, lvec_shift, m, cache), sq_sums) for m in methods}
+    lvecs = _lvalue_vectors(t, lvec_shift, methods, cache)
+    return {m: _statistic(query, t, lvecs[m], sq_sums) for m in methods}
 
 
 def _lhs(query: MeanValueQuery, cache: ReportCache | None) -> complex:

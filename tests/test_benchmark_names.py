@@ -4,11 +4,13 @@ BENCHMARK.json lists per-layer metrics as <layer>.<name>.<stat>.  The
 tracer in perfbench/ reports a metric whose function is gone as null, and a
 traced run still exits 0, so a rename would pass unnoticed.  These tests
 resolve every name by the tracer's own rule (Tracer._targets, read without
-installing any wrapper) and check the entry points perfbench calls directly.
+installing any wrapper) and check the entry points perfbench calls directly;
+one short traced run checks the printed result end to end.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -62,3 +64,16 @@ def test_directly_called_entry_points():
     assert callable(lfun.default_truncation)
     assert callable(meanval.clear_memo)
     assert callable(chars.get_table.cache_clear) and callable(chars.get_table.cache_info)
+
+
+def test_traced_run_prints_every_per_layer_metric():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cache-reuse", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert set(result["metrics"]) == set(_per_layer_names())
+    assert [name for name, m in result["metrics"].items() if m["value"] is None] == []

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lfunlab.cache import CACHE_DIR_ENV, CACHE_VERSION, ReportCache, default_cache_dir, load_table
+from lfunlab.cache import CACHE_DIR_ENV, CACHE_VERSION, ReportCache, default_cache_dir
 from lfunlab.chars import build_character_table
 
 
@@ -109,15 +109,6 @@ def test_table_with_misplaced_logs_discarded(cache, caplog):
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
         assert cache.get_table(12) is None
     assert not os.path.exists(path)
-
-
-def test_load_table_returns_one_object_per_handle(cache):
-    first = load_table(35, cache)  # built and stored
-    assert load_table(35, cache) is first
-    warm = ReportCache(cache.directory)
-    decoded = load_table(35, warm)  # read from the archive
-    assert decoded is not first
-    assert load_table(35, warm) is decoded
 
 
 def test_corrupt_table_discarded_with_warning(cache, caplog):

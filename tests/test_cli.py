@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfunlab import cache, chars, cli, expsum, lfun, meanval
+from lfunlab import chars, cli, expsum, lfun, meanval
 from lfunlab.chars import get_table
 from lfunlab.meanval import MeanValueReport
 from lfunlab.specfun import ShiftParam
@@ -149,6 +149,37 @@ class TestExitCodes:
     def test_bad_truncation_length_exits_2(self, n_terms, capsys):
         assert run_cli("lvalue", "--method", "truncated", "--q", "101", "--n-terms", n_terms) == 2
         assert "truncation length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("lvalue", "--q", "5", "--a", "1", "--method", "closed_direct", "--n-terms", "7"),
+        ("lvalue", "--q", "5", "--a", "1", "--n-terms", "50"),
+        ("verify", "--target", "thm2", "--p", "5", "--f", "1,2", "--n-terms", "50"),
+    ])
+    def test_stray_n_terms_exits_2_before_any_work(self, argv, monkeypatch, capsys):
+        def no_build(q):
+            raise AssertionError(f"table mod {q} built before --n-terms was checked")
+
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        assert run_cli(*argv) == 2
+        assert "--n-terms applies only to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("lvalue", "--q", "5", "--a", "1", "--method", "truncated", "--n-terms", "50"),
+        ("verify", "--target", "lemma1", "--q", "5", "--a", "1", "--n-terms", "50"),
+    ])
+    def test_n_terms_reaches_the_truncated_route(self, argv, monkeypatch, capsys):
+        lengths = []
+        truncated_vector = lfun.truncated_vector
+
+        def recording(t, a, n_terms):
+            lengths.append(n_terms)
+            return truncated_vector(t, a, n_terms)
+
+        monkeypatch.setattr(lfun, "truncated_vector", recording)
+        assert run_cli(*argv) == 0
+        assert lengths == [50]
+        capsys.readouterr()
 
     def test_success_paths_exit_0(self, capsys):
         assert run_cli("chars", "--q", "35") == 0
@@ -315,27 +346,39 @@ class TestDeterminismAndCache:
         assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
         capsys.readouterr()
 
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--target", "thm2", "--p", "101", "--f", "1,0,3,2"),
-        ("verify", "--target", "recombination", "--q", "35", "--k", "2", "--a", "2"),
-    ])
-    def test_one_archive_decode_per_command(self, argv, tmp_path, monkeypatch, capsys):
+    def test_warm_sweep_evaluates_no_digamma(self, tmp_path, monkeypatch):
+        args = ("sweep", "--target", "thm1", "--moduli", "7,16,40,97,101", "--a", "5/2", "--k", "3")
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
         cache_dir = str(tmp_path / "cache")
-        assert run_cli(*argv, "--cache-dir", cache_dir) == 0  # fills the cache
-        get_table.cache_clear()
-        meanval.clear_memo()
-        decodes = []
-        decode_table = cache._decode_table
+        assert run_cli(*args, "--out", str(cold), "--cache-dir", cache_dir) == 0
 
-        def counting(*args):
-            decodes.append(args)
-            return decode_table(*args)
+        def no_digamma(*args):
+            raise AssertionError("an L-route evaluated a psi grid on a warm cache")
 
-        monkeypatch.setattr(cache, "_decode_table", counting)
-        assert run_cli(*argv, "--cache-dir", cache_dir) == 0
-        assert len(decodes) == 1
-        capsys.readouterr()
+        monkeypatch.setattr(lfun, "digamma", no_digamma)
+        assert run_cli(*args, "--out", str(warm), "--cache-dir", cache_dir) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+
+    def test_partial_cache_recomputes_only_the_missing_route(self, tmp_path, monkeypatch):
+        calls = []
+        route_vectors = lfun.route_vectors
+
+        def recording(t, a, methods, n_terms=None):
+            calls.append(list(methods))
+            return route_vectors(t, a, methods, n_terms)
+
+        monkeypatch.setattr(lfun, "route_vectors", recording)
+        args = ("sweep", "--target", "eq1", "--moduli", "97", "--a", "3/2")
+        cache_dir = tmp_path / "cache"
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run_cli(*args, "--out", str(first), "--cache-dir", str(cache_dir)) == 0
+        assert calls == [["closed_direct", "closed_lemma1"]]  # one call for both closed routes
+        calls.clear()
+        (cache_dir / "lvec_q97_a3_2_closed_lemma1.npz").unlink()
+        assert run_cli(*args, "--out", str(again), "--cache-dir", str(cache_dir)) == 0
+        assert calls == [["closed_lemma1"]]
+        assert again.read_bytes() == first.read_bytes()
+        assert (cache_dir / "lvec_q97_a3_2_closed_lemma1.npz").exists()
 
 
 class TestOnePathPerQuantity:

@@ -293,28 +293,6 @@ class TestPsiGridWork:
         assert sizes["hurwitz_zeta"].count(q - 1) == 0
         meanval.clear_memo()
 
-    def test_clear_memo_empties_the_grid_memo(self):
-        meanval.build_report(meanval.make_query("eq1", 13, "2"))
-        assert lfun._PSI_MEMO
-        meanval.clear_memo()
-        assert not lfun._PSI_MEMO
-
-    def test_memoized_grids_are_read_only_and_shared(self):
-        meanval.clear_memo()
-        grid = lfun._psi_grid(11, ShiftParam.of("3/2"))
-        assert lfun._psi_grid(11, ShiftParam.of("3/2")) is grid
-        with pytest.raises(ValueError):
-            grid[1] = 0.0
-        meanval.clear_memo()
-
-    def test_grid_memo_evicts_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(lfun, "_PSI_MEMO_CAP", 2)
-        meanval.clear_memo()
-        for num in (1, 2, 3):
-            lfun._psi_grid(7, ShiftParam.of(num))
-        assert list(lfun._PSI_MEMO) == [(7, 2, 1), (7, 3, 1)]
-        meanval.clear_memo()
-
     @pytest.mark.parametrize("q", [5, 24, 101])
     def test_closed_lemma1_at_zero_is_l1_vector(self, q, monkeypatch):
         t = get_table(q)

@@ -10,12 +10,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lfunlab import lfun, meanval
-from lfunlab.arith import euler_phi, factorize
+from lfunlab.arith import euler_phi, factorize, is_prime
 from lfunlab.chars import char_value, conjugate_index, get_table
 from lfunlab.expsum import Polynomial, weighted_char_sum
 from lfunlab.specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
@@ -329,12 +330,20 @@ def test_memo_and_cache_clear():
     assert abs(meanval.eq1_lhs(7, A(1)) - meanval.eq1_lhs(7, A(1))) == 0.0
 
 
-def test_lvec_memo_evicts_only_the_oldest(monkeypatch):
-    monkeypatch.setattr(meanval, "_LVEC_MEMO_CAP", 3)
+def test_sweep_keeps_nothing_past_the_table_memo():
+    moduli = [p for p in range(5000, 6000) if is_prime(p)][:40]
     meanval.clear_memo()
-    for q in (5, 7, 11, 13):
-        meanval.eq1_lhs(q, A(1))
-    assert [key[0] for key in meanval._LVEC_MEMO] == [7, 11, 13]
+    tracemalloc.start()
+    try:
+        meanval.residual_sweep("eq1", moduli[:10], A("3/2"))
+        after_10, _ = tracemalloc.get_traced_memory()
+        meanval.residual_sweep("eq1", moduli[10:], A("3/2"))
+        after_40, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    t = get_table(moduli[-1])  # the largest table of the sweep
+    table_memo = get_table.cache_info().maxsize * (t.residue_index.nbytes + t.conjugate_map.nbytes)
+    assert after_40 - after_10 <= table_memo
     meanval.clear_memo()
 
 
