@@ -11,14 +11,14 @@ one factor and holds for every character, principal included.  The module
 evaluates both sides exactly enough to use the identity as a cross-check, and
 audits each completed sum against the square-root cancellation bound.
 
-The table of T(g_x) is a direct Horner evaluation over y that uses no
-characters, discrete logs or transforms, so the identity stays a check of the
-character side.  It does only the work the algebra leaves: since
-g_{1/x}(x y) = -g_x(y), the row of 1/x mod p is the complex conjugate of the
-row of x (same |T|, effective degree and degeneracy), so half the rows are
-summed; and the int64 accumulator is reduced mod p only when the next Horner
-step could overflow, once per cubic for p < 5.5e4, which leaves the residues,
-and so the sums, bit-identical to a reduction after every step.
+The table of T(g_x) is a direct sum over y that uses no characters or
+transforms, so the identity stays a check of the character side.  It walks y
+through the powers g^j of a primitive root g, certified in exact integers
+before use, so f(x y) for x = g^l is f at power j + l and every row is a
+cyclic shift of one sequence F[j] = f(g^j) mod p: no multiply or remainder
+per (x, y) pair, whatever the degree.  Since g_{1/x}(x y) = -g_x(y), the row
+of 1/x = g^(p-1-l) is the complex conjugate of the row of x (same |T|,
+effective degree and degeneracy), so half the rows are summed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import is_prime
+from .arith import is_prime, powers_mod, primitive_root
 from .chars import CharacterTable
 
 
@@ -141,16 +142,14 @@ def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
     return complex(weighted_char_sum_all(t, f)[j])
 
 
-# (x, y) pairs evaluated per block of the difference sums.
-_DIFFERENCE_BLOCK = 2**20
+# (x, y) pairs summed per block of the difference sums.
+_DIFFERENCE_BLOCK = 2**15
 
 # Counted as all (p - 2) p (x, y) pairs, although only one row of each
-# inverse pair is evaluated.  Measured on a 2-core x86-64 host: 5.6-7.0 ns
-# per counted pair for a cubic f at p = 2203 .. 10007 (9.3-11.5 ns at degree
-# 6), so 4e8 of them, p near 2e4, is about 2-5 s.
+# inverse pair is summed.  Measured on a 2-core x86-64 host: 1.5-2.6 ns per
+# counted pair at p = 2203 .. 10007 and 2.4-3.5 ns at p = 19997, for degree
+# 3 and degree 6 alike, so 4e8 of them, p near 2e4, is about 1-1.4 s.
 _DIFFERENCE_EVALUATIONS = 4 * 10**8
-
-_INT64_MAX = 2**63 - 1
 
 
 def check_difference_budget(p: int) -> None:
@@ -164,53 +163,46 @@ def check_difference_budget(p: int) -> None:
         )
 
 
-def _difference_block_sums(block: np.ndarray, p: int, ys: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """T(g_x) for the rows of a block of difference coefficients, by Horner
-    over y = 1 .. p-1.
+def _certified_walk(p: int) -> np.ndarray:
+    """g^j mod p for j = 0 .. p-2, g = primitive_root(p), certified in exact
+    integers: the walk starts at 1, each step multiplies by g mod p, g times
+    the last power is 1, and every unit 1 .. p-1 appears exactly once.  A walk
+    that fails any of these raises instead of indexing a table."""
+    g = primitive_root(p)
+    pw = powers_mod(g, p, p - 1)
+    if (pw[0] != 1 or not np.array_equal(pw[1:], g * pw[:-1] % p) or g * int(pw[-1]) % p != 1
+            or not (np.bincount(pw, minlength=p)[1:] == 1).all()):
+        raise ValueError(f"the powers of {g} do not walk once through the units mod {p}")
+    return pw
 
-    The accumulator is reduced mod p only when the next acc y + b could pass
-    2^63 - 1 (tracked by a Python-side bound on acc), plus once at the end,
-    so the reduced values equal those of a remainder after every step.
+
+def _shifted_sums(windows: np.ndarray, shifts: range, roots: np.ndarray) -> np.ndarray:
+    """sum_j e((F[j + l] - F[j])/p) over j = 0 .. p-2, for each l in shifts.
+
+    Row l of windows is F[l], ..., F[l + p - 2], indices mod p - 1 (a view
+    of F twice over, entries in 0..p-1), and roots holds e(r/p) for
+    r = 0 .. 2p-1, so row l plus p - F is an index in 1 .. 2p-1, looked up
+    and summed.
     """
-    acc = np.empty((len(block), p - 1), dtype=np.int64)
-    acc[:] = block[:, -1:]
-    bound = p - 1  # acc <= bound entrywise
-    for i in range(block.shape[1] - 2, -1, -1):  # in place: acc = acc y + b_i
-        if (bound + 1) * (p - 1) > _INT64_MAX:
-            np.remainder(acc, p, out=acc)
-            bound = p - 1
-        np.multiply(acc, ys, out=acc)
-        np.add(acc, block[:, i:i + 1], out=acc)
-        bound = (bound + 1) * (p - 1)
-    np.remainder(acc, p, out=acc)
-    return np.take(roots, acc).sum(axis=1)
-
-
-def _inverses(xs: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p, the inverse of each unit x, by square and multiply."""
-    inv = np.ones_like(xs)
-    base = xs % p
-    e = p - 2
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
-    return inv
+    n = windows.shape[1]
+    return roots.take(windows[shifts.start:shifts.stop] + (n + 1 - windows[0])).sum(axis=1)
 
 
 def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of g_x mod p (row x - 2) and T(g_x), for x = 2 .. p-1.
 
-    A direct O(p^2) evaluation, with no characters or discrete logs: g_x(y)
-    mod p by Horner over blocks of x rows against one table of p-th roots of
-    unity, reducing mod p only when int64 could overflow.
+    A direct O(p^2) sum, with no characters or transforms, along the
+    certified walk y = g^j (_certified_walk).  With F[j] = f(g^j) mod p,
+    built from the certified powers as sum_i a_i g^(i j mod (p-1)), the row
+    of x = g^l is T(g_x) = sum_j e((F[j + l] - F[j])/p), indices mod p - 1:
+    a cyclic shift of F minus F, summed in blocks of about _DIFFERENCE_BLOCK
+    pairs by _shifted_sums.
 
-    Only one row of each inverse pair is evaluated.  Substituting y -> x y
+    Only one row of each inverse pair is summed.  Substituting y -> x y
     gives g_{1/x}(x y) = f(y) - f(x y) = -g_x(y), so T(g_{1/x}) is the
-    complex conjugate of T(g_x): the rows with x <= 1/x mod p (the
-    self-inverse x = p - 1 among them) are summed and each partner is their
-    conjugate.  Since x^i = 1 exactly when x^-i = 1, b_i(1/x) vanishes
+    complex conjugate of T(g_x): the rows l = 1 .. (p-1)/2 are summed (the
+    last is the self-inverse x = p - 1) and row p - 1 - l is the conjugate
+    of row l.  Since x^i = 1 exactly when x^-i = 1, b_i(1/x) vanishes
     exactly when b_i(x) does, so partners share |T|, effective degree and
     degeneracy; the coefficient rows are still computed for every x.
     Degenerate rows (p divides every coefficient) are set to exactly p - 1,
@@ -224,19 +216,22 @@ def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     for i, a in enumerate(f.coefficients):
         coeffs[:, i] = (a % p) * (xi - 1) % p
         xi = xi * xs % p
-    inv = _inverses(xs, p)
-    evaluated = xs <= inv
-    half = coeffs[evaluated]
-    roots = _roots(p)
-    ys = np.arange(1, p, dtype=np.int64)
-    half_sums = np.empty(len(half), dtype=np.complex128)
-    rows = max(1, _DIFFERENCE_BLOCK // (p - 1))
-    for lo in range(0, len(half), rows):
-        half_sums[lo:lo + rows] = _difference_block_sums(half[lo:lo + rows], p, ys, roots)
+    n = p - 1
+    pw = _certified_walk(p)
+    j = np.arange(n, dtype=np.int64)
+    walk_values = np.zeros(n, dtype=np.int64)
+    for i, a in enumerate(f.coefficients):
+        walk_values = (walk_values + a % p * pw[i * j % n]) % p
+    windows = sliding_window_view(np.concatenate([walk_values, walk_values]), n)
+    roots = np.tile(_roots(p), 2)
+    half = n // 2
+    rows = max(1, _DIFFERENCE_BLOCK // n)
     sums = np.empty(len(xs), dtype=np.complex128)
-    sums[evaluated] = half_sums
-    paired = xs < inv
-    sums[inv[paired] - 2] = np.conj(sums[paired])
+    for lo in range(1, half + 1, rows):
+        hi = min(lo + rows, half + 1)
+        sums[pw[lo:hi] - 2] = _shifted_sums(windows, range(lo, hi), roots)
+    paired = np.arange(1, half)
+    sums[pw[n - paired] - 2] = np.conj(sums[pw[paired] - 2])
     sums[~coeffs.any(axis=1)] = p - 1
     return coeffs, sums
 
@@ -309,10 +304,12 @@ def lemma3_report(p: int, f: Polynomial) -> WeilAudit:
     such x satisfy x^l = 1 mod p for any l >= 1 with p not dividing a_l, so
     there are at most degree-1 of them and each exceeds p^(1/degree).
 
-    The sums come from the shared difference table, where T(g_{1/x}) is the
-    conjugate of T(g_x): the entries of x and 1/x mod p carry the same
-    |T|, effective degree, bound verdict and degeneracy.  The classification
-    reads every row, so the audit covers all x in 2..p-1.
+    The sums come from the shared difference table, summed along a certified
+    primitive-root walk (row x = g^l is a cyclic shift of f(g^j) by l), where
+    T(g_{1/x}) is the conjugate of T(g_x): the entries of x and 1/x mod p
+    carry the same |T|, effective degree, bound verdict and degeneracy.  The
+    coefficients and the classification are read for every x, so the audit
+    covers all x in 2..p-1.
 
     Rejects polynomials that are constant mod p: then g_x vanishes for every
     x, the degenerate count bound has no content, and the audit would be

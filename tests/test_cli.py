@@ -122,11 +122,28 @@ class TestExitCodes:
         def no_evaluation(*args):
             raise AssertionError("difference sums evaluated past their budget")
 
-        monkeypatch.setattr(expsum, "_difference_block_sums", no_evaluation)
+        monkeypatch.setattr(expsum, "_certified_walk", no_evaluation)
+        monkeypatch.setattr(expsum, "_shifted_sums", no_evaluation)
         start = time.perf_counter()
         assert run_cli("verify", "--target", target, "--p", "99991", "--f", "1,2,3,4") == 2
         assert time.perf_counter() - start < 1.0
         assert "over their budget" in capsys.readouterr().err
+
+    def test_lemma2_catches_a_perturbed_character_side(self, monkeypatch, capsys):
+        # The difference table never evaluates f through _poly_values_mod, so
+        # one wrong residue of f on the S(chi, f) side breaks the identity.
+        argv = ("verify", "--target", "lemma2", "--p", "101", "--f", "1,0,3,2")
+        assert run_cli(*argv) == 0
+        horner = expsum._poly_values_mod
+
+        def perturbed(coefficients, p, xs):
+            values = horner(coefficients, p, xs)
+            values[xs == 2] = (values[xs == 2] + 1) % p
+            return values
+
+        monkeypatch.setattr(expsum, "_poly_values_mod", perturbed)
+        assert run_cli(*argv) == 1
+        assert "defect" in capsys.readouterr().out
 
     @pytest.mark.parametrize("target", ["thm2", "lemma2"])
     def test_difference_budget_checked_before_the_direct_side(self, target, monkeypatch, capsys):

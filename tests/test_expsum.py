@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lfunlab import expsum
+from lfunlab.arith import primitive_root
 from lfunlab.chars import char_value, get_table
 from lfunlab.expsum import (
     CompletedSumAudit,
@@ -38,8 +39,8 @@ def brute_complete_sum(p, coefficients):
 
 def full_difference_table(p, f):
     """Coefficient rows and T(g_x) for every x = 2..p-1, each row summed on
-    its own with a remainder after every Horner step: the table before the
-    inverse-pair halving and the deferred reduction."""
+    its own with a remainder after every Horner step over y = 1..p-1: the
+    table without the primitive-root walk or the inverse-pair halving."""
     xs = np.arange(2, p, dtype=np.int64)
     coeffs = np.array([[a * (pow(int(x), i, p) - 1) % p for i, a in enumerate(f.coefficients)]
                        for x in xs], dtype=np.int64).reshape(len(xs), len(f.coefficients))
@@ -205,54 +206,66 @@ class TestDifferenceSums:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
     def test_inverse_pair_halving_matches_full_rows(self, p, monkeypatch):
-        # Blocks of 3 rows, so the (p - 1)/2 evaluated rows span several blocks.
+        # Blocks of 3 rows, so the (p - 1)/2 summed rows span several blocks.
         monkeypatch.setattr(expsum, "_DIFFERENCE_BLOCK", 3 * (p - 1))
-        evaluated = []
-        kernel = expsum._difference_block_sums
+        shifts = []
+        kernel = expsum._shifted_sums
 
-        def spy(block, *args):
-            evaluated.extend(map(tuple, block.tolist()))
-            return kernel(block, *args)
+        def spy(windows, block, roots):
+            shifts.extend(block)
+            return kernel(windows, block, roots)
 
-        monkeypatch.setattr(expsum, "_difference_block_sums", spy)
+        monkeypatch.setattr(expsum, "_shifted_sums", spy)
+        g = primitive_root(p)
         rng = random.Random(p + 1)
         for f in (Polynomial((0, 0, 0, 1)), Polynomial((1, 0, 0, 0, 0, 0, 1)),
                   Polynomial(tuple(rng.randrange(p) for _ in range(4))),
                   Polynomial(tuple(rng.randrange(-p, 2 * p) for _ in range(7)))):
-            evaluated.clear()
+            shifts.clear()
             values = difference_sums(p, f)
             coeffs, full = full_difference_table(p, f)
             assert np.abs(values - full).max() <= 1e-13 * p
-            representatives = [x for x in range(2, p) if x <= pow(x, -1, p)]
-            assert p - 1 in representatives
-            assert sorted(evaluated) == sorted(tuple(coeffs[x - 2].tolist()) for x in representatives)
+            # Each pair {x, 1/x} summed once, the self-inverse p - 1 among them.
+            pairs = [frozenset((pow(g, l, p), pow(g, -l, p))) for l in shifts]
+            assert len(set(pairs)) == len(pairs) == (p - 1) // 2
+            assert set().union(*pairs) == set(range(2, p))
+            assert frozenset((p - 1,)) in pairs
             for x in range(2, p - 1):  # p - 1 is its own inverse, summed directly
                 assert values[pow(x, -1, p) - 2] == np.conj(values[x - 2])
             degenerate = ~coeffs.any(axis=1)
             assert np.array_equal(values[degenerate], full[degenerate])
 
-    @pytest.mark.parametrize("p", [101, 1009])
-    @pytest.mark.parametrize("degree", [1, 3, 6, 12])
-    def test_deferred_reduction_is_bit_identical(self, p, degree):
-        rng = random.Random(degree * p)
-        rows = [[p - 1] * (degree + 1), [0] * degree + [p - 1]]  # largest accumulator, lone top term
-        rows += [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(5)]
-        self._check_kernel(np.array(rows, dtype=np.int64), p)
+    @pytest.mark.parametrize("p", [5, 101, 1009])
+    def test_window_off_by_one_fails_the_oracle(self, p, monkeypatch):
+        kernel = expsum._shifted_sums
+        monkeypatch.setattr(expsum, "_shifted_sums", lambda windows, block, roots: kernel(
+            windows, range(block.start + 1, block.stop + 1), roots))
+        f = Polynomial((0, 1, 2, 1))
+        _, full = full_difference_table(p, f)
+        assert np.abs(difference_sums(p, f) - full).max() > 1e-13 * p
 
-    # At p = 65521 a cubic's last Horner step can reach (p-1)^4 + ... > 2^63,
-    # just under 2^64, so it needs a reduction before the last step.
-    @pytest.mark.parametrize("p, degree", [(19997, 6), (65521, 3)])
-    def test_deferred_reduction_large_p(self, p, degree):
-        rng = random.Random(p)
-        rows = [[p - 1] * (degree + 1)] + [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(2)]
-        self._check_kernel(np.array(rows, dtype=np.int64), p)
+    def test_non_generator_walk_raises(self, monkeypatch):
+        p, f = 101, Polynomial((0, 1, 2, 1))
+        monkeypatch.setattr(expsum, "primitive_root", lambda m: 4)  # a square: order (p-1)/2 at most
+        with pytest.raises(ValueError, match="do not walk once through the units"):
+            difference_sums(p, f)
 
-    @staticmethod
-    def _check_kernel(block, p):
-        ys = np.arange(1, p, dtype=np.int64)
-        roots = np.exp(2j * np.pi * np.arange(p) / p)
-        got = expsum._difference_block_sums(block, p, ys, roots)
-        assert np.array_equal(got, per_step_block_sums(block, p, ys, roots))
+    # The largest prime the budget admits: 19997 * 19995 <= 4e8 < 20009 * 20011.
+    @pytest.mark.parametrize("degree", [3, 6])
+    def test_largest_admitted_prime_matches_sampled_rows(self, degree):
+        p = 19997
+        expsum.check_difference_budget(p)
+        with pytest.raises(ValueError, match="over their budget"):
+            expsum.check_difference_budget(20011)
+        rng = random.Random(degree)
+        f = sample_polynomial(rng, degree, p)
+        values = difference_sums(p, f)
+        xs = [2, 3, p - 2, p - 1] + rng.sample(range(4, p - 2), 12)
+        coeffs = np.array([[a * (pow(x, i, p) - 1) % p for i, a in enumerate(f.coefficients)]
+                           for x in xs], dtype=np.int64)
+        expected = per_step_block_sums(coeffs, p, np.arange(1, p, dtype=np.int64),
+                                       np.exp(2j * np.pi * np.arange(p) / p))
+        assert np.abs(values[np.array(xs) - 2] - expected).max() <= 1e-13 * p
 
     def test_budget_counts_p_minus_2_times_p_evaluations(self, monkeypatch):
         p, f = 101, Polynomial((0, 1, 1))
