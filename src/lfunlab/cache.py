@@ -1,29 +1,35 @@
 """On-disk cache for character tables and L-value vectors.
 
-Both entry kinds are .npz archives with a JSON meta record.  A character
-table entry holds the table's O(q) discrete-log data: the per-residue flat
-log index and the conjugation map as arrays, the cyclic orders and group
-components in the meta record.  An L-value vector entry holds the complex128
-values.  Both representations are exact, so a cache hit is bit-identical to
-a recomputation.  Every entry carries a format version (2 since tables
-store logs instead of the dense exponent matrix) and its key; a version or
-key mismatch is a cache miss, and an entry that cannot be opened or decoded
-is deleted with a warning and recomputed by the caller.
+Every entry is one flat record: a JSON meta line, then the raw little-endian
+bytes of its arrays back to back.  The meta line holds the format version
+(3 since entries are flat records instead of .npz archives), the entry's
+key, the length of each array and a zlib.crc32 of every other meta field
+(as canonical JSON) followed by the payload.  The dtype of each array is
+fixed by the entry kind, never read from the file: a character table holds
+the table's O(q) discrete-log data (the per-residue flat log index and the
+conjugation map as <i8, the cyclic orders and group components in the meta
+line), an L-value vector its <c16 values.  Both representations are exact,
+so a cache hit is bit-identical to a recomputation.
+
+A version or key mismatch is a silent cache miss that leaves the file
+alone.  A record whose checksum fails, a payload whose declared lengths do
+not cover it exactly, or an entry that cannot be decoded, is deleted with a
+warning and recomputed by the caller.
 
 load_table is the one way the package obtains a character table when a
 cache may be in use: every CLI subcommand that takes --cache/--cache-dir
 and every mean-value statistic goes through it.  A ReportCache handle holds
-only its directory: every load reads the archive again.
+only its directory: every load reads the record again.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +38,11 @@ from .chars import CharacterTable, GroupComponent, get_table
 
 log = logging.getLogger("lfunlab")
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CACHE_DIR_ENV = "LFUNLAB_CACHE_DIR"
+# The arrays of each entry kind, in payload order, with their stored dtypes.
+_TABLE_ARRAYS = (("residue_index", "<i8"), ("conjugate_map", "<i8"))
+_LVEC_ARRAYS = (("values", "<c16"),)
 
 
 def default_cache_dir() -> str:
@@ -56,7 +65,32 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _decode_table(meta: dict, archive) -> CharacterTable:
+def _checksum(fields: dict, payload: bytes) -> int:
+    """zlib.crc32 of the meta fields other than crc32, as canonical JSON,
+    followed by the payload: a flipped bit in either is caught."""
+    return zlib.crc32(payload, zlib.crc32(json.dumps(fields, sort_keys=True).encode()))
+
+
+def _split_payload(payload: bytes, meta: dict, layout) -> dict[str, np.ndarray]:
+    """The arrays of layout, read-only views into payload, once the lengths
+    in meta cover it exactly and the record's checksum matches."""
+    lengths = meta["lengths"]
+    if len(lengths) != len(layout) or not all(type(n) is int and n >= 0 for n in lengths):
+        raise ValueError(f"array lengths {lengths!r} do not fit the entry kind")
+    sizes = [n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(lengths, layout)]
+    if sum(sizes) != len(payload):
+        raise ValueError(f"lengths declare {sum(sizes)} payload bytes, the record holds {len(payload)}")
+    fields = {k: v for k, v in meta.items() if k != "crc32"}
+    if _checksum(fields, payload) != meta["crc32"]:
+        raise ValueError("record checksum mismatch")
+    arrays, offset = {}, 0
+    for (name, dtype), n, size in zip(layout, lengths, sizes):
+        arrays[name] = np.frombuffer(payload, dtype=dtype, count=n, offset=offset)
+        offset += size
+    return arrays
+
+
+def _decode_table(meta: dict, arrays: dict) -> CharacterTable:
     q, phi = meta["q"], meta["phi"]
     components = tuple(
         GroupComponent(pk, tuple(gens), tuple(orders)) for pk, gens, orders in meta["components"]
@@ -64,11 +98,14 @@ def _decode_table(meta: dict, archive) -> CharacterTable:
     orders = tuple(meta["orders"])
     if orders != tuple(s for c in components for s in c.orders) or math.prod(orders) != phi:
         raise ValueError(f"orders {orders} do not match the components and phi = {phi}")
-    residue_index = np.array(archive["residue_index"], dtype=np.int64)
-    conjugate_map = np.array(archive["conjugate_map"], dtype=np.int64)
+    residue_index = np.array(arrays["residue_index"], dtype=np.int64)
+    conjugate_map = np.array(arrays["conjugate_map"], dtype=np.int64)
     if residue_index.shape != (q,) or conjugate_map.shape != (phi,):
         raise ValueError(f"shapes {residue_index.shape}, {conjugate_map.shape}")
-    if not np.array_equal(np.sort(residue_index[residue_index >= 0]), np.arange(phi)):
+    # -1 marks a non-unit; the phi units must fill the grid 0 .. phi-1 once each.
+    units = residue_index[residue_index != -1]
+    if (units.size != phi or units.min() < 0 or units.max() >= phi
+            or np.bincount(units, minlength=phi).max() != 1):
         raise ValueError("residue_index does not place the units on the character grid")
     return CharacterTable(
         q=q,
@@ -81,8 +118,8 @@ def _decode_table(meta: dict, archive) -> CharacterTable:
     )
 
 
-def _decode_lvec(meta: dict, archive) -> np.ndarray:
-    vec = np.array(archive["values"], dtype=np.complex128)
+def _decode_lvec(meta: dict, arrays: dict) -> np.ndarray:
+    vec = np.array(arrays["values"], dtype=np.complex128)
     if vec.shape != (meta["length"],):
         raise ValueError(f"length {vec.shape} != {meta['length']}")
     return vec
@@ -95,35 +132,40 @@ class ReportCache:
     directory: str
 
     def _table_path(self, q: int) -> str:
-        return os.path.join(self.directory, f"table_q{q}.npz")
+        return os.path.join(self.directory, f"table_q{q}.rec")
 
     def _lvec_path(self, q: int, a_num: int, a_den: int, method: str) -> str:
-        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}_{method}.npz")
+        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}_{method}.rec")
 
-    def _write(self, path: str, meta: dict, **arrays: np.ndarray) -> None:
-        """Store arrays plus a JSON meta record (with the format version) as .npz."""
-        record = json.dumps({"version": CACHE_VERSION, **meta}).encode()
-        buf = io.BytesIO()
-        np.savez(buf, meta=np.frombuffer(record, dtype=np.uint8), **arrays)
-        _atomic_write(path, buf.getvalue())
+    def _write(self, path: str, meta: dict, layout, *arrays: np.ndarray) -> None:
+        """Store the arrays, in the dtypes of layout, after a JSON meta line
+        holding the format version, meta, their lengths and the checksum."""
+        arrays = [np.asarray(a, dtype=dtype) for (_, dtype), a in zip(layout, arrays)]
+        payload = b"".join(a.tobytes() for a in arrays)
+        head = {"version": CACHE_VERSION, **meta, "lengths": [a.size for a in arrays]}
+        head["crc32"] = _checksum(head, payload)
+        _atomic_write(path, json.dumps(head).encode() + b"\n" + payload)
 
-    def _read(self, path: str, key: dict, decode):
-        """decode(meta, archive) for the entry at path, or None.
+    def _read(self, path: str, key: dict, layout, decode):
+        """decode(meta, arrays) for the entry at path, or None.
 
         A missing entry, another format version or meta fields that differ
-        from key are a silent miss.  Any failure to open or decode the entry
-        discards it with a warning.
+        from key are a silent miss.  A record that fails its checksum, a
+        payload that fails its declared lengths, and any failure to read or
+        decode the entry, discard it with a warning.
         """
-        if not os.path.exists(path):
-            return None
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                if meta.get("version") != CACHE_VERSION:
-                    return None
-                if any(meta.get(field) != value for field, value in key.items()):
-                    return None
-                return decode(meta, archive)
+            with open(path, "rb") as handle:
+                record = handle.read()
+            line, _, payload = record.partition(b"\n")
+            meta = json.loads(line)
+            if meta.get("version") != CACHE_VERSION:
+                return None
+            if any(meta.get(field) != value for field, value in key.items()):
+                return None
+            return decode(meta, _split_payload(payload, meta, layout))
+        except FileNotFoundError:
+            return None
         except Exception as exc:
             log.warning("discarding corrupt cache entry %s (%s)", path, exc)
             try:
@@ -144,26 +186,21 @@ class ReportCache:
             ],
             "orders": list(table.orders),
         }
-        self._write(
-            self._table_path(table.q),
-            meta,
-            residue_index=table.residue_index,
-            conjugate_map=table.conjugate_map,
-        )
+        self._write(self._table_path(table.q), meta, _TABLE_ARRAYS,
+                    table.residue_index, table.conjugate_map)
 
     def get_table(self, q: int) -> CharacterTable | None:
-        return self._read(self._table_path(q), {"q": q}, _decode_table)
+        return self._read(self._table_path(q), {"q": q}, _TABLE_ARRAYS, _decode_table)
 
     # -- L-value vectors ----------------------------------------------------
 
     def put_lvec(self, q: int, a_num: int, a_den: int, method: str, vec: np.ndarray) -> None:
         meta = {"q": q, "a_num": a_num, "a_den": a_den, "method": method, "length": len(vec)}
-        self._write(self._lvec_path(q, a_num, a_den, method), meta,
-                    values=np.asarray(vec, dtype=np.complex128))
+        self._write(self._lvec_path(q, a_num, a_den, method), meta, _LVEC_ARRAYS, vec)
 
     def get_lvec(self, q: int, a_num: int, a_den: int, method: str) -> np.ndarray | None:
         key = {"q": q, "a_num": a_num, "a_den": a_den, "method": method}
-        return self._read(self._lvec_path(q, a_num, a_den, method), key, _decode_lvec)
+        return self._read(self._lvec_path(q, a_num, a_den, method), key, _LVEC_ARRAYS, _decode_lvec)
 
     # -- maintenance ----------------------------------------------------------
 

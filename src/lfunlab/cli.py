@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -145,7 +146,10 @@ def _parse_moduli(primes: str | None, moduli: str | None) -> tuple[int, ...]:
         raise ValueError(f"--moduli wants a comma list of integers, got {moduli!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="lfunlab",
         description="verification laboratory for shifted L-series mean values",

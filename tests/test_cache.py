@@ -3,11 +3,20 @@
 import json
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lfunlab.cache import CACHE_DIR_ENV, CACHE_VERSION, ReportCache, default_cache_dir
+from lfunlab.cache import (
+    _LVEC_ARRAYS,
+    _TABLE_ARRAYS,
+    CACHE_DIR_ENV,
+    CACHE_VERSION,
+    ReportCache,
+    _checksum,
+    default_cache_dir,
+)
 from lfunlab.chars import build_character_table
 
 
@@ -16,15 +25,45 @@ def cache(tmp_path):
     return ReportCache(str(tmp_path / "lab-cache"))
 
 
-def edit_entry(path, edit):
-    """Rewrite a cache archive in place after edit(meta, arrays) has changed it."""
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = dict(archive)
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    edit(meta, arrays)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+def layout_of(path):
+    return _TABLE_ARRAYS if os.path.basename(path).startswith("table_") else _LVEC_ARRAYS
+
+
+def without_crc(meta):
+    return {k: v for k, v in meta.items() if k != "crc32"}
+
+
+def read_record(path):
+    """(meta line, payload bytes) of a cache record."""
+    with open(path, "rb") as handle:
+        line, newline, payload = handle.read().partition(b"\n")
+    assert newline
+    return json.loads(line), payload
+
+
+def write_record(path, meta, payload):
     with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+        handle.write(json.dumps(meta).encode("utf-8") + b"\n" + payload)
+
+
+def edit_entry(path, edit):
+    """Rewrite a cache record in place after edit(meta, arrays) has changed it.
+
+    The array lengths and the record checksum are recomputed, so the read
+    gets past them to the check the edit targets.
+    """
+    meta, payload = read_record(path)
+    meta = without_crc(meta)
+    arrays, offset = {}, 0
+    for (name, dtype), n in zip(layout_of(path), meta["lengths"]):
+        arrays[name] = np.frombuffer(payload, dtype=dtype, count=n, offset=offset).copy()
+        offset += arrays[name].nbytes
+    assert offset == len(payload)
+    edit(meta, arrays)
+    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    meta["lengths"] = [a.size for a in arrays.values()]
+    meta["crc32"] = _checksum(meta, payload)
+    write_record(path, meta, payload)
 
 
 def test_table_roundtrip_bit_exact(cache):
@@ -52,7 +91,7 @@ def test_lvec_roundtrip_bit_exact(cache):
     back = cache.get_lvec(35, 7, 2, "closed_direct")
     assert back is not None
     assert back.dtype == np.complex128
-    assert np.array_equal(back, vec)  # the complex128 archive is exact
+    assert np.array_equal(back, vec)  # the complex128 record is exact
 
 
 def test_lvec_keyed_by_method_and_shift(cache):
@@ -67,11 +106,7 @@ def test_version_mismatch_is_silent_miss(cache, tmp_path):
     t = build_character_table(12)
     cache.put_table(t)
     path = cache._table_path(12)
-    data = dict(np.load(path, allow_pickle=False))
-    meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    meta["version"] = CACHE_VERSION + 1
-    data["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path.removesuffix(".npz"), **data)
+    edit_entry(path, lambda meta, arrays: meta.update(version=CACHE_VERSION + 1))
     assert cache.get_table(12) is None
     assert os.path.exists(path)  # future versions are left alone
 
@@ -111,12 +146,25 @@ def test_table_with_misplaced_logs_discarded(cache, caplog):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize("mark", [4, -2], ids=["log_phi", "marker_-2"])
+def test_table_with_out_of_range_log_discarded(cache, caplog, mark):
+    # A log at phi or beyond, or a negative mark other than the non-unit -1.
+    cache.put_table(build_character_table(12))
+    path = cache._table_path(12)
+    target = 5 if mark >= 0 else 2  # a unit, or a non-unit
+    edit_entry(path, lambda meta, arrays: arrays["residue_index"].__setitem__(target, mark))
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert cache.get_table(12) is None
+    assert not os.path.exists(path)
+    assert any("discard" in r.message for r in caplog.records)
+
+
 def test_corrupt_table_discarded_with_warning(cache, caplog):
     t = build_character_table(12)
     cache.put_table(t)
     path = cache._table_path(12)
     with open(path, "wb") as handle:
-        handle.write(b"not an npz archive")
+        handle.write(b"not a cache record")
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
         assert cache.get_table(12) is None
     assert not os.path.exists(path)
@@ -138,7 +186,7 @@ def test_corrupt_lvec_discarded(cache, caplog):
     cache.put_lvec(5, 1, 1, "closed_direct", vec)
     path = cache._lvec_path(5, 1, 1, "closed_direct")
     with open(path, "wb") as handle:
-        handle.write(b"not an npz archive")
+        handle.write(b"not a cache record")
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
         assert cache.get_lvec(5, 1, 1, "closed_direct") is None
     assert not os.path.exists(path)
@@ -184,3 +232,132 @@ def test_atomic_write_leaves_no_temp_files(cache):
 def test_default_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "override"))
     assert default_cache_dir() == str(tmp_path / "override")
+
+
+def _table_entry(cache):
+    cache.put_table(build_character_table(12))
+    return cache._table_path(12), lambda: cache.get_table(12)
+
+
+def _lvec_entry(cache):
+    rng = np.random.default_rng(3)
+    cache.put_lvec(5, 1, 1, "closed_direct", rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    return cache._lvec_path(5, 1, 1, "closed_direct"), lambda: cache.get_lvec(5, 1, 1, "closed_direct")
+
+
+ENTRY_KINDS = pytest.mark.parametrize("entry", [_table_entry, _lvec_entry], ids=["table", "lvec"])
+
+
+def _assert_discarded(path, get, caplog, reason):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert get() is None
+    assert not os.path.exists(path)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("discard" in m and reason in m for m in messages), messages
+
+
+@ENTRY_KINDS
+def test_record_layout(cache, entry):
+    path, get = entry(cache)
+    meta, payload = read_record(path)
+    assert path.endswith(".rec")
+    assert meta["version"] == CACHE_VERSION == 3
+    assert len(payload) == sum(n * np.dtype(d).itemsize for n, (_, d) in zip(meta["lengths"], layout_of(path)))
+    assert meta["crc32"] == _checksum(without_crc(meta), payload)
+    assert get() is not None
+
+
+def _same_entry(a, b):
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return ((a.q, a.phi, a.exponent, a.components, a.orders) == (b.q, b.phi, b.exponent, b.components, b.orders)
+            and np.array_equal(a.residue_index, b.residue_index)
+            and np.array_equal(a.conjugate_map, b.conjugate_map))
+
+
+@ENTRY_KINDS
+def test_every_flipped_bit_is_discarded_or_missed(cache, caplog, entry):
+    # A flipped payload bit fails the checksum.  A flipped meta bit is
+    # discarded with a warning or, where it turns the version or a key field
+    # into another one, is a silent miss; it never yields a different entry.
+    path, get = entry(cache)
+    original = get()
+    with open(path, "rb") as handle:
+        record = handle.read()
+    newline = record.index(b"\n")
+    for pos in range(len(record)):
+        path, get = entry(cache)
+        flipped = bytearray(record)
+        flipped[pos] ^= 1 << (pos % 8)
+        with open(path, "wb") as handle:
+            handle.write(flipped)
+        if pos > newline:
+            _assert_discarded(path, get, caplog, "checksum")
+            continue
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+            got = get()
+        if got is not None:
+            assert _same_entry(got, original), pos
+        elif caplog.records:
+            assert not os.path.exists(path), pos
+        else:
+            assert os.path.exists(path), pos
+
+
+def test_edited_exponent_fails_the_checksum(cache, caplog):
+    # One bit turns the exponent 2 of the table mod 12 into 3.
+    cache.put_table(build_character_table(12))
+    path = cache._table_path(12)
+    meta, payload = read_record(path)
+    assert meta["exponent"] == 2
+    meta["exponent"] = 3
+    write_record(path, meta, payload)
+    _assert_discarded(path, lambda: cache.get_table(12), caplog, "checksum")
+
+
+@ENTRY_KINDS
+@pytest.mark.parametrize("cut", [1, 8, "meta"])
+def test_truncated_record_discarded_with_warning(cache, caplog, entry, cut):
+    path, get = entry(cache)
+    with open(path, "rb") as handle:
+        record = handle.read()
+    keep = record.index(b"\n") // 2 if cut == "meta" else len(record) - cut
+    with open(path, "wb") as handle:
+        handle.write(record[:keep])
+    _assert_discarded(path, get, caplog, "" if cut == "meta" else "payload bytes")
+
+
+@ENTRY_KINDS
+def test_appended_byte_discarded_with_warning(cache, caplog, entry):
+    path, get = entry(cache)
+    with open(path, "ab") as handle:
+        handle.write(b"\0")
+    _assert_discarded(path, get, caplog, "payload bytes")
+
+
+@ENTRY_KINDS
+def test_overlong_declared_length_discarded_without_allocating(cache, caplog, entry):
+    # The last array claims 10**7 entries (80 MB or more) the file does not hold.
+    path, get = entry(cache)
+    meta, payload = read_record(path)
+    meta["lengths"][-1] = 10**7
+    write_record(path, meta, payload)
+    tracemalloc.start()
+    try:
+        _assert_discarded(path, get, caplog, "payload bytes")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@ENTRY_KINDS
+@pytest.mark.parametrize("lengths", [[-1, 1], [1], [2.0, 2.0], "4"])
+def test_malformed_lengths_discarded(cache, caplog, entry, lengths):
+    path, get = entry(cache)
+    meta, payload = read_record(path)
+    meta["lengths"] = lengths
+    write_record(path, meta, payload)
+    _assert_discarded(path, get, caplog, "")

@@ -184,8 +184,11 @@ def _assert_transform_matches_oracle(q, seed):
     V = t.values_matrix()
     rng = np.random.default_rng(seed)
     x, w = _random_complex(rng, q), _random_complex(rng, t.phi)
-    assert np.abs(t.sums_over_residues(x) - V @ x).max() <= 1e-12 * t.phi
-    assert np.abs(t.sums_over_characters(w) - V.T @ w).max() <= 1e-12 * t.phi
+    # Real inputs take the packed half-length transform on a cyclic group,
+    # complex ones the split into even and odd entries.
+    for x, w in ((x, w), (x.real.copy(), w.real.copy())):
+        assert np.abs(t.sums_over_residues(x) - V @ x).max() <= 1e-12 * t.phi
+        assert np.abs(t.sums_over_characters(w) - V.T @ w).max() <= 1e-12 * t.phi
 
 
 def test_transform_matches_dense_oracle_q_1_to_200():
@@ -202,6 +205,26 @@ def test_transform_matches_dense_oracle_q_1_to_200():
 )
 def test_transform_matches_oracle_with_two_power_factor(e, m, seed):
     _assert_transform_matches_oracle(2**e * m, seed)
+
+
+@pytest.mark.parametrize("q", [4993, 5009, 6983, 7027])
+def test_transform_matches_sampled_rows_past_the_dense_budget(q):
+    # phi = q - 1 is 2^7 * 3 * 13, 2^4 * 313, 2 * 3491 and 2 * 3 * 1171; the
+    # last three have a large prime factor, where pocketfft is slowest.  Row
+    # j of a cyclic group is exp(2 pi i j log(n) / phi), log(n) = residue_index[n].
+    t = build_character_table(q)
+    rng = np.random.default_rng(q)
+    units = t.unit_residues()
+    logs = t.residue_index[units]
+    for x, w in ((rng.standard_normal(q), rng.standard_normal(t.phi)),
+                 (_random_complex(rng, q), _random_complex(rng, t.phi))):
+        got_residues, got_characters = t.sums_over_residues(x), t.sums_over_characters(w)
+        for j in (0, 1, 2, t.phi // 2 - 1, t.phi // 2, t.phi // 2 + 1, t.phi - 1, *rng.integers(t.phi, size=9)):
+            row = t.roots_of_unity()[(j * logs) % t.phi]
+            assert abs(got_residues[j] - row @ x[units]) <= 1e-12 * t.phi
+        for n in (1, 2, q - 1, *rng.choice(units, size=9)):
+            column = t.roots_of_unity()[(np.arange(t.phi) * t.residue_index[n]) % t.phi]
+            assert abs(got_characters[n] - column @ w) <= 1e-12 * t.phi
 
 
 def _gram_defect(t):

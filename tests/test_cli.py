@@ -1,7 +1,10 @@
 """Command-line surface: contracted invocations, exit codes, report schema."""
 
+import argparse
+import builtins
 import csv
 import dataclasses
+import logging
 import json
 import math
 import os
@@ -26,6 +29,41 @@ CSV_HEADER = (
 
 def run_cli(*argv):
     return cli.run(list(argv))
+
+
+def run_fresh(*argv):
+    """The command in a fresh interpreter: (exit code, stdout, stderr)."""
+    # The child finds the package where this process imported it from,
+    # also when pytest put src/ on sys.path rather than on PYTHONPATH.
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lfunlab.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_version_2_entries(cache_dir, moduli, a_num, a_den):
+    """The .npz archives a version-2 cache kept for an eq1 sweep: the real
+    tables, and closed-route L-vectors of zeros that would change the CSV."""
+    cache_dir.mkdir()
+    for q in moduli:
+        t = chars.build_character_table(q)
+        entries = {f"table_q{q}.npz": ({"q": q, "phi": t.phi, "exponent": t.exponent,
+                                        "components": [[c.prime_power, list(c.generators), list(c.orders)]
+                                                       for c in t.components],
+                                        "orders": list(t.orders)},
+                                       {"residue_index": t.residue_index, "conjugate_map": t.conjugate_map})}
+        for method in ("closed_direct", "closed_lemma1"):
+            entries[f"lvec_q{q}_a{a_num}_{a_den}_{method}.npz"] = (
+                {"q": q, "a_num": a_num, "a_den": a_den, "method": method, "length": t.phi},
+                {"values": np.zeros(t.phi, dtype=np.complex128)})
+        for name, (meta, arrays) in entries.items():
+            record = json.dumps({"version": 2, **meta}).encode()
+            with open(cache_dir / name, "wb") as handle:
+                np.savez(handle, meta=np.frombuffer(record, dtype=np.uint8), **arrays)
+    return {p.name: p.read_bytes() for p in cache_dir.iterdir()}
 
 
 class TestContractedInvocations:
@@ -353,7 +391,7 @@ class TestDeterminismAndCache:
     def test_cache_dir_serves_the_table(self, argv, tmp_path, monkeypatch, capsys):
         cache_dir = tmp_path / "cache"
         assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
-        assert (cache_dir / "table_q7.npz").exists()
+        assert (cache_dir / "table_q7.rec").exists()
         get_table.cache_clear()
 
         def no_build(q):
@@ -391,11 +429,78 @@ class TestDeterminismAndCache:
         assert run_cli(*args, "--out", str(first), "--cache-dir", str(cache_dir)) == 0
         assert calls == [["closed_direct", "closed_lemma1"]]  # one call for both closed routes
         calls.clear()
-        (cache_dir / "lvec_q97_a3_2_closed_lemma1.npz").unlink()
+        (cache_dir / "lvec_q97_a3_2_closed_lemma1.rec").unlink()
         assert run_cli(*args, "--out", str(again), "--cache-dir", str(cache_dir)) == 0
         assert calls == [["closed_lemma1"]]
         assert again.read_bytes() == first.read_bytes()
-        assert (cache_dir / "lvec_q97_a3_2_closed_lemma1.npz").exists()
+        assert (cache_dir / "lvec_q97_a3_2_closed_lemma1.rec").exists()
+
+
+    def test_version_2_entries_are_neither_read_nor_deleted(self, tmp_path, monkeypatch, capsys, caplog):
+        args = ("sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2")
+        plain, cached = tmp_path / "plain.csv", tmp_path / "cached.csv"
+        assert run_cli(*args, "--out", str(plain)) == 0
+        cache_dir = tmp_path / "cache"
+        leftovers = write_version_2_entries(cache_dir, (7, 11), 3, 2)
+        capsys.readouterr()
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *rest, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *rest, **kwargs)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a version-2 archive was opened")
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(np, "load", no_load)
+        with caplog.at_level(logging.WARNING, logger="lfunlab"):
+            assert run_cli(*args, "--out", str(cached), "--cache-dir", str(cache_dir)) == 0
+        assert cached.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().err == ""
+        assert not caplog.records
+        assert not [f for f in opened if f.endswith(".npz")]
+        assert all((cache_dir / name).read_bytes() == data for name, data in leftovers.items())
+
+    def test_cache_subcommand_counts_and_clears_version_2_entries(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        write_version_2_entries(cache_dir, (7, 11), 3, 2)
+        assert run_cli("cache", "--cache-dir", str(cache_dir)) == 0
+        assert "entries: 2 character tables, 4 L-value vectors" in capsys.readouterr().out
+        assert run_cli("cache", "--cache-dir", str(cache_dir), "--clear") == 0
+        assert "cleared 6" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_with_immutable_defaults(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            for action in p._actions:
+                assert isinstance(action.default, (type(None), bool, int, float, str, tuple)), \
+                    (name, action.dest, action.default)
+
+    def test_second_command_keeps_nothing_of_the_first(self, tmp_path, monkeypatch, capsys):
+        cache_dir = tmp_path / "cache"
+        first = ("sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2")
+        assert run_cli(*first, "--cache-dir", str(cache_dir)) == 0
+        first_out = capsys.readouterr()
+        written = {p.name: p.stat().st_mtime_ns for p in cache_dir.iterdir()}
+        assert written
+
+        def no_cache(directory):
+            raise AssertionError(f"the second command opened the cache at {directory}")
+
+        monkeypatch.setattr(cli, "ReportCache", no_cache)
+        assert run_cli(*first) == 0
+        second_out = capsys.readouterr()
+        assert {p.name: p.stat().st_mtime_ns for p in cache_dir.iterdir()} == written
+        fresh_cache = str(tmp_path / "fresh-cache")
+        assert run_fresh(*first, "--cache-dir", fresh_cache) == (0, first_out.out, first_out.err)
+        assert run_fresh(*first) == (0, second_out.out, second_out.err)
 
 
 class TestOnePathPerQuantity:
@@ -478,13 +583,6 @@ class TestSmallSurfaces:
         assert f"sqrt(p) = {math.sqrt(5):.6f}" in out
 
     def test_entry_point_runs(self):
-        # The child finds the package where this process imported it from,
-        # also when pytest put src/ on sys.path rather than on PYTHONPATH.
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lfunlab.cli", "lvalue", "--q", "4", "--a", "1"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
-        )
-        assert proc.returncode == 0
-        assert "0.34657359" in proc.stdout
+        code, out, _ = run_fresh("lvalue", "--q", "4", "--a", "1")
+        assert code == 0
+        assert "0.34657359" in out
