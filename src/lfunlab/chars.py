@@ -73,6 +73,7 @@ class CharacterTable:
     conjugate_map: np.ndarray
     principal_index: int = 0
     _roots: np.ndarray | None = field(default=None, init=False, repr=False)
+    _twiddles: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -85,8 +86,9 @@ class CharacterTable:
         Over a cyclic group of even order phi = 2h the transform is split
         into the sums E over the even and O over the odd entries, two
         unnormalized inverse FFTs of length h, and is E + v^k O at k and
-        E - v^k O at k + h, v = exp(2 pi i/phi).  A real grid needs a single
-        FFT of length h: with z = (even entries) + i (odd entries),
+        E - v^k O at k + h, v = exp(2 pi i/phi); the h twiddles v^k are
+        computed on first use and kept with the table.  A real grid needs a
+        single FFT of length h: with z = (even entries) + i (odd entries),
         Z = h * ifft(z) and R[k] = conj(Z[-k]), E = (Z + R)/2 and
         O = (Z - R)/2i.  Halving the length matters most where phi has a
         large prime factor and pocketfft must use Bluestein's algorithm: on
@@ -103,7 +105,9 @@ class CharacterTable:
             even, odd = (z + r) / 2, (z - r) * -0.5j
         else:
             even, odd = np.fft.ifft(grid.reshape(h, 2).T, norm="forward")
-        odd *= self.roots_of_unity()[:h]
+        if self._twiddles is None:
+            self._twiddles = self.roots_at(np.arange(h))
+        odd *= self._twiddles
         return np.concatenate((even + odd, even - odd))
 
     def sums_over_residues(self, x: np.ndarray) -> np.ndarray:
@@ -122,11 +126,15 @@ class CharacterTable:
         out[units] = flat[self.residue_index[units]]
         return out
 
+    def roots_at(self, v: np.ndarray) -> np.ndarray:
+        """exp(2 pi i v / L) for an integer array v, by the one expression
+        every root table of t uses, so equal v give bit-identical roots."""
+        return np.exp(1j * (2.0 * np.pi * v / self.exponent))
+
     def roots_of_unity(self) -> np.ndarray:
         """exp(2 pi i v / L) for v = 0 .. L-1."""
         if self._roots is None:
-            angles = 2.0 * np.pi * np.arange(self.exponent) / self.exponent
-            self._roots = np.exp(1j * angles)
+            self._roots = self.roots_at(np.arange(self.exponent))
         return self._roots
 
     def unit_residues(self) -> np.ndarray:

@@ -14,9 +14,12 @@ audits each completed sum against the square-root cancellation bound.
 The table of T(g_x) is a direct sum over y that uses no characters or
 transforms, so the identity stays a check of the character side.  It walks y
 through the powers g^j of a primitive root g, certified in exact integers
-before use, so f(x y) for x = g^l is f at power j + l and every row is a
-cyclic shift of one sequence F[j] = f(g^j) mod p: no multiply or remainder
-per (x, y) pair, whatever the degree.  Since g_{1/x}(x y) = -g_x(y), the row
+before use, so f(x y) for x = g^l is f at power j + l: with F[j] = f(g^j)
+mod p and u[j] = e(F[j]/p), the row of x is sum_j u[j + l] conj(u[j]), the
+shift of u by l against conj(u), whatever the degree.  Blocks of rows are
+summed as BLAS matrix-vector products (zgemv); the rows are never computed
+by a transform, since the Fourier route to this autocorrelation goes through
+|S(chi, f)|^2, the side under check.  Since g_{1/x}(x y) = -g_x(y), the row
 of 1/x = g^(p-1-l) is the complex conjugate of the row of x (same |T|,
 effective degree and degeneracy), so half the rows are summed.
 """
@@ -142,13 +145,17 @@ def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
     return complex(weighted_char_sum_all(t, f)[j])
 
 
-# (x, y) pairs summed per block of the difference sums.
+# (x, y) pairs summed per block of the difference sums (at least two rows).
+# On a 2-core x86-64 host 2^15 and 2^16 tie at p = 1801 .. 5003, 2^16 is
+# faster at p = 10007 and 2^15 at p = 19997, and 2^14 is slower throughout;
+# 2^15 also keeps the periodic copy of u to 17 copies, 0.6 MB, at p = 2203.
 _DIFFERENCE_BLOCK = 2**15
 
 # Counted as all (p - 2) p (x, y) pairs, although only one row of each
-# inverse pair is summed.  Measured on a 2-core x86-64 host: 1.5-2.6 ns per
-# counted pair at p = 2203 .. 10007 and 2.4-3.5 ns at p = 19997, for degree
-# 3 and degree 6 alike, so 4e8 of them, p near 2e4, is about 1-1.4 s.
+# inverse pair is summed.  Measured on a 2-core x86-64 host with
+# single-threaded BLAS: 0.6-0.7 ns per counted pair at p = 2203, 0.5 ns at
+# p = 10007 and 0.4-0.5 ns at p = 19997, for degree 3 and degree 6 alike,
+# so 4e8 of them, p near 2e4, is about 0.2 s.
 _DIFFERENCE_EVALUATIONS = 4 * 10**8
 
 
@@ -176,27 +183,35 @@ def _certified_walk(p: int) -> np.ndarray:
     return pw
 
 
-def _shifted_sums(windows: np.ndarray, shifts: range, roots: np.ndarray) -> np.ndarray:
-    """sum_j e((F[j + l] - F[j])/p) over j = 0 .. p-2, for each l in shifts.
+def _shifted_sums(windows: np.ndarray, shifts: range, conj_u: np.ndarray) -> np.ndarray:
+    """sum_j u[j + l] conj(u[j]) over j = 0 .. p-2, for each l in shifts.
 
-    Row l of windows is F[l], ..., F[l + p - 2], indices mod p - 1 (a view
-    of F twice over, entries in 0..p-1), and roots holds e(r/p) for
-    r = 0 .. 2p-1, so row l plus p - F is an index in 1 .. 2p-1, looked up
-    and summed.
+    windows is the window view, of width n = p - 1, of u repeated, so row m
+    is u[m], ..., u[m + n - 1], indices mod n, and conj_u is conj(u).  Row
+    l + k (n + 1) is the shift l + k: the block of shifts is the slice of
+    rows l, l + (n + 1), ..., a matrix with leading dimension n + 1 that
+    numpy hands to BLAS (zgemv) without a copy.  zgemv sums each row as one
+    dot product on one thread, so the bytes do not depend on the BLAS
+    thread count; a block of a single row would go to a dot product that
+    OpenBLAS splits across threads, so _difference_table never makes one
+    when it has two rows to sum.
     """
-    n = windows.shape[1]
-    return roots.take(windows[shifts.start:shifts.stop] + (n + 1 - windows[0])).sum(axis=1)
+    return windows[shifts.start::len(conj_u) + 1][:len(shifts)] @ conj_u
 
 
 def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of g_x mod p (row x - 2) and T(g_x), for x = 2 .. p-1.
 
-    A direct O(p^2) sum, with no characters or transforms, along the
-    certified walk y = g^j (_certified_walk).  With F[j] = f(g^j) mod p,
-    built from the certified powers as sum_i a_i g^(i j mod (p-1)), the row
-    of x = g^l is T(g_x) = sum_j e((F[j + l] - F[j])/p), indices mod p - 1:
-    a cyclic shift of F minus F, summed in blocks of about _DIFFERENCE_BLOCK
-    pairs by _shifted_sums.
+    A direct O(p^2) sum, with no characters, along the certified walk
+    y = g^j (_certified_walk).  With F[j] = f(g^j) mod p, built from the
+    certified powers as sum_i a_i g^(i j mod (p-1)), and u[j] = e(F[j]/p),
+    the row of x = g^l is T(g_x) = sum_j e((F[j + l] - F[j])/p) =
+    sum_j u[j + l] conj(u[j]), indices mod p - 1: the shift of u by l
+    against conj(u).  The rows are summed as matrix-vector products of
+    shifted copies of u with conj(u), in blocks of about _DIFFERENCE_BLOCK
+    pairs and at least two rows, by _shifted_sums.  They are never computed
+    by a transform: the Fourier route to this autocorrelation is the
+    character side of the identity the table checks.
 
     Only one row of each inverse pair is summed.  Substituting y -> x y
     gives g_{1/x}(x y) = f(y) - f(x y) = -g_x(y), so T(g_{1/x}) is the
@@ -222,14 +237,19 @@ def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     walk_values = np.zeros(n, dtype=np.int64)
     for i, a in enumerate(f.coefficients):
         walk_values = (walk_values + a % p * pw[i * j % n]) % p
-    windows = sliding_window_view(np.concatenate([walk_values, walk_values]), n)
-    roots = np.tile(_roots(p), 2)
+    u = _roots(p)[walk_values]
+    # Rows 1 .. half in near-equal blocks of at least two rows (where
+    # half >= 2).  u repeated width + 3 times holds the rows l + k (n + 1),
+    # k < width, of every block start l <= half + 1.
     half = n // 2
-    rows = max(1, _DIFFERENCE_BLOCK // n)
+    blocks = max(1, half // max(2, _DIFFERENCE_BLOCK // n))
+    bounds = [1 + half * b // blocks for b in range(blocks + 1)]
+    width = -(-half // blocks)
+    windows = sliding_window_view(np.tile(u, width + 3), n)
+    conj_u = np.conj(u)
     sums = np.empty(len(xs), dtype=np.complex128)
-    for lo in range(1, half + 1, rows):
-        hi = min(lo + rows, half + 1)
-        sums[pw[lo:hi] - 2] = _shifted_sums(windows, range(lo, hi), roots)
+    for lo, hi in zip(bounds, bounds[1:]):
+        sums[pw[lo:hi] - 2] = _shifted_sums(windows, range(lo, hi), conj_u)
     paired = np.arange(1, half)
     sums[pw[n - paired] - 2] = np.conj(sums[pw[paired] - 2])
     sums[~coeffs.any(axis=1)] = p - 1

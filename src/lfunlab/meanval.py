@@ -155,10 +155,16 @@ def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
 
 
 def _char_column(t: CharacterTable, x: int) -> np.ndarray:
-    """chi_j(x) for every character j: the transform of a point mass at x."""
-    delta = np.zeros(t.q)
-    delta[x % t.q] = 1.0
-    return t.sums_over_residues(delta)
+    """chi_j(x) for every character j (0 at a non-unit x), from the exact
+    logs t_i(x): the exponent sum_i e_i t_i(x) L/s_i mod L over the grid of
+    tuples e, in O(phi) integers, then one root per character."""
+    f = int(t.residue_index[x % t.q])
+    if f < 0:
+        return np.zeros(t.phi, dtype=np.complex128)
+    exps = np.zeros(1, dtype=np.int64)
+    for s, ti in zip(t.grid_shape, np.unravel_index(f, t.grid_shape)):
+        exps = (exps[:, None] + np.arange(s) * int(ti) % s * (t.exponent // s)).ravel()
+    return t.roots_at(exps % t.exponent)
 
 
 def _char_weighted_moment(t: CharacterTable, weights: np.ndarray, x: int) -> complex:

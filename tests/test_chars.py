@@ -227,6 +227,16 @@ def test_transform_matches_sampled_rows_past_the_dense_budget(q):
             assert abs(got_characters[n] - column @ w) <= 1e-12 * t.phi
 
 
+@pytest.mark.parametrize("q", [4, 101, 6983])
+def test_transform_keeps_only_the_twiddles_it_reads(q):
+    # A cyclic group of even order phi = 2h: the transform computes and keeps
+    # the h twiddles, equal bit for bit to the first h roots of unity.
+    t = build_character_table(q)
+    t.sums_over_residues(np.ones(q))
+    assert t._roots is None
+    assert np.array_equal(t._twiddles, t.roots_of_unity()[: t.phi // 2])
+
+
 def _gram_defect(t):
     """Oracle: max over unit pairs (n, l) of |sum_chi chi(n) conj(chi(l)) - phi [n == l]|,
     by the O(phi^3) Gram product of the dense unit block."""

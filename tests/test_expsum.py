@@ -7,7 +7,11 @@ sum(chi(x) e(f(x)/p)), no shared code with the library implementation.
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,7 +189,7 @@ class TestCompleteSum:
 class TestDifferenceSums:
     @pytest.mark.parametrize("p", [3, 5, 7, 101, 211, 397])
     def test_blocks_match_per_x_complete_sums(self, p, monkeypatch):
-        # Blocks of 5 rows: several whole blocks and a shorter last one.
+        # Blocks of 5 or 6 rows: several near-equal blocks where p > 11.
         monkeypatch.setattr(expsum, "_DIFFERENCE_BLOCK", 5 * (p - 1))
         rng = random.Random(p)
         # f(x) = x^3 and x^6 have degenerate x (cube and sixth roots of unity).
@@ -243,6 +247,49 @@ class TestDifferenceSums:
         f = Polynomial((0, 1, 2, 1))
         _, full = full_difference_table(p, f)
         assert np.abs(difference_sums(p, f) - full).max() > 1e-13 * p
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    def test_no_fourier_transform_in_the_direct_table(self, p, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct difference table called an FFT")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        rng = random.Random(p)
+        for f in (Polynomial((0, 0, 0, 1)), Polynomial(tuple(rng.randrange(p) for _ in range(7)))):
+            _, full = full_difference_table(p, f)
+            assert np.abs(difference_sums(p, f) - full).max() <= 1e-13 * p
+
+    @pytest.mark.parametrize("p", [5, 101, 1009])
+    def test_dropped_conjugate_fails_the_oracle(self, p, monkeypatch):
+        kernel = expsum._shifted_sums
+        monkeypatch.setattr(expsum, "_shifted_sums", lambda windows, block, conj_u: kernel(
+            windows, block, np.conj(conj_u)))
+        f = Polynomial((0, 1, 2, 1))
+        _, full = full_difference_table(p, f)
+        assert np.abs(difference_sums(p, f) - full).max() > 1e-13 * p
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # p = 2203 as the sweeps use it, and p = 10007 in blocks of two rows:
+        # a block of one row above n = 10000 goes to a dot product that
+        # OpenBLAS splits across threads, which changes the last bits.
+        code = (
+            "import random, sys\n"
+            "from lfunlab import expsum\n"
+            "for p, block in ((2203, expsum._DIFFERENCE_BLOCK), (10007, 1)):\n"
+            "    expsum._DIFFERENCE_BLOCK = block\n"
+            "    f = expsum.sample_polynomial(random.Random(p), 3, p)\n"
+            "    sys.stdout.buffer.write(expsum.difference_sums(p, f).tobytes())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(Path(expsum.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH", "")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0]) == 16 * (2201 + 10005)
+        assert outputs[0] == outputs[1]
 
     def test_non_generator_walk_raises(self, monkeypatch):
         p, f = 101, Polynomial((0, 1, 2, 1))

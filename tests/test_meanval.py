@@ -139,6 +139,30 @@ class TestDiagonalOracle:
         assert abs(meanval.thm1_diagonal_oracle(5, 2, A(0)) - expected) < 1e-12
 
 
+class TestCharColumn:
+    """_char_column reads chi_j(x) for every j from the exact logs of x."""
+
+    @staticmethod
+    def _points(q):
+        # 0 (a non-unit for q > 1), 1, 2, q - 1 and a few more.
+        return sorted({0, 1 % q, 2 % q, (q - 1) % q, *range(3, q, max(1, q // 5))})
+
+    def test_equals_char_value_bit_for_bit(self):
+        for q in range(1, 201):
+            t = get_table(q)
+            for x in self._points(q):
+                expected = np.array([char_value(t, j, x) for j in range(t.phi)])
+                assert np.array_equal(meanval._char_column(t, x), expected), (q, x)
+
+    def test_matches_the_point_mass_transform(self):
+        for q in range(1, 501):
+            t = get_table(q)
+            for x in self._points(q):
+                delta = np.zeros(q)
+                delta[x] = 1.0
+                assert np.abs(meanval._char_column(t, x) - t.sums_over_residues(delta)).max() <= 1e-14
+
+
 class TestCrossTerms:
     def test_single_character_closed_evaluation(self):
         t = get_table(4)
