@@ -8,18 +8,22 @@ key, the length of each array and a zlib.crc32 of every other meta field
 fixed by the entry kind, never read from the file: a character table holds
 the table's O(q) discrete-log data (the per-residue flat log index and the
 conjugation map as <i8, the cyclic orders and group components in the meta
-line), an L-value vector its <c16 values.  Both representations are exact,
-so a cache hit is bit-identical to a recomputation.
+line); an L-vector record holds, for one modulus q and shift a, the
+closed_direct and closed_lemma1 vectors as two <c16 arrays.  Both
+representations are exact, so a cache hit is bit-identical to a
+recomputation.
 
 A version or key mismatch is a silent cache miss that leaves the file
 alone.  A record whose checksum fails, a payload whose declared lengths do
 not cover it exactly, or an entry that cannot be decoded, is deleted with a
 warning and recomputed by the caller.
 
-load_table is the one way the package obtains a character table when a
-cache may be in use: every CLI subcommand that takes --cache/--cache-dir
-and every mean-value statistic goes through it.  A ReportCache handle holds
-only its directory: every load reads the record again.
+The mean-value statistics store L-vector records only and never touch a
+stored table: building a table costs about as much as reading and checking
+a stored one, so they take it from the in-process memo (chars.get_table).
+load_table serves the table commands (chars, lvalue and the verify targets
+that read a table), which store and read tables.  A ReportCache
+handle holds only its directory: every load reads the record again.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ CACHE_VERSION = 3
 CACHE_DIR_ENV = "LFUNLAB_CACHE_DIR"
 # The arrays of each entry kind, in payload order, with their stored dtypes.
 _TABLE_ARRAYS = (("residue_index", "<i8"), ("conjugate_map", "<i8"))
-_LVEC_ARRAYS = (("values", "<c16"),)
+# The L-vector routes a record holds; the truncated route is the oracle and is never stored.
+LVEC_ROUTES = ("closed_direct", "closed_lemma1")
+_LVEC_ARRAYS = tuple((route, "<c16") for route in LVEC_ROUTES)
 
 
 def default_cache_dir() -> str:
@@ -118,11 +124,12 @@ def _decode_table(meta: dict, arrays: dict) -> CharacterTable:
     )
 
 
-def _decode_lvec(meta: dict, arrays: dict) -> np.ndarray:
-    vec = np.array(arrays["values"], dtype=np.complex128)
-    if vec.shape != (meta["length"],):
-        raise ValueError(f"length {vec.shape} != {meta['length']}")
-    return vec
+def _decode_lvec(meta: dict, arrays: dict) -> dict[str, np.ndarray]:
+    vecs = {route: np.array(v, dtype=np.complex128) for route, v in arrays.items()}
+    shapes = [v.shape for v in vecs.values()]
+    if any(shape != (meta["length"],) for shape in shapes):
+        raise ValueError(f"lengths {shapes} != {meta['length']}")
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,8 @@ class ReportCache:
     def _table_path(self, q: int) -> str:
         return os.path.join(self.directory, f"table_q{q}.rec")
 
-    def _lvec_path(self, q: int, a_num: int, a_den: int, method: str) -> str:
-        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}_{method}.rec")
+    def _lvec_path(self, q: int, a_num: int, a_den: int) -> str:
+        return os.path.join(self.directory, f"lvec_q{q}_a{a_num}_{a_den}.rec")
 
     def _write(self, path: str, meta: dict, layout, *arrays: np.ndarray) -> None:
         """Store the arrays, in the dtypes of layout, after a JSON meta line
@@ -194,13 +201,16 @@ class ReportCache:
 
     # -- L-value vectors ----------------------------------------------------
 
-    def put_lvec(self, q: int, a_num: int, a_den: int, method: str, vec: np.ndarray) -> None:
-        meta = {"q": q, "a_num": a_num, "a_den": a_den, "method": method, "length": len(vec)}
-        self._write(self._lvec_path(q, a_num, a_den, method), meta, _LVEC_ARRAYS, vec)
+    def put_lvec(self, q: int, a_num: int, a_den: int, vecs: dict[str, np.ndarray]) -> None:
+        """Store the vector of every route in LVEC_ROUTES at (q, a) as one record."""
+        routes = [vecs[route] for route in LVEC_ROUTES]
+        meta = {"q": q, "a_num": a_num, "a_den": a_den, "length": len(routes[0])}
+        self._write(self._lvec_path(q, a_num, a_den), meta, _LVEC_ARRAYS, *routes)
 
-    def get_lvec(self, q: int, a_num: int, a_den: int, method: str) -> np.ndarray | None:
-        key = {"q": q, "a_num": a_num, "a_den": a_den, "method": method}
-        return self._read(self._lvec_path(q, a_num, a_den, method), key, _LVEC_ARRAYS, _decode_lvec)
+    def get_lvec(self, q: int, a_num: int, a_den: int) -> dict[str, np.ndarray] | None:
+        """{route: vector} over LVEC_ROUTES at (q, a), or None."""
+        key = {"q": q, "a_num": a_num, "a_den": a_den}
+        return self._read(self._lvec_path(q, a_num, a_den), key, _LVEC_ARRAYS, _decode_lvec)
 
     # -- maintenance ----------------------------------------------------------
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import lfun
 from .arith import divisors, euler_phi, factorize, is_prime, moebius
-from .cache import ReportCache, load_table
+from .cache import LVEC_ROUTES, ReportCache
 from .chars import CharacterTable, get_table
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
 from .specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
@@ -121,24 +121,34 @@ def validate_query(query: MeanValueQuery) -> None:
 # ---------------------------------------------------------------------------
 # L-value vectors, optionally stored on disk
 
-def _lvalue_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
-                    cache: ReportCache | None = None) -> dict[str, np.ndarray]:
-    """L(1, chi, a) for all characters by each requested route (principal = 0).
+def _route_vectors(q: int, a: ShiftParam, methods: Sequence[str]) -> dict[str, np.ndarray]:
+    return {m: vec for m, (vec, _) in lfun.route_vectors(get_table(q), a, methods).items()}
 
-    The disk cache stores the closed routes only (the truncated route is the
-    oracle and is recomputed on purpose, at the default truncation length);
-    one lfun.route_vectors call computes the routes it does not supply.
+
+def _lvalue_vectors(q: int, a: ShiftParam, methods: Sequence[str],
+                    cache: ReportCache | None = None) -> dict[str, np.ndarray]:
+    """L(1, chi, a) for all characters mod q by each requested route
+    (principal slot 0).
+
+    With a cache, a request for a closed route reads the one record of
+    (q, a), which holds both closed routes.  When it is missing, or its
+    vectors are not phi(q) long, one lfun.route_vectors call computes both
+    closed routes and stores them, whichever was asked for, so single-route
+    callers share the record with reports.  The truncated route is the
+    oracle and is never stored: it is recomputed, at the default truncation
+    length.  The character table comes from the in-process memo, and only
+    when a route is computed, so a warm eq1 report builds no table.
     """
-    key = (t.q, a.numerator, a.denominator)
-    stored = [m for m in methods if m != "truncated"] if cache is not None else []
-    vecs = {m: cache.get_lvec(*key, m) for m in stored}
-    vecs = {m: v for m, v in vecs.items() if v is not None and len(v) == t.phi}
+    vecs = {}
+    if cache is not None and any(m in LVEC_ROUTES for m in methods):
+        key = (q, a.numerator, a.denominator)
+        vecs = cache.get_lvec(*key)
+        if vecs is None or {len(v) for v in vecs.values()} != {euler_phi(factorize(q))}:
+            vecs = _route_vectors(q, a, LVEC_ROUTES)
+            cache.put_lvec(*key, vecs)
     missing = [m for m in methods if m not in vecs]
     if missing:
-        for method, (vec, _) in lfun.route_vectors(t, a, missing).items():
-            vecs[method] = vec
-            if method in stored:
-                cache.put_lvec(*key, method, vec)
+        vecs = {**vecs, **_route_vectors(q, a, missing)}
     return vecs
 
 
@@ -146,12 +156,6 @@ def clear_memo() -> None:
     """Forget the in-process character tables (chars.get_table, the one
     in-process memo); nothing else outlives a report."""
     get_table.cache_clear()
-
-
-def _squared_weights(t: CharacterTable, lvec: np.ndarray) -> np.ndarray:
-    w = np.abs(lvec) ** 2
-    w[t.principal_index] = 0.0
-    return w
 
 
 def _char_column(t: CharacterTable, x: int) -> np.ndarray:
@@ -165,11 +169,6 @@ def _char_column(t: CharacterTable, x: int) -> np.ndarray:
     for s, ti in zip(t.grid_shape, np.unravel_index(f, t.grid_shape)):
         exps = (exps[:, None] + np.arange(s) * int(ti) % s * (t.exponent // s)).ravel()
     return t.roots_at(exps % t.exponent)
-
-
-def _char_weighted_moment(t: CharacterTable, weights: np.ndarray, x: int) -> complex:
-    """sum_{chi != chi0} chi(x) w_chi for a real weight vector."""
-    return complex(_char_column(t, x) @ weights)
 
 
 def _sieve_factor(q: int) -> float:
@@ -310,10 +309,9 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     whole exponential-sum layer.
     """
     query = make_query("thm2", p, a, f=f, method=method)
-    t = load_table(p, cache)
-    w = _squared_weights(t, _lvalue_vectors(t, query.a, (method,), cache)[method])
+    w = np.abs(_lvalue_vectors(p, query.a, (method,), cache)[method]) ** 2
     g = difference_sums(p, f)
-    moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
+    moments = get_table(p).sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return complex((p - 1) * w.sum() + g @ moments)
 
 
@@ -357,8 +355,8 @@ class CrossTerms:
 def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTerms:
     query = make_query("thm1", q, a, k=k)
     a = query.a
-    t = load_table(q, cache)
-    lvec = _lvalue_vectors(t, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
+    lvec = _lvalue_vectors(q, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
+    t = get_table(q)
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
     col = _char_column(t, k)
@@ -423,28 +421,26 @@ def normalization(target: str, q: int, k_deg: int | None = None) -> float:
     raise ValueError(f"unknown target {target!r}")
 
 
-def _statistic(query: MeanValueQuery, t: CharacterTable, lvec: np.ndarray,
-               sq_abs_char_sums: np.ndarray | None) -> complex:
-    w = _squared_weights(t, lvec)
-    if query.target == "eq1":
-        return complex(w.sum())
-    if query.target == "lemma4":
-        return _char_weighted_moment(t, w, query.a.numerator)
-    if query.target == "thm1":
-        return _char_weighted_moment(t, w, query.k)
-    return complex((sq_abs_char_sums * w).sum())
-
-
 def _route_statistics(query: MeanValueQuery, methods: Sequence[str],
                       cache: ReportCache | None) -> dict[str, complex]:
-    """The query's target statistic from the L-vector of each named route."""
-    t = load_table(query.q, cache)
+    """The query's target statistic from the L-vector of each named route.
+
+    The squared L-values are the weights (the principal slot is already 0).
+    eq1 sums them and reads no character, so it needs no table when its
+    vectors are stored; lemma4 and thm1 read the chi(k) column, and thm2
+    |S(chi, f)|^2, from the in-process table memo.
+    """
     lvec_shift = ShiftParam(0) if query.target == "lemma4" else query.a
-    sq_sums = None
+    lvecs = _lvalue_vectors(query.q, lvec_shift, methods, cache)
+    weights = {m: np.abs(lvecs[m]) ** 2 for m in methods}
+    if query.target == "eq1":
+        return {m: complex(w.sum()) for m, w in weights.items()}
+    t = get_table(query.q)
     if query.target == "thm2":
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
-    lvecs = _lvalue_vectors(t, lvec_shift, methods, cache)
-    return {m: _statistic(query, t, lvecs[m], sq_sums) for m in methods}
+        return {m: complex((sq_sums * w).sum()) for m, w in weights.items()}
+    col = _char_column(t, query.a.numerator if query.target == "lemma4" else query.k)
+    return {m: complex(col @ w) for m, w in weights.items()}
 
 
 def _lhs(query: MeanValueQuery, cache: ReportCache | None) -> complex:

@@ -13,6 +13,7 @@ from lfunlab.cache import (
     _TABLE_ARRAYS,
     CACHE_DIR_ENV,
     CACHE_VERSION,
+    LVEC_ROUTES,
     ReportCache,
     _checksum,
     default_cache_dir,
@@ -44,6 +45,12 @@ def read_record(path):
 def write_record(path, meta, payload):
     with open(path, "wb") as handle:
         handle.write(json.dumps(meta).encode("utf-8") + b"\n" + payload)
+
+
+def random_routes(seed, n):
+    """{route: vector} of n random complex values for every stored route."""
+    rng = np.random.default_rng(seed)
+    return {route: rng.standard_normal(n) + 1j * rng.standard_normal(n) for route in LVEC_ROUTES}
 
 
 def edit_entry(path, edit):
@@ -85,21 +92,29 @@ def test_table_miss_when_cold(cache):
 
 
 def test_lvec_roundtrip_bit_exact(cache):
-    rng = np.random.default_rng(7)
-    vec = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    cache.put_lvec(35, 7, 2, "closed_direct", vec)
-    back = cache.get_lvec(35, 7, 2, "closed_direct")
+    vecs = random_routes(7, 24)
+    cache.put_lvec(35, 7, 2, vecs)
+    back = cache.get_lvec(35, 7, 2)
     assert back is not None
-    assert back.dtype == np.complex128
-    assert np.array_equal(back, vec)  # the complex128 record is exact
+    assert list(back) == list(LVEC_ROUTES) == ["closed_direct", "closed_lemma1"]
+    for route, vec in vecs.items():
+        assert back[route].dtype == np.complex128
+        assert np.array_equal(back[route], vec)  # the complex128 record is exact
+    assert os.listdir(cache.directory) == ["lvec_q35_a7_2.rec"]  # one record for both routes
 
 
 def test_lvec_keyed_by_method_and_shift(cache):
-    vec = np.arange(4, dtype=np.complex128)
-    cache.put_lvec(5, 1, 1, "closed_direct", vec)
-    assert cache.get_lvec(5, 1, 1, "closed_lemma1") is None
-    assert cache.get_lvec(5, 2, 1, "closed_direct") is None
-    assert cache.get_lvec(5, 1, 1, "closed_direct") is not None
+    # One record per (q, a) holds each route under its own name.
+    vecs = {"closed_direct": np.arange(4, dtype=np.complex128),
+            "closed_lemma1": np.arange(4, 8, dtype=np.complex128)}
+    cache.put_lvec(5, 1, 1, vecs)
+    back = cache.get_lvec(5, 1, 1)
+    assert all(np.array_equal(back[route], vec) for route, vec in vecs.items())
+    assert cache.get_lvec(5, 2, 1) is None
+    assert cache.get_lvec(5, 1, 2) is None
+    assert cache.get_lvec(7, 1, 1) is None
+    with pytest.raises(KeyError):
+        cache.put_lvec(5, 1, 1, {"closed_direct": vecs["closed_direct"]})  # both routes or nothing
 
 
 def test_version_mismatch_is_silent_miss(cache, tmp_path):
@@ -109,6 +124,16 @@ def test_version_mismatch_is_silent_miss(cache, tmp_path):
     edit_entry(path, lambda meta, arrays: meta.update(version=CACHE_VERSION + 1))
     assert cache.get_table(12) is None
     assert os.path.exists(path)  # future versions are left alone
+
+
+def test_lvec_version_mismatch_is_silent_miss(cache, caplog):
+    cache.put_lvec(5, 1, 1, random_routes(2, 4))
+    path = cache._lvec_path(5, 1, 1)
+    edit_entry(path, lambda meta, arrays: meta.update(version=CACHE_VERSION + 1))
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert cache.get_lvec(5, 1, 1) is None
+    assert os.path.exists(path)
+    assert not caplog.records
 
 
 def test_version_1_dense_table_is_silent_miss(cache, caplog):
@@ -182,37 +207,39 @@ def test_table_meta_without_components_discarded(cache, caplog):
 
 
 def test_corrupt_lvec_discarded(cache, caplog):
-    vec = np.ones(4, dtype=np.complex128)
-    cache.put_lvec(5, 1, 1, "closed_direct", vec)
-    path = cache._lvec_path(5, 1, 1, "closed_direct")
+    cache.put_lvec(5, 1, 1, random_routes(1, 4))
+    path = cache._lvec_path(5, 1, 1)
     with open(path, "wb") as handle:
         handle.write(b"not a cache record")
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
-        assert cache.get_lvec(5, 1, 1, "closed_direct") is None
+        assert cache.get_lvec(5, 1, 1) is None
     assert not os.path.exists(path)
     assert any("discard" in r.message for r in caplog.records)
 
 
 def test_re_im_length_mismatch_discarded(cache):
-    # The stored vector is shorter than the length its meta record declares.
-    cache.put_lvec(5, 1, 1, "closed_direct", np.ones(4, dtype=np.complex128))
-    path = cache._lvec_path(5, 1, 1, "closed_direct")
-    edit_entry(path, lambda meta, arrays: arrays.update(values=arrays["values"][:-1]))
-    assert cache.get_lvec(5, 1, 1, "closed_direct") is None
-    assert not os.path.exists(path)
+    # Either stored vector is shorter than the length its meta record declares.
+    for route in LVEC_ROUTES:
+        cache.put_lvec(5, 1, 1, random_routes(1, 4))
+        path = cache._lvec_path(5, 1, 1)
+        edit_entry(path, lambda meta, arrays: arrays.update({route: arrays[route][:-1]}))
+        assert cache.get_lvec(5, 1, 1) is None, route
+        assert not os.path.exists(path)
 
 
 def test_wrong_key_fields_are_a_miss(cache):
-    cache.put_lvec(5, 1, 1, "closed_direct", np.ones(4, dtype=np.complex128))
-    path = cache._lvec_path(5, 1, 1, "closed_direct")
-    edit_entry(path, lambda meta, arrays: meta.update(q=7))
-    assert cache.get_lvec(5, 1, 1, "closed_direct") is None
+    for field, value in (("q", 7), ("a_num", 2), ("a_den", 2)):
+        cache.put_lvec(5, 1, 1, random_routes(1, 4))
+        path = cache._lvec_path(5, 1, 1)
+        edit_entry(path, lambda meta, arrays: meta.update({field: value}))
+        assert cache.get_lvec(5, 1, 1) is None, field
+        assert os.path.exists(path)
 
 
 def test_entries_and_clear(cache):
     t = build_character_table(5)
     cache.put_table(t)
-    cache.put_lvec(5, 1, 1, "closed_direct", np.ones(4, dtype=np.complex128))
+    cache.put_lvec(5, 1, 1, random_routes(1, 4))
     names = cache.entries()
     assert len(names) == 2
     assert any(n.startswith("table_") for n in names)
@@ -240,9 +267,8 @@ def _table_entry(cache):
 
 
 def _lvec_entry(cache):
-    rng = np.random.default_rng(3)
-    cache.put_lvec(5, 1, 1, "closed_direct", rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    return cache._lvec_path(5, 1, 1, "closed_direct"), lambda: cache.get_lvec(5, 1, 1, "closed_direct")
+    cache.put_lvec(5, 1, 1, random_routes(3, 4))
+    return cache._lvec_path(5, 1, 1), lambda: cache.get_lvec(5, 1, 1)
 
 
 ENTRY_KINDS = pytest.mark.parametrize("entry", [_table_entry, _lvec_entry], ids=["table", "lvec"])
@@ -269,8 +295,8 @@ def test_record_layout(cache, entry):
 
 
 def _same_entry(a, b):
-    if isinstance(a, np.ndarray):
-        return a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
     return ((a.q, a.phi, a.exponent, a.components, a.orders) == (b.q, b.phi, b.exponent, b.components, b.orders)
             and np.array_equal(a.residue_index, b.residue_index)
             and np.array_equal(a.conjugate_map, b.conjugate_map))

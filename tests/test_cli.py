@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from lfunlab import chars, cli, expsum, lfun, meanval
+from lfunlab.cache import ReportCache
 from lfunlab.chars import get_table
 from lfunlab.meanval import MeanValueReport
 from lfunlab.specfun import ShiftParam
@@ -402,19 +403,82 @@ class TestDeterminismAndCache:
         capsys.readouterr()
 
     def test_warm_sweep_evaluates_no_digamma(self, tmp_path, monkeypatch):
+        # thm1 reads the chi(k) column, so the warm pass builds its tables
+        # (in process, never from disk) but evaluates no L-route.
         args = ("sweep", "--target", "thm1", "--moduli", "7,16,40,97,101", "--a", "5/2", "--k", "3")
         cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-        cache_dir = str(tmp_path / "cache")
-        assert run_cli(*args, "--out", str(cold), "--cache-dir", cache_dir) == 0
+        cache_dir = tmp_path / "cache"
+        assert run_cli(*args, "--out", str(cold), "--cache-dir", str(cache_dir)) == 0
+        assert not list(cache_dir.glob("table_*"))
 
         def no_digamma(*args):
             raise AssertionError("an L-route evaluated a psi grid on a warm cache")
 
+        built = []
+        build = chars.build_character_table
+        monkeypatch.setattr(chars, "build_character_table", lambda q: built.append(q) or build(q))
         monkeypatch.setattr(lfun, "digamma", no_digamma)
-        assert run_cli(*args, "--out", str(warm), "--cache-dir", cache_dir) == 0
+        get_table.cache_clear()
+        assert run_cli(*args, "--out", str(warm), "--cache-dir", str(cache_dir)) == 0
         assert warm.read_bytes() == cold.read_bytes()
+        assert built == [7, 16, 40, 97, 101]
+        get_table.cache_clear()
 
-    def test_partial_cache_recomputes_only_the_missing_route(self, tmp_path, monkeypatch):
+    EQ1_SWEEP = ("sweep", "--target", "eq1", "--moduli", "7,16,40,97,101", "--a", "3/2")
+    EQ1_RECORDS = {f"lvec_q{q}_a3_2.rec" for q in (7, 16, 40, 97, 101)}
+
+    def test_cold_eq1_sweep_stores_one_record_per_modulus_and_no_table(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert run_cli(*self.EQ1_SWEEP, "--out", str(tmp_path / "cold.csv"), "--cache-dir", str(cache_dir)) == 0
+        assert {p.name for p in cache_dir.iterdir()} == self.EQ1_RECORDS
+
+    def test_warm_eq1_sweep_builds_no_table_and_evaluates_no_digamma(self, tmp_path, monkeypatch):
+        plain, cold, warm = (tmp_path / n for n in ("plain.csv", "cold.csv", "warm.csv"))
+        cache_dir = str(tmp_path / "cache")
+        assert run_cli(*self.EQ1_SWEEP, "--out", str(plain)) == 0
+        assert run_cli(*self.EQ1_SWEEP, "--out", str(cold), "--cache-dir", cache_dir) == 0
+
+        def no_build(q):
+            raise AssertionError(f"a warm eq1 sweep built the table mod {q}")
+
+        def no_digamma(*args):
+            raise AssertionError("an L-route evaluated a psi grid on a warm cache")
+
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        monkeypatch.setattr(lfun, "digamma", no_digamma)
+        get_table.cache_clear()
+        assert run_cli(*self.EQ1_SWEEP, "--out", str(warm), "--cache-dir", cache_dir) == 0
+        assert warm.read_bytes() == cold.read_bytes() == plain.read_bytes()
+
+    def test_parallel_sweeps_store_one_record_per_modulus(self, tmp_path):
+        plain, cold, warm = (tmp_path / n for n in ("plain.csv", "cold.csv", "warm.csv"))
+        cache_dir = tmp_path / "cache"
+        assert run_cli(*self.EQ1_SWEEP, "--out", str(plain)) == 0
+        for out in (cold, warm):
+            assert run_cli(*self.EQ1_SWEEP, "--jobs", "2", "--out", str(out), "--cache-dir", str(cache_dir)) == 0
+            assert {p.name for p in cache_dir.iterdir()} == self.EQ1_RECORDS
+        assert warm.read_bytes() == cold.read_bytes() == plain.read_bytes()
+
+    def test_single_route_callers_share_the_report_record(self, tmp_path, monkeypatch):
+        cache = ReportCache(str(tmp_path / "cache"))
+        expected = meanval.thm1_lhs(97, 3, "5/2")
+        lemma4 = meanval.lemma4_lhs(97, 2)
+        meanval.build_report(meanval.make_query("eq1", 97, "5/2"), cache)
+        meanval.build_report(meanval.make_query("lemma4", 97, 2), cache)
+        written = {p.name: p.read_bytes() for p in Path(cache.directory).iterdir()}
+        assert set(written) == {"lvec_q97_a5_2.rec", "lvec_q97_a0_1.rec"}
+
+        def no_routes(*args, **kwargs):
+            raise AssertionError("an L-route was computed despite the stored record")
+
+        monkeypatch.setattr(lfun, "route_vectors", no_routes)
+        assert meanval.thm1_lhs(97, 3, "5/2", cache=cache) == expected
+        assert meanval.eq1_lhs(97, "5/2", method="closed_lemma1", cache=cache) > 0
+        assert meanval.lemma4_lhs(97, 2, cache=cache) == lemma4
+        meanval.cross_terms(97, 3, "5/2", cache)  # its shift-0 L-vector is lemma4's record
+        assert {p.name: p.read_bytes() for p in Path(cache.directory).iterdir()} == written
+
+    def test_missing_or_discarded_record_recomputes_both_routes_in_one_call(self, tmp_path, monkeypatch):
         calls = []
         route_vectors = lfun.route_vectors
 
@@ -425,15 +489,66 @@ class TestDeterminismAndCache:
         monkeypatch.setattr(lfun, "route_vectors", recording)
         args = ("sweep", "--target", "eq1", "--moduli", "97", "--a", "3/2")
         cache_dir = tmp_path / "cache"
+        record = cache_dir / "lvec_q97_a3_2.rec"
         first, again = tmp_path / "first.csv", tmp_path / "again.csv"
         assert run_cli(*args, "--out", str(first), "--cache-dir", str(cache_dir)) == 0
         assert calls == [["closed_direct", "closed_lemma1"]]  # one call for both closed routes
+        stored = record.read_bytes()
+
+        def shorten():  # a sound record whose vectors are not phi(97) = 96 long
+            ReportCache(str(cache_dir)).put_lvec(97, 3, 2, dict.fromkeys(
+                ("closed_direct", "closed_lemma1"), np.zeros(95, dtype=np.complex128)))
+
+        for spoil in (record.unlink, lambda: record.write_bytes(b"not a cache record"), shorten):
+            spoil()
+            calls.clear()
+            assert run_cli(*args, "--out", str(again), "--cache-dir", str(cache_dir)) == 0
+            assert calls == [["closed_direct", "closed_lemma1"]]
+            assert again.read_bytes() == first.read_bytes()
+            assert [p.name for p in cache_dir.iterdir()] == [record.name]
+            assert record.read_bytes() == stored
+        # A single-route caller also computes and stores both routes on a miss.
+        record.unlink()
         calls.clear()
-        (cache_dir / "lvec_q97_a3_2_closed_lemma1.rec").unlink()
-        assert run_cli(*args, "--out", str(again), "--cache-dir", str(cache_dir)) == 0
-        assert calls == [["closed_lemma1"]]
-        assert again.read_bytes() == first.read_bytes()
-        assert (cache_dir / "lvec_q97_a3_2_closed_lemma1.rec").exists()
+        meanval.eq1_lhs(97, "3/2", method="closed_lemma1", cache=ReportCache(str(cache_dir)))
+        assert calls == [["closed_direct", "closed_lemma1"]]
+        assert record.read_bytes() == stored
+
+    def test_per_method_records_are_neither_read_nor_deleted(self, tmp_path, monkeypatch, capsys, caplog):
+        # The records an earlier version 3 kept: one per closed route, and the tables.
+        args = ("sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2")
+        plain, cached = tmp_path / "plain.csv", tmp_path / "cached.csv"
+        assert run_cli(*args, "--out", str(plain)) == 0
+        cache_dir = tmp_path / "cache"
+        cache = ReportCache(str(cache_dir))
+        for q in (7, 11):
+            cache.put_table(chars.build_character_table(q))
+            for method in ("closed_direct", "closed_lemma1"):
+                meta = {"q": q, "a_num": 3, "a_den": 2, "method": method, "length": q - 1}
+                cache._write(str(cache_dir / f"lvec_q{q}_a3_2_{method}.rec"), meta,
+                             (("values", "<c16"),), np.zeros(q - 1, dtype=np.complex128))
+        leftovers = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+        capsys.readouterr()
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *rest, **kwargs):
+            opened.append(os.path.basename(os.fspath(file)))
+            return real_open(file, *rest, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        with caplog.at_level(logging.WARNING, logger="lfunlab"):
+            assert run_cli(*args, "--out", str(cached), "--cache-dir", str(cache_dir)) == 0
+        assert cached.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().err == ""
+        assert not caplog.records
+        assert not set(opened) & set(leftovers)
+        assert all((cache_dir / name).read_bytes() == data for name, data in leftovers.items())
+        assert run_cli("cache", "--cache-dir", str(cache_dir)) == 0
+        assert "entries: 2 character tables, 6 L-value vectors" in capsys.readouterr().out
+        assert run_cli("cache", "--cache-dir", str(cache_dir), "--clear") == 0
+        assert "cleared 8" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
 
 
     def test_version_2_entries_are_neither_read_nor_deleted(self, tmp_path, monkeypatch, capsys, caplog):
