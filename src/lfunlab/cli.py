@@ -354,7 +354,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         audit = lemma3_report(ns.q, ns.f)
         n_deg = len(audit.degenerate_x)
         print(
-            f"completed sums for p={audit.p}, f={ns.f}: {len(audit.entries)} values, "
+            f"completed sums for p={audit.p}, f={ns.f}: {audit.p - 2} values, "
             f"{n_deg} degenerate {list(audit.degenerate_x)}"
         )
         print(f"  bound |T| <= eff_deg*sqrt(p)+1 holds: {audit.bounds_ok}")
@@ -366,8 +366,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     if target == "thm2":
         _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         check_difference_budget(ns.q)  # before the direct side, which needs no difference table
-        direct = meanval.thm2_lhs_direct(ns.q, ns.f, ns.a, cache=cache)
-        decomposed = meanval.thm2_lhs_decomposed(ns.q, ns.f, ns.a, cache=cache)
+        direct, decomposed = meanval.thm2_sides(ns.q, ns.f, ns.a, cache)
         gap = abs(direct - decomposed)
         tol = 1e-6 * ns.q * ns.q
         print(f"direct     = {direct:.12g}")
@@ -422,9 +421,9 @@ def _handle_cache(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     cache = cache or ReportCache(default_cache_dir())
     entries = cache.entries()
     tables = sum(1 for e in entries if e.startswith("table_"))
-    lvecs = sum(1 for e in entries if e.startswith("lvec_"))
+    records = sum(1 for e in entries if e.startswith("lvec_"))  # a record may hold several vectors
     print(f"cache directory: {cache.directory}")
-    print(f"entries: {tables} character tables, {lvecs} L-value vectors")
+    print(f"entries: {tables} character tables, {records} L-vector records")
     if ns.clear:
         removed = cache.clear()
         print(f"cleared {removed} entries")

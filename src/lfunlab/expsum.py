@@ -26,6 +26,7 @@ effective degree and degeneracy), so half the rows are summed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -98,8 +99,9 @@ def difference_poly(f: Polynomial, x: int, p: int) -> DifferencePoly:
     return DifferencePoly(tuple(coeffs), all(c == 0 for c in coeffs))
 
 
-def _roots(p: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(p) / p)
+def _e(values: np.ndarray, p: int) -> np.ndarray:
+    """e(v/p) = exp(2 pi i v/p) for an integer array v, one exp per entry."""
+    return np.exp(2j * np.pi * values / p)
 
 
 def _poly_values_mod(coefficients, p: int, xs: np.ndarray) -> np.ndarray:
@@ -125,7 +127,7 @@ def complete_sum(p: int, coefficients) -> complex:
         return complex(p - 1)
     ys = np.arange(1, p, dtype=np.int64)
     vals = _poly_values_mod(coeffs, p, ys)
-    return complex(_roots(p)[vals].sum())
+    return complex(_e(vals, p).sum())
 
 
 def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
@@ -134,7 +136,7 @@ def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
     p = t.q
     _check_prime(p)
     terms = np.zeros(p, dtype=np.complex128)
-    terms[1:] = _roots(p)[_poly_values_mod(f.coefficients, p, np.arange(1, p, dtype=np.int64))]
+    terms[1:] = _e(_poly_values_mod(f.coefficients, p, np.arange(1, p, dtype=np.int64)), p)
     return t.sums_over_residues(terms)
 
 
@@ -237,7 +239,7 @@ def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     walk_values = np.zeros(n, dtype=np.int64)
     for i, a in enumerate(f.coefficients):
         walk_values = (walk_values + a % p * pw[i * j % n]) % p
-    u = _roots(p)[walk_values]
+    u = _e(walk_values, p)
     # Rows 1 .. half in near-equal blocks of at least two rows (where
     # half >= 2).  u repeated width + 3 times holds the rows l + k (n + 1),
     # k < width, of every block start l <= half + 1.
@@ -290,18 +292,37 @@ class CompletedSumAudit(NamedTuple):
     scaled: float  # |T| / p^(1 - 1/k), the normalization the estimates target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeilAudit:
-    """Classification of all difference-polynomial sums for one (p, f)."""
+    """Classification of all difference-polynomial sums for one (p, f).
+
+    The classification is kept as columns over x = 2..p-1 (row x - 2);
+    entries builds one CompletedSumAudit per x from them on first use.
+    """
 
     p: int
     degree: int
-    entries: tuple[CompletedSumAudit, ...]
+    degenerate: np.ndarray        # p divides every coefficient of g_x
+    effective_degree: np.ndarray  # highest i with b_i != 0 (read where not degenerate)
+    abs_sums: np.ndarray          # |T(g_x)|
+    bounds: np.ndarray            # eff_deg sqrt(p) + 1 (read where not degenerate)
+    within: np.ndarray            # degenerate or |T| <= bound
     degenerate_x: tuple[int, ...]
     bounds_ok: bool           # every non-degenerate |T| <= eff_deg sqrt(p) + 1
     degenerate_values_ok: bool  # every degenerate T == p - 1 exactly
     degenerate_count_ok: bool   # at most degree - 1 degenerate x
     degenerate_x_bound_ok: bool  # every degenerate x >= p^(1/degree)
+
+    @functools.cached_property
+    def entries(self) -> tuple[CompletedSumAudit, ...]:
+        scaled = self.abs_sums / self.p ** (1.0 - 1.0 / self.degree)
+        return tuple(
+            CompletedSumAudit(x, True, None, a, None, True, s) if d
+            else CompletedSumAudit(x, False, e, a, b, ok, s)
+            for x, d, e, a, b, ok, s in zip(range(2, self.p), self.degenerate.tolist(),
+                                             self.effective_degree.tolist(), self.abs_sums.tolist(),
+                                             self.bounds.tolist(), self.within.tolist(), scaled.tolist())
+        )
 
     @property
     def all_ok(self) -> bool:
@@ -348,19 +369,15 @@ def lemma3_report(p: int, f: Polynomial) -> WeilAudit:
     abs_sums = np.abs(sums)
     bounds = eff_deg * math.sqrt(p) + 1.0
     within = degenerate | (abs_sums <= bounds)
-    scaled = abs_sums / p ** (1.0 - 1.0 / k)
-    entries = tuple(
-        CompletedSumAudit(x, True, None, a, None, True, s) if d
-        else CompletedSumAudit(x, False, e, a, b, ok, s)
-        for x, d, e, a, b, ok, s in zip(range(2, p), degenerate.tolist(), eff_deg.tolist(),
-                                         abs_sums.tolist(), bounds.tolist(), within.tolist(),
-                                         scaled.tolist())
-    )
     degenerate_x = tuple((np.flatnonzero(degenerate) + 2).tolist())
     return WeilAudit(
         p=p,
         degree=k,
-        entries=entries,
+        degenerate=degenerate,
+        effective_degree=eff_deg,
+        abs_sums=abs_sums,
+        bounds=bounds,
+        within=within,
         degenerate_x=degenerate_x,
         bounds_ok=bool(within.all()),
         degenerate_values_ok=bool((sums[degenerate] == p - 1).all()),

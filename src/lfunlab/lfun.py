@@ -30,12 +30,13 @@ Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart because
 this code is separate (its own Bernoulli constants, nothing imported from
 specfun) and applies the expansion only at k + beta >= 100 after 100 q
 direct terms, while digamma shifts its argument to x >= 10 and uses no
-direct terms.  route_vectors evaluates psi((r + a)/q) and psi(r/q) once per
-call for the closed routes it is asked for and keeps neither.  Each route
-would compute a bit-identical grid (same function, same inputs), so the
-sharing changes no number: route_agreement still compares closed_direct's
-transform of psi((r + a)/q) with closed_lemma1's L(1, chi) - a * tail,
-whose pieces are transformed separately.
+direct terms.  route_vectors evaluates every psi grid the closed routes it
+is asked for need in one digamma call, and transforms each distinct grid
+once, in one batched call; it keeps nothing.  A batched row is bit-identical
+to a call of its own, so the sharing changes no number: route_agreement
+still compares closed_direct's transform of psi((r + a)/q) with
+closed_lemma1's L(1, chi) - a * tail, whose pieces are transformed as rows
+of their own.  At a = 0 both routes read the one row of psi(r/q).
 
 Each route is computed for all characters at once (l1a_vector,
 truncated_vector, dispatched by route_vectors): the residue weights are one
@@ -50,7 +51,6 @@ only independent evaluations.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,16 +87,13 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
         raise ValueError("L(1, chi) requires a non-principal character")
 
 
-def _psi_grid(q: int, a: ShiftParam) -> np.ndarray:
-    """psi((r + a) / q) for r = 1 .. q-1, at array index r (index 0 holds 0)."""
-    grid = np.zeros(q)
-    grid[1:] = digamma((np.arange(1, q) + a.real_value) / q)
-    return grid
-
-
-def _tail(t: CharacterTable, a: ShiftParam, psi_a: np.ndarray, psi_0: np.ndarray) -> np.ndarray:
-    """tail_vector for a > 0 from the grids psi((r + a)/q) and psi(r/q)."""
-    return t.sums_over_residues(psi_a - psi_0) / (a.real_value * t.q)
+def _psi_grids(q: int, shifts: Sequence[float]) -> np.ndarray:
+    """psi((r + s)/q) for r = 1 .. q-1 at column r (column 0 holds 0), one
+    row per shift s, from one digamma call (bit-identical, row by row, to a
+    call per shift)."""
+    grids = np.zeros((len(shifts), q))
+    grids[:, 1:] = digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
+    return grids
 
 
 def l1_vector(t: CharacterTable) -> np.ndarray:
@@ -117,7 +114,8 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
         grid = np.zeros(q)
         grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
         return t.sums_over_residues(grid) / (q * q)
-    return _tail(t, a, _psi_grid(q, a), _psi_grid(q, ShiftParam(0)))
+    psi_a, psi_0 = _psi_grids(q, (a.real_value, 0.0))
+    return t.sums_over_residues(psi_a - psi_0) / (a.real_value * q)
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
@@ -218,25 +216,38 @@ def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
     """L(1, chi, a) for every character by each named route, with the route's
     error bound: {method: (values, error_bound)}, principal slot 0.
 
-    psi((r + a)/q) and psi(r/q) are evaluated at most once per call, for
-    whichever closed routes are requested; each route applies its own
-    transforms to them.  n_terms is the truncated route's N
+    The closed routes requested share one digamma call, on the psi grids of
+    the shifts they need, and one batched transform of each distinct grid:
+    psi((r + a)/q) for closed_direct, psi(r/q) and psi((r + a)/q) - psi(r/q)
+    for closed_lemma1 (at a = 0 the single grid psi(r/q)).  Each route then
+    assembles its vector from its own rows.  The truncated route is the
+    oracle and keeps its own transform.  n_terms is the truncated route's N
     (default_truncation(q) when None); the closed routes ignore it.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    q = t.q
-    psi = functools.cache(functools.partial(_psi_grid, q))  # psi((r + shift)/q), once per shift
+    q, s = t.q, a.real_value
+    rows = {}  # each distinct grid once: psi at a shift, keyed by the shift, or "tail"
+    if any(m != "truncated" for m in methods):
+        shifts = (s, 0.0) if "closed_lemma1" in methods and s else (s,)
+        psi = dict(zip(shifts, _psi_grids(q, shifts)))
+        if "closed_direct" in methods:
+            rows[s] = psi[s]
+        if "closed_lemma1" in methods:
+            rows[0.0] = psi[0.0]  # the same grid as psi[s] at a = 0
+            if s:  # the a * tail term is exactly 0 at a = 0
+                rows["tail"] = psi[s] - psi[0.0]
+    sums = dict(zip(rows, t.sums_over_residues(np.stack(list(rows.values()))))) if rows else {}
     out = {}
     for method in methods:
         bound = _CLOSED_ERROR_BUDGET
         if method == "closed_direct":
-            vals = -t.sums_over_residues(psi(a)) / q
+            vals = -sums[s] / q
         elif method == "closed_lemma1":
-            vals = -t.sums_over_residues(psi(ShiftParam(0))) / q
-            if not a.is_zero:  # the a * tail term is exactly 0 at a = 0
-                vals -= a.real_value * _tail(t, a, psi(a), psi(ShiftParam(0)))
+            vals = -sums[0.0] / q
+            if s:
+                vals -= s * (sums["tail"] / (s * q))
         else:
             vals, bound = truncated_vector(t, a, default_truncation(q) if n_terms is None else n_terms)
         vals[t.principal_index] = 0.0

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import lfun
-from .arith import divisors, euler_phi, factorize, is_prime, moebius
+from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
 from .chars import CharacterTable, get_table
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
@@ -125,9 +125,9 @@ def _route_vectors(q: int, a: ShiftParam, methods: Sequence[str]) -> dict[str, n
     return {m: vec for m, (vec, _) in lfun.route_vectors(get_table(q), a, methods).items()}
 
 
-def _lvalue_vectors(q: int, a: ShiftParam, methods: Sequence[str],
+def _lvalue_vectors(fac: Factorization, a: ShiftParam, methods: Sequence[str],
                     cache: ReportCache | None = None) -> dict[str, np.ndarray]:
-    """L(1, chi, a) for all characters mod q by each requested route
+    """L(1, chi, a) for all characters mod q = fac.n by each requested route
     (principal slot 0).
 
     With a cache, a request for a closed route reads the one record of
@@ -139,11 +139,11 @@ def _lvalue_vectors(q: int, a: ShiftParam, methods: Sequence[str],
     length.  The character table comes from the in-process memo, and only
     when a route is computed, so a warm eq1 report builds no table.
     """
-    vecs = {}
+    q, vecs = fac.n, {}
     if cache is not None and any(m in LVEC_ROUTES for m in methods):
         key = (q, a.numerator, a.denominator)
         vecs = cache.get_lvec(*key)
-        if vecs is None or {len(v) for v in vecs.values()} != {euler_phi(factorize(q))}:
+        if vecs is None or {len(v) for v in vecs.values()} != {euler_phi(fac)}:
             vecs = _route_vectors(q, a, LVEC_ROUTES)
             cache.put_lvec(*key, vecs)
     missing = [m for m in methods if m not in vecs]
@@ -171,22 +171,26 @@ def _char_column(t: CharacterTable, x: int) -> np.ndarray:
     return t.roots_at(exps % t.exponent)
 
 
-def _sieve_factor(q: int) -> float:
+def _sieve_factor(fac: Factorization) -> float:
     """prod_{p | q} (1 - p^-2), the coprimality correction to zeta(2)."""
     out = 1.0
-    for p in factorize(q).primes():
+    for p in fac.primes():
         out *= 1.0 - 1.0 / (p * p)
     return out
 
 
-def _mobius_divisor_terms(q: int) -> list[tuple[int, int]]:
-    """(d, mu(d)) over squarefree divisors d | q."""
-    out = []
-    for d in divisors(factorize(q)):
-        mu = moebius(factorize(d))
-        if mu != 0:
-            out.append((d, mu))
-    return out
+def _mobius_divisor_terms(fac: Factorization) -> list[tuple[int, int]]:
+    """(d, mu(d)) over the squarefree divisors d | q, ascending: the products
+    of distinct primes of q, mu(d) = (-1)^(number of primes)."""
+    terms = [(1, 1)]
+    for p in fac.primes():
+        terms += [(d * p, -mu) for d, mu in terms]
+    return sorted(terms)
+
+
+def _divisor_zetas(fac: Factorization, a: ShiftParam) -> np.ndarray:
+    """zeta(2, a/d) over the d of _mobius_divisor_terms, in one call."""
+    return hurwitz_zeta(2.0, np.array([a.div_value(d) for d, _ in _mobius_divisor_terms(fac)]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +202,12 @@ def lemma4_lhs(q: int, a, method: str = "closed_direct",
 
 
 def lemma4_main(q: int, a) -> float:
-    make_query("lemma4", q, a)
-    a_int = ShiftParam.of(a).numerator
-    phi = euler_phi(factorize(q))
-    return phi / a_int * _ZETA2 * _sieve_factor(q)
+    a = make_query("lemma4", q, a).a
+    return _lemma4_main(factorize(q), a)
+
+
+def _lemma4_main(fac: Factorization, a: ShiftParam) -> float:
+    return euler_phi(fac) / a.numerator * _ZETA2 * _sieve_factor(fac)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +233,15 @@ def eq1_main(q: int, a) -> Eq1Main:
     term alone is exactly the diagonal prediction, since
     sum_{d|q} mu(d) = 0 cancels the n = 0 boundary of the Hurwitz zetas.
     """
-    query = make_query("eq1", q, a)
-    a = query.a
-    phi = euler_phi(factorize(q))
-    terms = _mobius_divisor_terms(q)
-    zetas = hurwitz_zeta(2.0, np.array([a.div_value(d) for d, _ in terms]))
+    a = make_query("eq1", q, a).a
+    fac = factorize(q)
+    return _eq1_main(fac, a, _divisor_zetas(fac, a))
+
+
+def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
+    """eq1_main from q's factorization and _divisor_zetas(fac, a)."""
+    phi = euler_phi(fac)
+    terms = _mobius_divisor_terms(fac)
     zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
     harmonic_sum = sum(mu / d * harmonic(floor_ratio(a, d)) for d, mu in terms)
     first = phi * zeta_sum
@@ -253,11 +263,14 @@ def thm1_main(q: int, k: int, a) -> float:
     Inner blocks with an empty l-range contribute exactly 0.  The weight k
     enters as the written integer; only character evaluation reduces it mod q.
     """
-    query = make_query("thm1", q, a, k=k)
-    a = query.a
-    phi = euler_phi(factorize(q))
+    a = make_query("thm1", q, a, k=k).a
+    return _thm1_main(factorize(q), k, a)
+
+
+def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
+    phi = euler_phi(fac)
     total = 0.0
-    for d, mu in _mobius_divisor_terms(q):
+    for d, mu in _mobius_divisor_terms(fac):
         lo = floor_ratio(a, k * d)
         hi = floor_ratio(a, d)
         block = harmonic(hi) - harmonic(lo) if hi > lo else 0.0
@@ -281,10 +294,14 @@ def thm1_diagonal_oracle(q: int, k: int, a) -> float:
     _check_modulus(q)
     _check_weight(k, q)
     a = ShiftParam.of(a)
-    phi = euler_phi(factorize(q))
+    return _thm1_diagonal_oracle(factorize(q), k, a)
+
+
+def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
+    phi = euler_phi(fac)
     if a.is_zero:
-        return phi / k * _ZETA2 * _sieve_factor(q)
-    terms = _mobius_divisor_terms(q)
+        return phi / k * _ZETA2 * _sieve_factor(fac)
+    terms = _mobius_divisor_terms(fac)
     psi = digamma(np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in terms]))
     total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(terms, psi)))
     return phi / (a.real_value * (k - 1)) * total
@@ -309,10 +326,26 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     whole exponential-sum layer.
     """
     query = make_query("thm2", p, a, f=f, method=method)
-    w = np.abs(_lvalue_vectors(p, query.a, (method,), cache)[method]) ** 2
+    w = np.abs(_lvalue_vectors(factorize(p), query.a, (method,), cache)[method]) ** 2
+    return _decomposed(get_table(p), f, w)
+
+
+def _decomposed(t: CharacterTable, f: Polynomial, w: np.ndarray) -> complex:
+    """thm2_lhs_decomposed from the weights w = |L(1, chi, a)|^2."""
+    p = t.q
     g = difference_sums(p, f)
-    moments = get_table(p).sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
+    moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return complex((p - 1) * w.sum() + g @ moments)
+
+
+def thm2_sides(p: int, f: Polynomial, a, cache: ReportCache | None = None) -> tuple[float, complex]:
+    """thm2_lhs_direct and thm2_lhs_decomposed by closed_direct, from one
+    L-vector and one table.  Both sides read the same |L(1, chi, a)|^2 by
+    design: their gap checks the exponential-sum layer."""
+    query = make_query("thm2", p, a, f=f)
+    w = np.abs(_lvalue_vectors(factorize(p), query.a, ("closed_direct",), cache)["closed_direct"]) ** 2
+    direct = _statistics(query, {"closed_direct": w})["closed_direct"].real
+    return direct, _decomposed(get_table(p), f, w)
 
 
 def thm2_main(p: int, a, k_deg: int) -> float:
@@ -323,8 +356,13 @@ def thm2_main(p: int, a, k_deg: int) -> float:
     _check_prime_modulus(p)
     a = ShiftParam.of(a)
     _check_shift_at_least_one(a)
+    return _thm2_main(p, a, _divisor_zetas(Factorization(p, ((p, 1),)), a))
+
+
+def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
+    """thm2_main from zetas = zeta(2, [a, a/p]), the _divisor_zetas of p."""
     p2 = float(p * p)
-    zeta_a, zeta_ap = hurwitz_zeta(2.0, np.array([a.real_value, a.div_value(p)]))
+    zeta_a, zeta_ap = zetas
     zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
     harm_part = 4.0 * p2 / a.real_value * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
     return zeta_part - harm_part
@@ -355,7 +393,8 @@ class CrossTerms:
 def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTerms:
     query = make_query("thm1", q, a, k=k)
     a = query.a
-    lvec = _lvalue_vectors(q, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
+    fac = factorize(q)
+    lvec = _lvalue_vectors(fac, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
     t = get_table(q)
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
@@ -368,11 +407,11 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
     af = a.real_value
     recombined = unshifted - af * (m1 + m2) + af * af * m3
 
-    phi = euler_phi(factorize(q))
-    sieve = _ZETA2 * _sieve_factor(q)
+    phi = euler_phi(fac)
+    sieve = _ZETA2 * _sieve_factor(fac)
     h_d = 0.0
     h_kd = 0.0
-    for d, mu in _mobius_divisor_terms(q):
+    for d, mu in _mobius_divisor_terms(fac):
         h_d += mu / d * harmonic(floor_ratio(a, d))
         h_kd += mu / d * harmonic(floor_ratio(a, k * d))
     m1_pred = phi / (af * k) * sieve - phi / (af * af * k) * h_d
@@ -410,8 +449,13 @@ class MeanValueReport:
 
 def normalization(target: str, q: int, k_deg: int | None = None) -> float:
     """The error-term scale each residual is measured against."""
+    return _normalization(target, factorize(q), k_deg)
+
+
+def _normalization(target: str, fac: Factorization, k_deg: int | None) -> float:
+    q = fac.n
     if target in ("thm1", "eq1"):
-        return euler_phi(factorize(q)) * math.log(q) / math.sqrt(q)
+        return euler_phi(fac) * math.log(q) / math.sqrt(q)
     if target == "lemma4":
         return math.log(q) ** 2
     if target == "thm2":
@@ -421,18 +465,23 @@ def normalization(target: str, q: int, k_deg: int | None = None) -> float:
     raise ValueError(f"unknown target {target!r}")
 
 
-def _route_statistics(query: MeanValueQuery, methods: Sequence[str],
-                      cache: ReportCache | None) -> dict[str, complex]:
-    """The query's target statistic from the L-vector of each named route.
+def _route_statistics(query: MeanValueQuery, methods: Sequence[str], cache: ReportCache | None,
+                      fac: Factorization) -> dict[str, complex]:
+    """The query's target statistic from the L-vector of each named route;
+    fac is the factorization of query.q."""
+    lvec_shift = ShiftParam(0) if query.target == "lemma4" else query.a
+    lvecs = _lvalue_vectors(fac, lvec_shift, methods, cache)
+    return _statistics(query, {m: np.abs(lvecs[m]) ** 2 for m in methods})
 
-    The squared L-values are the weights (the principal slot is already 0).
+
+def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray]) -> dict[str, complex]:
+    """The query's target statistic for each route's weights |L(1, chi, a)|^2
+    (the principal slot is already 0).
+
     eq1 sums them and reads no character, so it needs no table when its
     vectors are stored; lemma4 and thm1 read the chi(k) column, and thm2
     |S(chi, f)|^2, from the in-process table memo.
     """
-    lvec_shift = ShiftParam(0) if query.target == "lemma4" else query.a
-    lvecs = _lvalue_vectors(query.q, lvec_shift, methods, cache)
-    weights = {m: np.abs(lvecs[m]) ** 2 for m in methods}
     if query.target == "eq1":
         return {m: complex(w.sum()) for m, w in weights.items()}
     t = get_table(query.q)
@@ -445,33 +494,33 @@ def _route_statistics(query: MeanValueQuery, methods: Sequence[str],
 
 def _lhs(query: MeanValueQuery, cache: ReportCache | None) -> complex:
     """The query's target statistic by its own route."""
-    return _route_statistics(query, (query.method,), cache)[query.method]
+    return _route_statistics(query, (query.method,), cache, factorize(query.q))[query.method]
 
 
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
     """Evaluate the query, compare lfun routes, and assemble the report row."""
     validate_query(query)
+    fac, a = factorize(query.q), query.a
     methods = ["closed_direct", "closed_lemma1"]
     if query.method == "truncated":
         methods.append("truncated")
-    stats = _route_statistics(query, methods, cache)
+    stats = _route_statistics(query, methods, cache, fac)
     lhs = stats[query.method]
     route_agreement = max(
         abs(stats[m1] - stats[m2]) for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
     )
 
     if query.target == "lemma4":
-        paper_main = lemma4_main(query.q, query.a)
-        oracle_main = None
+        paper_main, oracle_main = _lemma4_main(fac, a), None
     elif query.target == "eq1":
-        main = eq1_main(query.q, query.a)
-        paper_main, oracle_main = main.full, main.first_term_only
+        paper_main, oracle_main = _eq1_main(fac, a, _divisor_zetas(fac, a))
     elif query.target == "thm1":
-        paper_main = thm1_main(query.q, query.k, query.a)
-        oracle_main = thm1_diagonal_oracle(query.q, query.k, query.a)
-    else:
-        paper_main = thm2_main(query.q, query.a, query.f.degree)
-        oracle_main = (query.q - 1) * eq1_main(query.q, query.a).first_term_only
+        paper_main = _thm1_main(fac, query.k, a)
+        oracle_main = _thm1_diagonal_oracle(fac, query.k, a)
+    else:  # zeta(2, [a, a/p]) once, for the main term and its eq1 oracle
+        zetas = _divisor_zetas(fac, a)
+        paper_main = _thm2_main(query.q, a, zetas)
+        oracle_main = (query.q - 1) * _eq1_main(fac, a, zetas).first_term_only
 
     residual = lhs.real - paper_main
     k_deg = query.f.degree if query.target == "thm2" else None
@@ -493,7 +542,7 @@ def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> Mea
         paper_main=float(paper_main),
         oracle_main=None if oracle_main is None else float(oracle_main),
         residual=float(residual),
-        normalized_residual=float(residual / normalization(query.target, query.q, k_deg)),
+        normalized_residual=float(residual / _normalization(query.target, fac, k_deg)),
         route_agreement=float(route_agreement),
         flags=tuple(flags),
     )

@@ -237,6 +237,51 @@ def test_transform_keeps_only_the_twiddles_it_reads(q):
     assert np.array_equal(t._twiddles, t.roots_of_unity()[: t.phi // 2])
 
 
+@pytest.mark.parametrize("q", [3, 101, 1033, 24, 2**10, 2310, 4620])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_batched_sums_equal_the_row_by_row_calls(q, kind):
+    # q = 3, 101, 1033: cyclic (1033 has phi = 2 * 516); 24 and 2^10: three
+    # and two axes; 2310 and 4620: four and five axes.  Each row of a
+    # batch equals the call on that row alone, bit for bit.
+    t = build_character_table(q)
+    rng = np.random.default_rng(q)
+    draw = rng.standard_normal if kind == "real" else (lambda shape: _random_complex(rng, shape))
+    for m in (1, 2, 3):
+        x, w = draw((m, q)), draw((m, t.phi))
+        sums, back = t.sums_over_residues(x), t.sums_over_characters(w)
+        assert sums.shape == (m, t.phi) and back.shape == (m, q)
+        for i in range(m):
+            assert np.array_equal(sums[i], t.sums_over_residues(x[i]))
+            assert np.array_equal(back[i], t.sums_over_characters(w[i]))
+
+
+@pytest.mark.parametrize("q", [3, 101, 1033, 24, 2**10, 2310])
+def test_unit_order_is_built_once_and_inverts_the_logs(q):
+    t = build_character_table(q)
+    order = t._unit_order()
+    assert t._unit_order() is order
+    assert np.array_equal(t.residue_index[order], np.arange(t.phi))
+    if is_prime(q):  # on a cyclic group the unit at log l is g^l
+        g = primitive_root(q)
+        assert order.tolist() == [pow(g, l, q) for l in range(t.phi)]
+
+
+def test_one_fft_call_per_batch(monkeypatch):
+    calls = []
+    for name in ("ifft", "ifftn"):
+        def counting(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    for q, name in ((1033, "ifft"), (24, "ifftn")):
+        t = build_character_table(q)
+        for x in (np.ones((3, q)), np.ones((3, q), dtype=np.complex128)):
+            calls.clear()
+            t.sums_over_residues(x)
+            t.sums_over_characters(x[:, :t.phi])
+            assert calls == [name, name]
+
+
 def _gram_defect(t):
     """Oracle: max over unit pairs (n, l) of |sum_chi chi(n) conj(chi(l)) - phi [n == l]|,
     by the O(phi^3) Gram product of the dense unit block."""

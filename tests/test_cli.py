@@ -248,6 +248,15 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def test_verify_lemma3_counts_without_building_the_entries(monkeypatch, capsys):
+    def no_entry(*args, **kwargs):
+        raise AssertionError("verify lemma3 built a per-x audit entry")
+
+    monkeypatch.setattr(expsum, "CompletedSumAudit", no_entry)
+    assert run_cli("verify", "--target", "lemma3", "--p", "13", "--f", "0,0,0,1") == 0
+    assert "completed sums for p=13, f=0,0,0,1: 11 values, 2 degenerate [3, 9]" in capsys.readouterr().out
+
+
 class TestReportSchema:
     def test_csv_header_and_sig_digits(self, tmp_path):
         out_path = tmp_path / "r.csv"
@@ -545,7 +554,7 @@ class TestDeterminismAndCache:
         assert not set(opened) & set(leftovers)
         assert all((cache_dir / name).read_bytes() == data for name, data in leftovers.items())
         assert run_cli("cache", "--cache-dir", str(cache_dir)) == 0
-        assert "entries: 2 character tables, 6 L-value vectors" in capsys.readouterr().out
+        assert "entries: 2 character tables, 6 L-vector records" in capsys.readouterr().out
         assert run_cli("cache", "--cache-dir", str(cache_dir), "--clear") == 0
         assert "cleared 8" in capsys.readouterr().out
         assert list(cache_dir.iterdir()) == []
@@ -582,7 +591,7 @@ class TestDeterminismAndCache:
         cache_dir = tmp_path / "cache"
         write_version_2_entries(cache_dir, (7, 11), 3, 2)
         assert run_cli("cache", "--cache-dir", str(cache_dir)) == 0
-        assert "entries: 2 character tables, 4 L-value vectors" in capsys.readouterr().out
+        assert "entries: 2 character tables, 4 L-vector records" in capsys.readouterr().out
         assert run_cli("cache", "--cache-dir", str(cache_dir), "--clear") == 0
         assert "cleared 6" in capsys.readouterr().out
         assert list(cache_dir.iterdir()) == []

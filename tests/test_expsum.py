@@ -470,6 +470,16 @@ class TestLemma3Report:
         assert list(audit.entries) == rebuilt
         assert len(audit.degenerate_x) == (2 if coefficients == (5, 0, 0, 1) else 0)
 
+    def test_entries_are_built_from_the_columns_once(self):
+        audit = lemma3_report(13, Polynomial((0, 0, 0, 1)))
+        assert "entries" not in vars(audit)
+        entries = audit.entries
+        assert audit.entries is entries and len(entries) == 13 - 2
+        assert [e.x for e in entries] == list(range(2, 13))
+        assert [e.degenerate for e in entries] == audit.degenerate.tolist()
+        assert [e.abs_sum for e in entries] == audit.abs_sums.tolist()
+        assert [e.bound_ok for e in entries] == audit.within.tolist()
+
     def test_rejects_zero_mod_p(self):
         with pytest.raises(ValueError):
             lemma3_report(7, Polynomial((7, 14, 21)))

@@ -264,7 +264,8 @@ class TestFarPeriods:
         assert np.array_equal(values, expected) and bound == expected_bound
 
 class TestPsiGridWork:
-    """Each report evaluates each distinct psi grid once (calls counted, not timed)."""
+    """Each report makes one digamma call, on every psi grid it needs, and one
+    batched transform of the grids (calls counted, not timed)."""
 
     @staticmethod
     def _record_grid_sizes(monkeypatch):
@@ -277,6 +278,16 @@ class TestPsiGridWork:
                 monkeypatch.setattr(module, name, counting)
         return sizes
 
+    @staticmethod
+    def _record_fft_calls(monkeypatch):
+        calls = []
+        for name in ("ifft", "ifftn"):
+            def counting(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(np.shape(args[0]))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counting)
+        return calls
+
     @pytest.mark.parametrize("target, a, extra, psi_grids", [
         ("eq1", "3/2", {}, 2),
         ("thm1", "3/2", {"k": 2}, 2),
@@ -288,10 +299,28 @@ class TestPsiGridWork:
         query = meanval.make_query(target, q, a, **extra)
         meanval.clear_memo()
         sizes = self._record_grid_sizes(monkeypatch)
+        fft_calls = self._record_fft_calls(monkeypatch)
         meanval.build_report(query)
-        assert sizes["digamma"].count(q - 1) == psi_grids
+        # thm1's diagonal oracle adds a digamma call on its few divisor terms
+        assert [n for n in sizes["digamma"] if n >= q - 1] == [psi_grids * (q - 1)]
         assert sizes["hurwitz_zeta"].count(q - 1) == 0
+        # the closed routes' batch; thm2 adds the one transform of S(chi, f)
+        assert len(fft_calls) == (2 if target == "thm2" else 1)
         meanval.clear_memo()
+
+    @pytest.mark.parametrize("q", [5, 24, 101, 1033])
+    @pytest.mark.parametrize("a, rows", [("0", 1), ("3/2", 3), ("2", 3)])
+    def test_route_vectors_one_call_of_each_kind(self, q, a, rows, monkeypatch):
+        t = get_table(q)
+        a = ShiftParam.of(a)
+        expected = {m: lfun.route_vector(t, a, m) for m in ("closed_direct", "closed_lemma1")}
+        sizes = self._record_grid_sizes(monkeypatch)
+        fft_calls = self._record_fft_calls(monkeypatch)
+        got = lfun.route_vectors(t, a, ("closed_direct", "closed_lemma1"))
+        assert sizes["digamma"] == [(1 if a.is_zero else 2) * (q - 1)]
+        assert [shape[0] for shape in fft_calls] == [rows]  # one call on the batch of distinct grids
+        for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
+            assert np.array_equal(got[m][0], vals) and got[m][1] == bound
 
     @pytest.mark.parametrize("q", [5, 24, 101])
     def test_closed_lemma1_at_zero_is_l1_vector(self, q, monkeypatch):

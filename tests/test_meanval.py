@@ -15,8 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfunlab import lfun, meanval
-from lfunlab.arith import euler_phi, factorize, is_prime
+from lfunlab import arith, chars, lfun, meanval
+from lfunlab.arith import divisors, euler_phi, factorize, is_prime, moebius
+from lfunlab.cache import ReportCache
 from lfunlab.chars import char_value, conjugate_index, get_table
 from lfunlab.expsum import Polynomial, weighted_char_sum
 from lfunlab.specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
@@ -27,6 +28,11 @@ ZETA2 = math.pi**2 / 6
 
 def nonprincipal(t):
     return [j for j in range(t.phi) if j != t.principal_index]
+
+
+def mobius_divisor_loop(q):
+    """(d, mu(d)) over the squarefree divisors d | q, each d factorized on its own."""
+    return [(d, moebius(factorize(d))) for d in divisors(factorize(q)) if moebius(factorize(d))]
 
 
 class TestLemma4:
@@ -226,6 +232,21 @@ class TestThm2:
         assert abs(direct - decomposed) < 1e-6 * p * p
         assert direct >= 0
 
+    @pytest.mark.parametrize("p", [7, 101, 1009])
+    def test_sides_share_one_l_vector(self, p, monkeypatch):
+        f, a = Polynomial((1, 2, 0, 1)), A(2)
+        expected = (meanval.thm2_lhs_direct(p, f, a), meanval.thm2_lhs_decomposed(p, f, a))
+        calls = []
+        real = lfun.route_vectors
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lfun, "route_vectors", counting)
+        assert meanval.thm2_sides(p, f, a) == expected  # bit for bit
+        assert len(calls) == 1
+
     def test_smoke_report_p7(self):
         q = meanval.make_query("thm2", 7, A(2), f=Polynomial((0, 0, 1)))
         r = meanval.build_report(q)
@@ -302,6 +323,35 @@ class TestReports:
         assert math.isfinite(r.lhs.real)
 
 
+@pytest.mark.parametrize("q", [1033, 1116])
+def test_eq1_report_factorizes_q_once(q, monkeypatch, tmp_path):
+    # A report passes one factorization of q to its main terms, normalization
+    # and cache check; the table build, when the memo misses, makes its own.
+    calls = []
+
+    def counting(n, _fn=arith.factorize):
+        calls.append(n)
+        return _fn(n)
+
+    query = meanval.make_query("eq1", q, A("3/2"))
+    meanval.clear_memo()
+    for module in (arith, chars, meanval):
+        monkeypatch.setattr(module, "factorize", counting)
+    chars.build_character_table(q)
+    table_calls = len(calls)
+    calls.clear()
+    meanval.build_report(query)
+    assert len(calls) == 1 + table_calls
+    for store in (None, ReportCache(str(tmp_path / "cache"))):
+        calls.clear()  # the table is in the memo now; cold and warm cache alike
+        meanval.build_report(query, store)
+        assert calls == [q]
+        calls.clear()
+        meanval.build_report(query, store)
+        assert calls == [q]
+    meanval.clear_memo()
+
+
 class TestResidualSweep:
     def test_skips_invalid_moduli(self):
         s = meanval.residual_sweep("lemma4", [3, 4, 5, 6, 7], A(2))
@@ -371,6 +421,11 @@ def test_sweep_keeps_nothing_past_the_table_memo():
     meanval.clear_memo()
 
 
+def test_divisor_terms_from_the_primes_match_the_loop():
+    for q in [*range(1, 400), 2310, 30030, 99991, 2**16, 3**10]:
+        assert meanval._mobius_divisor_terms(factorize(q)) == mobius_divisor_loop(q), q
+
+
 @pytest.mark.parametrize("q", [2310, 30030])
 @pytest.mark.parametrize("a_str", ["1", "7/2", "45"])
 class TestMainTermsMatchDivisorLoop:
@@ -380,7 +435,7 @@ class TestMainTermsMatchDivisorLoop:
         a = A(a_str)
         phi = euler_phi(factorize(q))
         zeta_sum = harmonic_sum = 0.0
-        for d, mu in meanval._mobius_divisor_terms(q):
+        for d, mu in mobius_divisor_loop(q):
             zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.div_value(d))
             harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
         main = meanval.eq1_main(q, a)
@@ -391,7 +446,7 @@ class TestMainTermsMatchDivisorLoop:
     def test_thm1_diagonal_oracle(self, q, a_str):
         a, k = A(a_str), 17
         total = 0.0
-        for d, mu in meanval._mobius_divisor_terms(q):
+        for d, mu in mobius_divisor_loop(q):
             total += mu / d * (digamma(1.0 + a.div_value(d)) - digamma(1.0 + a.div_value(k * d)))
         expected = euler_phi(factorize(q)) / (a.real_value * (k - 1)) * total
         assert math.isclose(meanval.thm1_diagonal_oracle(q, k, a), expected, rel_tol=1e-14, abs_tol=0.0)
