@@ -15,21 +15,21 @@ Routes:
                     vanish, so partial character sums are bounded by q).
 
 The truncated route folds the partial sum onto the q residues.  The first
-100 periods (n <= 100 q) are summed term by term.  The later periods of each
-residue class, 1/(q (k + beta)) for k = 100 .. N/q - 1 with beta = (c + a)/q,
-are summed in closed form by two-point Euler-Maclaurin with B_2, B_4, B_6,
-so the cost is O(100 q) for any N and the value is still the partial sum
+24 periods (n <= 24 q) are summed term by term.  The later periods of each
+residue class, 1/(q (k + beta)) for k = 24 .. N/q - 1 with beta = (c + a)/q,
+are summed in closed form by two-point Euler-Maclaurin with B_2 .. B_10,
+so the cost is O(24 q) for any N and the value is still the partial sum
 to N.  The terms are completely monotone, so each weight's remainder is at
-most the first omitted term |B_8|/(8q) (100 + beta)^-8 (DLMF 2.10(i)); the
-route's bound is 2q/(N+1) plus q times that (about 4e-19).
+most the first omitted term |B_12|/(12q) (24 + beta)^-12 (DLMF 2.10(i)); the
+route's bound is 2q/(N+1) plus q times that (at most 5.8e-19).
 
 The closed routes share the digamma backend but assemble different
 expressions; the truncated route shares nothing with them and anchors the
 tolerance chain.  Caveat: digamma's asymptotic series is the same
 Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart because
 this code is separate (its own Bernoulli constants, nothing imported from
-specfun) and applies the expansion only at k + beta >= 100 after 100 q
-direct terms, while digamma shifts its argument to x >= 10 and uses no
+specfun) and applies the expansion only at k + beta >= 24 after 24 q direct
+terms, while digamma shifts its argument to x >= 10, uses B_2 .. B_14 and no
 direct terms.  route_vectors evaluates every psi grid the closed routes it
 is asked for need in one digamma call, and transforms each distinct grid
 once, in one batched call; it keeps nothing.  A batched row is bit-identical
@@ -130,14 +130,24 @@ def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") 
 _FOLD_BLOCK_TERMS = 2**18
 
 # Periods the truncated route sums term by term; later periods are summed in
-# closed form.  At k + beta >= 100 the first omitted Euler-Maclaurin term is
-# below 5e-19 per L-value.
-_HEAD_PERIODS = 100
+# closed form.  At k + beta >= 24 the first omitted Euler-Maclaurin term is
+# below 5.8e-19 per L-value.
+_HEAD_PERIODS = 24
 
-# B_2, B_4, B_6 of the Euler-Maclaurin corrections, and |B_8|, whose term is
-# the first one omitted.
-_EM_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
-_EM_OMITTED_B8 = 1.0 / 30.0
+# B_2, B_4, ..., B_10 of the Euler-Maclaurin corrections, and |B_12|, whose
+# term is the first one omitted.
+_EM_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0)
+_EM_OMITTED_B12 = 691.0 / 2730.0
+
+
+def _em_corrections(x: np.ndarray) -> np.ndarray:
+    """sum_{j=1}^{5} B_2j/(2j) x^-2j, by Horner in x^-2."""
+    inv2 = 1.0 / (x * x)
+    acc = np.zeros_like(x)
+    for j, b in reversed(tuple(enumerate(_EM_BERNOULLI, start=1))):
+        acc += b / (2 * j)
+        acc *= inv2
+    return acc
 
 
 def _far_periods(q: int, a: ShiftParam, periods: int) -> np.ndarray:
@@ -146,15 +156,15 @@ def _far_periods(q: int, a: ShiftParam, periods: int) -> np.ndarray:
 
     With beta = (i + 1 + a)/q the terms are f(k) = 1/(q (k + beta)); two-point
     Euler-Maclaurin from lo = H + beta to hi = periods - 1 + beta gives
-    (1/q)[ln(hi/lo) + (1/lo + 1/hi)/2 - sum_{j<=3} B_2j/(2j) (hi^-2j - lo^-2j)],
-    with ln(hi/lo) taken as log1p of the exact integer hi - lo over lo.
+    (1/q)[ln(hi/lo) + (1/lo + 1/hi)/2 - sum_{j<=5} B_2j/(2j) (hi^-2j - lo^-2j)],
+    with ln(hi/lo) taken as log1p of the exact integer hi - lo over lo and
+    each correction sum evaluated by Horner (_em_corrections).
     """
     span = periods - 1 - _HEAD_PERIODS
     lo = _HEAD_PERIODS + (np.arange(1, q + 1) + a.real_value) / q
     hi = lo + span
     total = np.log1p(span / lo) + 0.5 * (1.0 / lo + 1.0 / hi)
-    for j, b in enumerate(_EM_BERNOULLI, start=1):
-        total -= b / (2 * j) * (hi ** (-2 * j) - lo ** (-2 * j))
+    total -= _em_corrections(hi) - _em_corrections(lo)
     return total / q
 
 
@@ -163,13 +173,13 @@ def _far_remainder(q: int, a: ShiftParam, periods: int) -> float:
 
     The even derivatives of f(k) = 1/(q (k + beta)) are all positive, so the
     remainder of each weight is at most the first omitted term,
-    |B_8|/(8q) lo^-8 (DLMF 2.10(i)); q weights of modulus-one characters
+    |B_12|/(12q) lo^-12 (DLMF 2.10(i)); q weights of modulus-one characters
     multiply that by q.  0 when every period is summed directly.
     """
     if periods <= _HEAD_PERIODS:
         return 0.0
     lo_min = _HEAD_PERIODS + (1 + a.real_value) / q
-    return _EM_OMITTED_B8 / 8.0 * lo_min ** -8
+    return _EM_OMITTED_B12 / 12.0 * lo_min ** -12
 
 
 def _folded_weights(q: int, a: ShiftParam, n_terms: int) -> np.ndarray:
@@ -292,12 +302,12 @@ def l1_chi_a_truncated(t: CharacterTable, j: int, a, n_terms: int | None = None)
     j of truncated_vector.
 
     N must be a multiple of q (so the cut falls on a period boundary) and at
-    least 10q.  The first 100 periods are summed term by term and the later
-    ones per residue class by Euler-Maclaurin, so the work is O(100 q) for
-    any N.  The bound 2q/(N+1) comes from Abel summation against the partial
-    character sums, which are bounded by q since full periods cancel; the
-    Euler-Maclaurin remainder, q |B_8|/(8q) (100 + (1 + a)/q)^-8, is added
-    to it.
+    least 10q.  The first 24 periods are summed term by term and the later
+    ones per residue class by Euler-Maclaurin through B_10, so the work is
+    O(24 q) for any N.  The bound 2q/(N+1) comes from Abel summation against
+    the partial character sums, which are bounded by q since full periods
+    cancel; the Euler-Maclaurin remainder, q |B_12|/(12q) (24 + (1 + a)/q)^-12,
+    is added to it.
     """
     return evaluate(t, j, a, "truncated", n_terms)
 

@@ -184,6 +184,26 @@ class TestExitCodes:
         assert run_cli(*argv) == 1
         assert "defect" in capsys.readouterr().out
 
+    # At N = 1e16 q the truncated bound is about 2e-16, below the closed
+    # routes' rounding; the gap is held to the sum of both routes' bounds.
+    LEMMA1_AT_LARGE_N = ("verify", "--target", "lemma1", "--q", "101", "--a", "3/2",
+                         "--n-terms", "1010000000000000000")
+
+    def test_lemma1_at_large_n_compares_with_the_summed_bounds(self, capsys):
+        assert run_cli(*self.LEMMA1_AT_LARGE_N) == 0
+        assert "excess over the summed bounds 1.000e-11:" in capsys.readouterr().out
+
+    def test_lemma1_at_large_n_catches_a_perturbed_truncated_route(self, monkeypatch, capsys):
+        truncated_vector = lfun.truncated_vector
+
+        def perturbed(t, a, n_terms):
+            values, bound = truncated_vector(t, a, n_terms)
+            return values + 1e-9, bound
+
+        monkeypatch.setattr(lfun, "truncated_vector", perturbed)
+        assert run_cli(*self.LEMMA1_AT_LARGE_N) == 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("target", ["thm2", "lemma2"])
     def test_difference_budget_checked_before_the_direct_side(self, target, monkeypatch, capsys):
         def no_work(*args, **kwargs):

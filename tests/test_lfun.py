@@ -208,14 +208,17 @@ def _blocked_fold(q, a_value, periods):
 
 
 class TestFarPeriods:
-    """The truncated route sums 100 periods term by term and the rest by Euler-Maclaurin."""
+    """The truncated route sums _HEAD_PERIODS (24) periods term by term and
+    the rest by Euler-Maclaurin through B_10."""
 
-    @pytest.mark.parametrize("q", [3, 24, 97, 1009])
+    @pytest.mark.parametrize("q", [3, 24, 97, 1009, 4999])
     def test_weights_match_40_digit_partial_sums(self, q):
         mpmath = pytest.importorskip("mpmath")
         periods = 10**4
+        # q = 4999 is the size large-modulus draws; one shift keeps it near 0.5 s
+        shifts = ("3/2",) if q == 4999 else ("0", "3/2", "7")
         with mpmath.workdps(40):
-            for a in (ShiftParam(0), ShiftParam.of("3/2"), ShiftParam.of(7)):
+            for a in map(ShiftParam.of, shifts):
                 weights = lfun._folded_weights(q, a, periods * q)
                 a_mp = mpmath.mpf(a.numerator) / a.denominator
                 # residue c collects n = kq + c (c = q for residue 0), k = 0 .. P-1
@@ -223,27 +226,52 @@ class TestFarPeriods:
                 exact = np.array([float((mpmath.digamma(periods + b) - mpmath.digamma(b)) / q) for b in betas])
                 assert np.abs(weights / exact - 1).max() <= 2e-15, (q, a)
 
-    @pytest.mark.parametrize("q, periods", [(3, 10), (24, 57), (97, 100), (1009, 100)])
+    @pytest.mark.parametrize("q, periods", [
+        (3, 10), (24, lfun._HEAD_PERIODS - 7), (97, lfun._HEAD_PERIODS), (1009, lfun._HEAD_PERIODS),
+    ])
     @pytest.mark.parametrize("block_periods", [7, None])
     def test_head_only_is_the_blocked_fold_bit_for_bit(self, q, periods, block_periods, monkeypatch):
+        assert periods <= lfun._HEAD_PERIODS
         if block_periods:
             monkeypatch.setattr(lfun, "_FOLD_BLOCK_TERMS", block_periods * q)
         a = ShiftParam.of("3/2")
         assert np.array_equal(lfun._folded_weights(q, a, periods * q), _blocked_fold(q, 1.5, periods))
 
-    @pytest.mark.parametrize("q, periods", [(5, 10), (5, 100), (5, 101), (24, 10**4), (97, 355)])
+    @pytest.mark.parametrize("q, periods", [(5, 10), (5, 24), (5, 25), (5, 100), (5, 101), (24, 10**4), (97, 355)])
     @pytest.mark.parametrize("a_str", ["0", "3/2", "7"])
     def test_bound_covers_the_euler_maclaurin_remainder(self, q, periods, a_str):
         a = ShiftParam.of(a_str)
         n_terms = periods * q
         _, bound = lfun.truncated_vector(get_table(q), a, n_terms)
         far = 0.0
-        if periods > 100:  # |B_8| / (8q) (100 + beta_min)^-8 per weight, q weights
-            far = (1 / 30) / 8 * (100 + (1 + a.real_value) / q) ** -8
+        if periods > 24:  # |B_12| / (12q) (24 + beta_min)^-12 per weight, q weights
+            far = (691 / 2730) / 12 * (24 + (1 + a.real_value) / q) ** -12
         assert far < 1e-18  # printed bounds do not move
         # the series bound alone is 1e14 times larger, so check the EM term on its own too
         assert lfun._far_remainder(q, a, periods) >= far
         assert bound >= 2 * q / (n_terms + 1) + far
+
+    @pytest.mark.parametrize("q", [3, 4, 97, 1009, 4999, 10**4, 99991, 10**5])
+    @pytest.mark.parametrize("a_str", ["0", "1", "3/2", "7", "50"])
+    def test_far_remainder_stays_below_printed_digits(self, q, a_str):
+        assert 0 < lfun._far_remainder(q, ShiftParam.of(a_str), 10**4) < 1e-18
+
+    @pytest.mark.parametrize("q", [3, 97, 1009, 4999, 20011])
+    def test_fold_evaluates_only_the_head_term_by_term(self, q, monkeypatch):
+        folded = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def reciprocal(x, out=None):
+                folded.append(x.size)
+                return np.reciprocal(x, out=out)
+
+        monkeypatch.setattr(lfun, "np", CountingNumpy())
+        lfun._folded_weights(q, ShiftParam.of("3/2"), 10**4 * q)
+        assert sum(folded) == lfun._HEAD_PERIODS * q
 
     def test_truncated_route_uses_no_special_function(self, monkeypatch):
         from lfunlab import specfun
