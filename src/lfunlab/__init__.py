@@ -16,7 +16,7 @@ from .chars import (
     nonprincipal_period_sum_defect,
     orthogonality_defect,
 )
-from .expsum import Polynomial, WeilAudit, complete_sum, lemma2_defect, lemma3_report, weighted_char_sum
+from .expsum import Polynomial, WeilAudit, complete_sum, lemma2_defect, lemma3_report
 from .lfun import ShiftedLValue, default_truncation, evaluate, l1_chi, l1_chi_a, l1_vector
 from .meanval import (
     CrossTerms,
@@ -71,5 +71,4 @@ __all__ = [
     "orthogonality_defect",
     "primitive_root",
     "residual_sweep",
-    "weighted_char_sum",
 ]

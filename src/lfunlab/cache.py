@@ -2,21 +2,22 @@
 
 Every entry is one flat record: a JSON meta line, then the raw little-endian
 bytes of its arrays back to back.  The meta line holds the format version
-(3 since entries are flat records instead of .npz archives), the entry's
-key, the length of each array and a zlib.crc32 of every other meta field
-(as canonical JSON) followed by the payload.  The dtype of each array is
-fixed by the entry kind, never read from the file: a character table holds
-the table's O(q) discrete-log data (the per-residue flat log index and the
-conjugation map as <i8, the cyclic orders and group components in the meta
-line); an L-vector record holds, for one modulus q and shift a, the
-closed_direct and closed_lemma1 vectors as two <c16 arrays.  Both
-representations are exact, so a cache hit is bit-identical to a
-recomputation.
+(4 since a table record holds its logs alone), the entry's key, the length
+of each array and a zlib.crc32 of every other meta field (as canonical
+JSON) followed by the payload.  The dtype of each array is fixed by the
+entry kind, never read from the file: a character table record holds q, the
+group components and the cyclic orders in the meta line and the per-residue
+flat log index residue_index as one <i8 array, and is read back only when
+chars._certifies_logs certifies it (phi, the exponent and the conjugation
+map are derived from the orders); an L-vector record holds, for one modulus
+q and shift a, the closed_direct and closed_lemma1 vectors as two <c16
+arrays.  Both representations are exact, so a cache hit is bit-identical to
+a recomputation.
 
 A version or key mismatch is a silent cache miss that leaves the file
 alone.  A record whose checksum fails, a payload whose declared lengths do
-not cover it exactly, or an entry that cannot be decoded, is deleted with a
-warning and recomputed by the caller.
+not cover it exactly, a table that fails the certificate, or an entry that
+cannot be decoded, is deleted with a warning and recomputed by the caller.
 
 The mean-value statistics store L-vector records only and never touch a
 stored table: building a table costs about as much as reading and checking
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import tempfile
 import zlib
@@ -38,14 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import CharacterTable, GroupComponent, get_table
+from .chars import CharacterTable, GroupComponent, _certifies_logs, get_table
 
 log = logging.getLogger("lfunlab")
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 CACHE_DIR_ENV = "LFUNLAB_CACHE_DIR"
 # The arrays of each entry kind, in payload order, with their stored dtypes.
-_TABLE_ARRAYS = (("residue_index", "<i8"), ("conjugate_map", "<i8"))
+_TABLE_ARRAYS = (("residue_index", "<i8"),)
 # The L-vector routes a record holds; the truncated route is the oracle and is never stored.
 LVEC_ROUTES = ("closed_direct", "closed_lemma1")
 _LVEC_ARRAYS = tuple((route, "<c16") for route in LVEC_ROUTES)
@@ -97,31 +97,14 @@ def _split_payload(payload: bytes, meta: dict, layout) -> dict[str, np.ndarray]:
 
 
 def _decode_table(meta: dict, arrays: dict) -> CharacterTable:
-    q, phi = meta["q"], meta["phi"]
     components = tuple(
         GroupComponent(pk, tuple(gens), tuple(orders)) for pk, gens, orders in meta["components"]
     )
-    orders = tuple(meta["orders"])
-    if orders != tuple(s for c in components for s in c.orders) or math.prod(orders) != phi:
-        raise ValueError(f"orders {orders} do not match the components and phi = {phi}")
-    residue_index = np.array(arrays["residue_index"], dtype=np.int64)
-    conjugate_map = np.array(arrays["conjugate_map"], dtype=np.int64)
-    if residue_index.shape != (q,) or conjugate_map.shape != (phi,):
-        raise ValueError(f"shapes {residue_index.shape}, {conjugate_map.shape}")
-    # -1 marks a non-unit; the phi units must fill the grid 0 .. phi-1 once each.
-    units = residue_index[residue_index != -1]
-    if (units.size != phi or units.min() < 0 or units.max() >= phi
-            or np.bincount(units, minlength=phi).max() != 1):
-        raise ValueError("residue_index does not place the units on the character grid")
-    return CharacterTable(
-        q=q,
-        phi=phi,
-        exponent=meta["exponent"],
-        components=components,
-        orders=orders,
-        residue_index=residue_index,
-        conjugate_map=conjugate_map,
-    )
+    t = CharacterTable(meta["q"], components, tuple(meta["orders"]),
+                       np.array(arrays["residue_index"], dtype=np.int64))
+    if not _certifies_logs(t):
+        raise ValueError("the stored logs fail the character-group certificate")
+    return t
 
 
 def _decode_lvec(meta: dict, arrays: dict) -> dict[str, np.ndarray]:
@@ -186,15 +169,12 @@ class ReportCache:
     def put_table(self, table: CharacterTable) -> None:
         meta = {
             "q": table.q,
-            "phi": table.phi,
-            "exponent": table.exponent,
             "components": [
                 [c.prime_power, list(c.generators), list(c.orders)] for c in table.components
             ],
             "orders": list(table.orders),
         }
-        self._write(self._table_path(table.q), meta, _TABLE_ARRAYS,
-                    table.residue_index, table.conjugate_map)
+        self._write(self._table_path(table.q), meta, _TABLE_ARRAYS, table.residue_index)
 
     def get_table(self, q: int) -> CharacterTable | None:
         return self._read(self._table_path(q), {"q": q}, _TABLE_ARRAYS, _decode_table)

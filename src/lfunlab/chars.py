@@ -24,26 +24,29 @@ so a call is one gather, one FFT call and the twiddle combine.  Reusing one
 FFT set-up across many transforms (Frigo and Johnson, Proc. IEEE 93(2),
 2005) is what makes the batch cheaper than a call per grid.
 
-The table itself holds O(q) exact integers, so cached tables are
-bit-reproducible.  The orthogonality and period-sum checks certify these
-logs in exact integers in O(q): residue_index must be an isomorphism of the
-unit group onto the grid group and conjugate_map its negation, which makes
-both orthogonality relations exact (Apostol, Introduction to Analytic Number
-Theory, ch. 6).  The certificate reads no character value and stays
-independent of the transform.  The dense phi(q) x q matrix (values_matrix())
-is a small-q oracle for tests and API users, refused beyond a fixed byte
-budget; nothing in the package calls it.
+The table stores only q, its components, the cyclic orders and the logs
+residue_index, O(q) exact integers, so cached tables are bit-reproducible;
+phi, the exponent L = lcm(orders) and the conjugation map e -> -e are
+derived from the orders on first use.  The orthogonality and period-sum
+checks, and every table read from the cache, certify the stored fields in
+exact integers in O(q): residue_index must be an isomorphism of the unit
+group onto the grid group and each generator the unit it puts at a unit
+vector, which makes both orthogonality relations exact (Apostol,
+Introduction to Analytic Number Theory, ch. 6).  The certificate reads no
+character value and stays independent of the transform.  The dense
+phi(q) x q matrix (values_matrix()) is a small-q oracle for tests and API
+users, refused beyond a fixed byte budget; nothing in the package calls it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Factorization, discrete_log_array, euler_phi, factorize, powers_mod, primitive_root
+from .arith import Factorization, discrete_log_array, factorize, powers_mod, primitive_root
 
 # Measured on a 2-core x86-64 host: at q = 99991 a table builds in 0.02 s
 # and holds 1.5 MB, and `lfunlab sweep --target thm1` runs in 0.2 s with a
@@ -68,35 +71,51 @@ class CharacterTable:
 
     orders are the cyclic factor orders s_i (the components' orders in
     sequence); residue_index[n] is the C-order flat index of the log tuple
-    t(n) in the grid of shape orders, or -1 when gcd(n, q) > 1.  exponent is
-    L = lcm(orders), and conjugate_map[j] is the index of conj(chi_j).
+    t(n) in the grid of shape orders, or -1 when gcd(n, q) > 1.  Everything
+    else is derived from these on first use and kept with the table: phi,
+    the exponent L = lcm(orders), and conjugate_map[j], the index of
+    conj(chi_j).
     """
 
     q: int
-    phi: int
-    exponent: int
     components: tuple[GroupComponent, ...]
     orders: tuple[int, ...]
     residue_index: np.ndarray
-    conjugate_map: np.ndarray
-    principal_index: int = 0
-    _roots: np.ndarray | None = field(default=None, init=False, repr=False)
-    _twiddles: np.ndarray | None = field(default=None, init=False, repr=False)
-    _units: np.ndarray | None = field(default=None, init=False, repr=False)
+    principal_index = 0  # the all-zero exponent tuple
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
         """orders, or (1,) for the trivial group mod 1 and 2."""
         return self.orders or (1,)
 
-    def _unit_order(self) -> np.ndarray:
+    @functools.cached_property
+    def phi(self) -> int:
+        return math.prod(self.orders)
+
+    @functools.cached_property
+    def exponent(self) -> int:
+        return math.lcm(*self.orders)
+
+    @functools.cached_property
+    def conjugate_map(self) -> np.ndarray:
+        return _negation(self.grid_shape)
+
+    @functools.cached_property
+    def _units(self) -> np.ndarray:
         """The unit residue at each flat grid index (on a cyclic group, the
-        powers of g), computed on first use and kept with the table."""
-        if self._units is None:
-            units = self.unit_residues()
-            self._units = np.empty(self.phi, dtype=np.int64)
-            self._units[self.residue_index[units]] = units  # units fill the grid exactly once
-        return self._units
+        powers of g)."""
+        units = self.unit_residues()
+        order = np.empty(self.phi, dtype=np.int64)
+        order[self.residue_index[units]] = units  # units fill the grid exactly once
+        return order
+
+    @functools.cached_property
+    def _twiddles(self) -> np.ndarray:
+        return self.roots_at(np.arange(self.phi // 2))
+
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        return self.roots_at(np.arange(self.exponent))
 
     def _transform(self, grid: np.ndarray) -> np.ndarray:
         """phi * ifftn over the cyclic factors of each row of an (m, phi)
@@ -133,8 +152,6 @@ class CharacterTable:
             even, odd = (z + r) / 2, (z - r) * -0.5j
         else:
             even, odd = np.fft.ifft(grid.reshape(m, h, 2).transpose(2, 0, 1), norm="forward")
-        if self._twiddles is None:
-            self._twiddles = self.roots_at(np.arange(h))
         odd *= self._twiddles
         out = np.empty((m, self.phi), dtype=np.complex128)
         np.add(even, odd, out=out[:, :h])
@@ -146,7 +163,7 @@ class CharacterTable:
         length q gives phi sums, an (m, q) batch gives (m, phi), from one
         gather through the unit order and one batched transform."""
         x = np.asarray(x)
-        sums = self._transform(x.reshape(-1, self.q)[:, self._unit_order()])
+        sums = self._transform(x.reshape(-1, self.q)[:, self._units])
         return sums.reshape(x.shape[:-1] + (self.phi,))
 
     def sums_over_characters(self, w: np.ndarray) -> np.ndarray:
@@ -155,7 +172,7 @@ class CharacterTable:
         w = np.asarray(w)
         flat = self._transform(w.reshape(-1, self.phi))
         out = np.zeros((len(flat), self.q), dtype=flat.dtype)
-        out[:, self._unit_order()] = flat
+        out[:, self._units] = flat
         return out.reshape(w.shape[:-1] + (self.q,))
 
     def roots_at(self, v: np.ndarray) -> np.ndarray:
@@ -165,8 +182,6 @@ class CharacterTable:
 
     def roots_of_unity(self) -> np.ndarray:
         """exp(2 pi i v / L) for v = 0 .. L-1."""
-        if self._roots is None:
-            self._roots = self.roots_at(np.arange(self.exponent))
         return self._roots
 
     def unit_residues(self) -> np.ndarray:
@@ -252,24 +267,13 @@ def build_character_table(q: int) -> CharacterTable:
         raise ValueError(f"modulus {q} exceeds the table bound {_MAX_MODULUS}")
     fac = factorize(q)
     components, orders, log_columns = _component_logs(fac)
-    phi = euler_phi(fac)
-
     residue_index = np.zeros(q, dtype=np.int64)
     for col, s in zip(log_columns, orders):
         residue_index = residue_index * s + col
     # Non-units by prime factor (q = 2m has no log column for 2); _certifies_logs checks this mask.
     for p, _ in fac.factors:
         residue_index[::p] = -1
-
-    return CharacterTable(
-        q=q,
-        phi=phi,
-        exponent=math.lcm(*orders) if orders else 1,
-        components=tuple(components),
-        orders=tuple(orders),
-        residue_index=residue_index,
-        conjugate_map=_negation(tuple(orders) or (1,)),
-    )
+    return CharacterTable(q, tuple(components), tuple(orders), residue_index)
 
 
 @functools.lru_cache(maxsize=16)
@@ -296,13 +300,6 @@ def is_principal(t: CharacterTable, j: int) -> bool:
     return j == t.principal_index
 
 
-def conjugate_index(t: CharacterTable, j: int) -> int:
-    """Index of the complex-conjugate character of chi_j."""
-    if not 0 <= j < t.phi:
-        raise ValueError(f"character index {j} out of range for modulus {t.q}")
-    return int(t.conjugate_map[j])
-
-
 def _negation(shape: tuple[int, ...]) -> np.ndarray:
     """Flat index of -e (mod shape) for every flat index e of the grid, in C
     order: an outer sum, axis by axis, of the negated coordinates."""
@@ -313,45 +310,48 @@ def _negation(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _certifies_logs(t: CharacterTable) -> bool:
-    """Exact O(q) certificate that the logs of t give the whole character group.
+    """Exact O(q) certificate that the stored fields of t (q, components,
+    orders, residue_index) give the whole character group.
 
     With t(n) the grid tuple at residue_index[n] and u_i the unit at the flat
-    index of the unit vector e_i, checks that residue_index >= 0 exactly on
-    the units, that the units hit every grid index once, that t(u_i n) =
-    t(n) + e_i (mod orders) for every unit n and every axis with s_i > 1,
-    and that conjugate_map is e -> -e.
+    index of the unit vector e_i, checks that the components sit on the prime
+    powers of q (2 aside) with one generator per order, and that orders are
+    their orders; that residue_index is -1 exactly off the units and hits
+    every grid index once on them; that t(u_i n) = t(n) + e_i (mod orders)
+    for every unit n and every axis; and that the generator of each axis is
+    u_i reduced mod its prime power.
 
-    The third check gives t(u^k n) = t(n) + k for every product u^k of the
-    u_i.  By the second, the tuples t(1) + k cover the grid, so every unit is
-    some u^k with t(u^k) = t(1) + k, and t(u_i) = e_i forces t(1) = 0
-    (trivially so when phi = 1).  So
-    t(mn) = t(m) + t(n): t is an isomorphism of the units onto the grid
-    group, the tuples are exactly the phi characters, and both
-    orthogonality relations hold exactly.
+    The group-law check gives t(u^k n) = t(n) + k for every product u^k of
+    the u_i.  By the second, the tuples t(1) + k cover the grid, so every
+    unit is some u^k with t(u^k) = t(1) + k, and t(u_i) = e_i forces t(1) = 0
+    (trivially so when phi = 1).  So t(mn) = t(m) + t(n): t is an isomorphism
+    of the units onto the grid group, the tuples are exactly the phi
+    characters, and both orthogonality relations hold exactly.  phi, the
+    exponent and conjugate_map are derived from orders and need no check.
     """
-    q, shape, idx = t.q, t.grid_shape, t.residue_index
-    if t.phi != math.prod(shape):
+    q, idx, factors = t.q, t.residue_index, factorize(t.q).factors
+    axes = [(c.prime_power, g) for c in t.components for g in c.generators]
+    if ([c.prime_power for c in t.components] != [p**e for p, e in factors if p**e > 2]
+            or tuple(s for c in t.components for s in c.orders) != t.orders or len(axes) != len(t.orders)):
         return False
     units = np.ones(q, dtype=bool)
-    for p, _ in factorize(q).factors:
+    for p, _ in factors:
         units[::p] = False  # the multiples of p, 0 included
-    if not np.array_equal(idx >= 0, units):  # also False on a length other than q
+    if not np.array_equal(idx >= 0, units) or idx.min() < -1:  # also False on a length other than q
         return False
     flat, unit_list = idx[units], np.flatnonzero(units)
     counts = np.bincount(flat, minlength=t.phi)
     if counts.size != t.phi or (counts != 1).any():
         return False
-    unit_at = np.empty(t.phi, dtype=np.int64)
-    unit_at[flat] = unit_list
     stride = 1
-    for s in reversed(shape):  # C order: the last axis has stride 1
-        if s > 1:
-            coord = flat // stride % s
-            step = np.where(coord == s - 1, (1 - s) * stride, stride)
-            if not np.array_equal(idx[unit_at[stride] * unit_list % q], flat + step):
-                return False
+    for s, (pk, g) in zip(reversed(t.orders), reversed(axes)):  # C order: the last axis has stride 1
+        u = int(t._units[stride])
+        coord = flat // stride % s
+        step = np.where(coord == s - 1, (1 - s) * stride, stride)
+        if u % pk != g or not np.array_equal(idx[u * unit_list % q], flat + step):
+            return False
         stride *= s
-    return np.array_equal(t.conjugate_map, _negation(shape))
+    return True
 
 
 def _period_sums(t: CharacterTable) -> np.ndarray:
@@ -365,7 +365,7 @@ def orthogonality_defect(t: CharacterTable) -> float:
 
     A certified table satisfies both orthogonality relations exactly, so the
     float defect is the transform's rounding on the unit indicator.  Reads
-    only orders, residue_index and conjugate_map; no dense matrix is formed.
+    only the table's stored fields; no dense matrix is formed.
     """
     if not _certifies_logs(t):
         return math.inf

@@ -34,7 +34,7 @@ from .arith import euler_phi, factorize, is_prime
 from .cache import ReportCache, default_cache_dir, load_table
 from .chars import orthogonality_defect, nonprincipal_period_sum_defect
 from .expsum import (Polynomial, check_difference_budget, complete_sum, lemma2_defect, lemma3_report,
-                     weighted_char_sum, weighted_char_sum_all)
+                     weighted_char_sum_all)
 from .meanval import MeanValueReport, ResidualSeries, build_report, cross_terms, residual_sweep
 from .specfun import ShiftParam
 
@@ -286,7 +286,7 @@ def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     else:
         lfun.require_nonprincipal(t, ns.j)
         indices = [ns.j]
-    values, bound = lfun.route_vector(t, a, ns.method, ns.n_terms)
+    values, bound = lfun.route_vectors(t, a, (ns.method,), ns.n_terms)[ns.method]
     for j in indices:
         v = values[j]
         print(
@@ -301,10 +301,9 @@ def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     f = ns.f
     _require(f is not None, "--f is required")
     t = load_table(p, cache)
-    if ns.j is None:
-        indices, sums = range(t.phi), weighted_char_sum_all(t, f)
-    else:  # weighted_char_sum rejects an index outside 0 .. phi-1
-        indices, sums = [ns.j], {ns.j: weighted_char_sum(t, ns.j, f)}
+    _require(ns.j is None or 0 <= ns.j < t.phi, f"character index {ns.j} out of range for modulus {t.q}")
+    sums = weighted_char_sum_all(t, f)
+    indices = range(t.phi) if ns.j is None else [ns.j]
     total = complete_sum(p, f.coefficients)
     print(f"p = {p}, f = {f}  (degree {f.degree}, sqrt(p) = {math.sqrt(p):.6f})")
     print(f"complete sum over y=1..p-1: {total.real:+.6f}{total.imag:+.6f}i  |T| = {abs(total):.6f}")

@@ -140,13 +140,6 @@ def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
     return t.sums_over_residues(terms)
 
 
-def weighted_char_sum(t: CharacterTable, j: int, f: Polynomial) -> complex:
-    """S(chi_j, f) = sum_{x=1}^{p-1} chi_j(x) e(f(x)/p): entry j of weighted_char_sum_all."""
-    if not 0 <= j < t.phi:
-        raise ValueError(f"character index {j} out of range for modulus {t.q}")
-    return complex(weighted_char_sum_all(t, f)[j])
-
-
 # (x, y) pairs summed per block of the difference sums (at least two rows).
 # On a 2-core x86-64 host 2^15 and 2^16 tie at p = 1801 .. 5003, 2^16 is
 # faster at p = 10007 and 2^15 at p = 19997, and 2^14 is slower throughout;

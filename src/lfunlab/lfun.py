@@ -265,12 +265,6 @@ def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
     return out
 
 
-def route_vector(t: CharacterTable, a: ShiftParam, method: str,
-                 n_terms: int | None = None) -> tuple[np.ndarray, float]:
-    """route_vectors for one route: (values, error_bound)."""
-    return route_vectors(t, a, (method,), n_terms)[method]
-
-
 def l1_chi(t: CharacterTable, j: int) -> complex:
     """L(1, chi_j) = -(1/q) sum_{r=1}^{q-1} chi_j(r) psi(r/q): entry j of l1_vector."""
     require_nonprincipal(t, j)
@@ -313,8 +307,8 @@ def l1_chi_a_truncated(t: CharacterTable, j: int, a, n_terms: int | None = None)
 
 
 def evaluate(t: CharacterTable, j: int, a, method: str, n_terms: int | None = None) -> ShiftedLValue:
-    """L(1, chi_j, a) by the named route: entry j of route_vector."""
+    """L(1, chi_j, a) by the named route: entry j of its route_vectors vector."""
     require_nonprincipal(t, j)
     a = ShiftParam.of(a)
-    vals, bound = route_vector(t, a, method, n_terms)
+    vals, bound = route_vectors(t, a, (method,), n_terms)[method]
     return ShiftedLValue(t.q, j, a, method, complex(vals[j]), bound)

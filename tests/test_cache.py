@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lfunlab import chars, cli
 from lfunlab.cache import (
     _LVEC_ARRAYS,
     _TABLE_ARRAYS,
@@ -171,6 +172,67 @@ def test_table_with_misplaced_logs_discarded(cache, caplog):
     assert not os.path.exists(path)
 
 
+def test_record_holds_only_the_stored_fields(cache):
+    cache.put_table(build_character_table(13))
+    meta, payload = read_record(cache._table_path(13))
+    assert set(meta) == {"version", "q", "components", "orders", "lengths", "crc32"}
+    assert meta["components"] == [[13, [2], [12]]] and meta["orders"] == [12]
+    assert meta["lengths"] == [13] and len(payload) == 8 * 13
+
+
+def _swap_logs_of_2_and_3(meta, arrays):
+    arrays["residue_index"][[2, 3]] = arrays["residue_index"][[3, 2]]
+
+
+def _to_version_3(meta, arrays):
+    # Version 3 also stored phi, the exponent and the conjugation map.
+    meta.update(version=3, phi=12, exponent=24)
+    arrays["conjugate_map"] = chars._negation((12,))
+
+
+def _lvalue_stdout(capsys, *flags):
+    assert cli.run(["lvalue", "--q", "13", "--j", "1", *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, warned", [
+    (_swap_logs_of_2_and_3, True),
+    (lambda meta, arrays: meta.update(phi=12, exponent=24), False),
+    (_to_version_3, False),
+], ids=["swapped_logs", "stored_exponent", "version_3"])
+def test_edited_table_record_never_changes_lvalue(cache, caplog, capsys, edit, warned):
+    # Each record keeps a valid checksum.  Swapping the logs of 2 and 3 keeps
+    # the units on the grid once each but breaks the group law, and is
+    # discarded; an exponent of 24 in the meta line is not read, since the
+    # exponent is derived from the orders; and a version-3 record is a
+    # silent miss.  Either way lvalue prints the uncached bytes.
+    uncached = _lvalue_stdout(capsys)
+    assert "1.30081758+0.53393692i" in uncached
+    cache.put_table(build_character_table(13))
+    edit_entry(cache._table_path(13), edit)
+    with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
+        assert _lvalue_stdout(capsys, "--cache-dir", cache.directory) == uncached
+    assert any("certificate" in r.getMessage() for r in caplog.records) == warned
+
+
+@pytest.mark.parametrize("component", [[13, [6], [12]], [1000, [2], [12]], [13, [], [12]]],
+                         ids=["generator", "prime_power", "no_generator"])
+def test_table_with_a_wrong_component_discarded(cache, caplog, component):
+    # 6 is a primitive root mod 13 too, but the stored logs are to the base 2;
+    # 2 mod 1000 is still 2, but 1000 is no prime power of 13; and an axis
+    # without a generator would go unchecked.  Each would change what
+    # `lfunlab chars` prints.
+    cache.put_table(build_character_table(13))
+    path = cache._table_path(13)
+
+    def regenerate(meta, arrays):
+        assert meta["components"] == [[13, [2], [12]]]
+        meta["components"] = [component]
+
+    edit_entry(path, regenerate)
+    _assert_discarded(path, lambda: cache.get_table(13), caplog, "certificate")
+
+
 @pytest.mark.parametrize("mark", [4, -2], ids=["log_phi", "marker_-2"])
 def test_table_with_out_of_range_log_discarded(cache, caplog, mark):
     # A log at phi or beyond, or a negative mark other than the non-unit -1.
@@ -288,7 +350,7 @@ def test_record_layout(cache, entry):
     path, get = entry(cache)
     meta, payload = read_record(path)
     assert path.endswith(".rec")
-    assert meta["version"] == CACHE_VERSION == 3
+    assert meta["version"] == CACHE_VERSION == 4
     assert len(payload) == sum(n * np.dtype(d).itemsize for n, (_, d) in zip(meta["lengths"], layout_of(path)))
     assert meta["crc32"] == _checksum(without_crc(meta), payload)
     assert get() is not None
@@ -297,9 +359,8 @@ def test_record_layout(cache, entry):
 def _same_entry(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
-    return ((a.q, a.phi, a.exponent, a.components, a.orders) == (b.q, b.phi, b.exponent, b.components, b.orders)
-            and np.array_equal(a.residue_index, b.residue_index)
-            and np.array_equal(a.conjugate_map, b.conjugate_map))
+    return ((a.q, a.components, a.orders) == (b.q, b.components, b.orders)
+            and np.array_equal(a.residue_index, b.residue_index))
 
 
 @ENTRY_KINDS
@@ -332,13 +393,13 @@ def test_every_flipped_bit_is_discarded_or_missed(cache, caplog, entry):
             assert os.path.exists(path), pos
 
 
-def test_edited_exponent_fails_the_checksum(cache, caplog):
-    # One bit turns the exponent 2 of the table mod 12 into 3.
+def test_edited_orders_fail_the_checksum(cache, caplog):
+    # One bit turns the orders (2, 2) of the table mod 12 into (3, 2).
     cache.put_table(build_character_table(12))
     path = cache._table_path(12)
     meta, payload = read_record(path)
-    assert meta["exponent"] == 2
-    meta["exponent"] = 3
+    assert meta["orders"] == [2, 2]
+    meta["orders"] = [3, 2]
     write_record(path, meta, payload)
     _assert_discarded(path, lambda: cache.get_table(12), caplog, "checksum")
 

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from lfunlab import chars
 from lfunlab.arith import discrete_log_array, euler_phi, factorize, is_prime, primitive_root
 from lfunlab.chars import (
+    GroupComponent,
     build_character_table,
     char_value,
-    conjugate_index,
     get_table,
     is_principal,
     nonprincipal_period_sum_defect,
@@ -113,8 +113,8 @@ class TestTableInvariants:
         t = get_table(q)
         E, L = dense_exponents(t), t.exponent
         for j in range(t.phi):
-            jc = conjugate_index(t, j)
-            assert conjugate_index(t, jc) == j
+            jc = t.conjugate_map[j]
+            assert t.conjugate_map[jc] == j
             for n in range(q):
                 if E[j, n] == -1:
                     assert E[jc, n] == -1
@@ -147,7 +147,7 @@ def test_value_multiplicativity_floating(q, n, m):
 def test_conjugate_values(q, n):
     t = get_table(q)
     for j in range(t.phi):
-        gap = char_value(t, conjugate_index(t, j), n) - char_value(t, j, n).conjugate()
+        gap = char_value(t, int(t.conjugate_map[j]), n) - char_value(t, j, n).conjugate()
         assert abs(gap) < 1e-12
 
 
@@ -158,6 +158,15 @@ def test_deterministic_construction():
     assert np.array_equal(dense_exponents(a), dense_exponents(b))
     assert np.array_equal(a.conjugate_map, b.conjugate_map)
     assert a.components == b.components
+
+
+def test_table_stores_only_its_logs():
+    # phi, the exponent and the conjugation map are derived from the orders.
+    assert [f.name for f in dataclasses.fields(chars.CharacterTable)] == ["q", "components", "orders",
+                                                                         "residue_index"]
+    assert all(f.init for f in dataclasses.fields(chars.CharacterTable))
+    t = build_character_table(720)  # 16 * 9 * 5: orders (2, 4, 6, 4)
+    assert (t.orders, t.phi, t.exponent) == ((2, 4, 6, 4), euler_phi(factorize(720)), 12)
 
 
 def test_rejects_out_of_range():
@@ -233,7 +242,7 @@ def test_transform_keeps_only_the_twiddles_it_reads(q):
     # the h twiddles, equal bit for bit to the first h roots of unity.
     t = build_character_table(q)
     t.sums_over_residues(np.ones(q))
-    assert t._roots is None
+    assert "_roots" not in vars(t)
     assert np.array_equal(t._twiddles, t.roots_of_unity()[: t.phi // 2])
 
 
@@ -258,8 +267,8 @@ def test_batched_sums_equal_the_row_by_row_calls(q, kind):
 @pytest.mark.parametrize("q", [3, 101, 1033, 24, 2**10, 2310])
 def test_unit_order_is_built_once_and_inverts_the_logs(q):
     t = build_character_table(q)
-    order = t._unit_order()
-    assert t._unit_order() is order
+    order = t._units
+    assert t._units is order
     assert np.array_equal(t.residue_index[order], np.arange(t.phi))
     if is_prime(q):  # on a cyclic group the unit at log l is g^l
         g = primitive_root(q)
@@ -364,30 +373,27 @@ class TestGroupLawCertificate:
     @pytest.mark.parametrize("q", [15, 16])
     def test_unit_pairing_weights(self, q):
         # orders (4, 2) read the same logs on the transposed grid: the pairing
-        # weights L / s_i become (1, 2) instead of (2, 1).  conjugate_map is
-        # the negation on that grid, so only the group law can fail.
+        # weights L / s_i become (1, 2) instead of (2, 1).  The components
+        # carry those orders and the units the transposed grid puts at its
+        # unit vectors as generators, so only the group law can fail.
         t = build_character_table(q)
         assert t.orders == (2, 4)
-        broken = dataclasses.replace(t, orders=(4, 2), conjugate_map=chars._negation((4, 2)))
+        components = {15: (GroupComponent(3, (1,), (4,)), GroupComponent(5, (2,), (2,))),
+                      16: (GroupComponent(16, (9, 5), (4, 2)),)}[q]
+        broken = dataclasses.replace(t, components=components, orders=(4, 2))
         assert orthogonality_defect(broken) == math.inf
 
     @pytest.mark.parametrize("q, j, n", [(13, 5, 7), (13, 1, 2), (13, 0, 7), (16, 3, 3), (15, 6, 2)])
     def test_one_exponent_off_by_one(self, q, j, n):
-        # The conjugate of chi_j one grid index off, or the log tuple of the
-        # unit n one step off along the last axis.
+        # The log tuple of the unit n, or of the unit at grid index j, one
+        # step off along the last axis.
         assert math.gcd(n, q) == 1
-
-        def bump_conjugate(t, conjugate_map):
-            conjugate_map[j] = (conjugate_map[j] + 1) % t.phi
-            return conjugate_map
-
-        def bump_log(t, residue_index):
-            s = t.orders[-1]
-            residue_index[n] += (residue_index[n] + 1) % s - residue_index[n] % s
-            return residue_index
-
-        assert orthogonality_defect(_with_logs(q, conjugate_map=bump_conjugate)) == math.inf
-        assert orthogonality_defect(_with_logs(q, residue_index=bump_log)) == math.inf
+        t = build_character_table(q)
+        s = t.orders[-1]
+        for m in (n, int(t._units[j])):
+            residue_index = t.residue_index.copy()
+            residue_index[m] += (residue_index[m] + 1) % s - residue_index[m] % s
+            assert orthogonality_defect(dataclasses.replace(t, residue_index=residue_index)) == math.inf
 
     @pytest.mark.parametrize("q, n", [(13, 0), (15, 0), (15, 3), (15, 5), (16, 0), (16, 2)])
     def test_non_unit_marked_as_unit(self, q, n):

@@ -121,7 +121,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("q", [15, 16])
     @pytest.mark.parametrize("field, edit", [
         ("residue_index", lambda t, a: np.where(np.arange(t.q) == 0, 0, a)),  # a non-unit marked
-        ("conjugate_map", lambda t, a: np.where(np.arange(t.phi) == 3, a + 1, a)),
         ("residue_index", lambda t, a: np.where(a >= 0, a // 4 * 4 + (a // 4 + a % 4) % 4, a)),  # (e0, e0 + e1)
         ("orders", lambda t, a: a[::-1]),
     ])

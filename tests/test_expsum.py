@@ -28,7 +28,6 @@ from lfunlab.expsum import (
     lemma2_defect,
     lemma3_report,
     sample_polynomial,
-    weighted_char_sum,
     weighted_char_sum_all,
 )
 
@@ -327,33 +326,32 @@ class TestWeightedCharSum:
     def test_gauss_sum_modulus(self):
         t = get_table(5)
         f = Polynomial((0, 1))
+        sums = weighted_char_sum_all(t, f)
         for j in range(t.phi):
             if j == t.principal_index:
                 continue
-            assert abs(abs(weighted_char_sum(t, j, f)) - math.sqrt(5)) < 1e-9
+            assert abs(abs(sums[j]) - math.sqrt(5)) < 1e-9
 
     def test_principal_zero_polynomial(self):
         t = get_table(7)
-        assert abs(weighted_char_sum(t, t.principal_index, Polynomial((0, 0))) - 6) < 1e-12
+        assert abs(weighted_char_sum_all(t, Polynomial((0, 0)))[t.principal_index] - 6) < 1e-12
 
     def test_cubic_weil_bound(self):
         t = get_table(7)
         f = Polynomial((0, 1, 0, 1))  # x^3 + x
-        for j in range(t.phi):
-            assert abs(weighted_char_sum(t, j, f)) <= 3 * math.sqrt(7) + 1
+        assert np.abs(weighted_char_sum_all(t, f)).max() <= 3 * math.sqrt(7) + 1
 
-    def test_vector_matches_scalar_and_oracle(self):
+    def test_vector_matches_the_definition_sums(self):
         t = get_table(11)
         f = Polynomial((3, 1, 4, 1, 5))
         sums = weighted_char_sum_all(t, f)
         for j in range(t.phi):
-            assert abs(sums[j] - weighted_char_sum(t, j, f)) < 1e-12
             assert abs(sums[j] - brute_weighted_sum(t, j, f)) < 1e-10
 
     def test_rejects_composite_modulus_table(self):
         t = get_table(12)
         with pytest.raises(ValueError):
-            weighted_char_sum(t, 1, Polynomial((0, 1)))
+            weighted_char_sum_all(t, Polynomial((0, 1)))
 
 
 class TestLemma2Defect:
@@ -367,7 +365,7 @@ class TestLemma2Defect:
         t = get_table(7)
         f = Polynomial((3, 0))
         assert lemma2_defect(t, f) < 1e-8
-        s0 = weighted_char_sum(t, t.principal_index, f)
+        s0 = weighted_char_sum_all(t, f)[t.principal_index]
         assert abs(abs(s0) ** 2 - 36) < 1e-10
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])

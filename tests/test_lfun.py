@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lfunlab import lfun, meanval
-from lfunlab.chars import conjugate_index, get_table
+from lfunlab.chars import get_table
 from lfunlab.expsum import Polynomial
 from lfunlab.specfun import ShiftParam, hurwitz_zeta
 
@@ -54,7 +54,7 @@ class TestAnchors:
     def test_conjugate_pair_q5(self):
         t = get_table(5)
         for j in range(1, 4):
-            jc = conjugate_index(t, j)
+            jc = t.conjugate_map[j]
             assert abs(lfun.l1_chi(t, j).conjugate() - lfun.l1_chi(t, jc)) < 1e-12
 
 
@@ -99,7 +99,7 @@ def test_conjugation_commutes_with_shift(q, a_str):
     for j in range(t.phi):
         if j == t.principal_index:
             continue
-        jc = conjugate_index(t, j)
+        jc = t.conjugate_map[j]
         lhs = lfun.l1_chi_a(t, jc, a, "closed_direct").value
         assert abs(lhs - lfun.l1_chi_a(t, j, a, "closed_direct").value.conjugate()) < 1e-12
 
@@ -341,7 +341,7 @@ class TestPsiGridWork:
     def test_route_vectors_one_call_of_each_kind(self, q, a, rows, monkeypatch):
         t = get_table(q)
         a = ShiftParam.of(a)
-        expected = {m: lfun.route_vector(t, a, m) for m in ("closed_direct", "closed_lemma1")}
+        expected = {m: lfun.route_vectors(t, a, (m,))[m] for m in ("closed_direct", "closed_lemma1")}
         sizes = self._record_grid_sizes(monkeypatch)
         fft_calls = self._record_fft_calls(monkeypatch)
         got = lfun.route_vectors(t, a, ("closed_direct", "closed_lemma1"))
