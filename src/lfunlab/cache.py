@@ -19,12 +19,14 @@ alone.  A record whose checksum fails, a payload whose declared lengths do
 not cover it exactly, a table that fails the certificate, or an entry that
 cannot be decoded, is deleted with a warning and recomputed by the caller.
 
-The mean-value statistics store L-vector records only and never touch a
-stored table: building a table costs about as much as reading and checking
-a stored one, so they take it from the in-process memo (chars.get_table).
-load_table serves the table commands (chars, lvalue and the verify targets
-that read a table), which store and read tables.  A ReportCache
-handle holds only its directory: every load reads the record again.
+Nothing in the package stores or reads a table record: building a table
+costs less than reading and certifying a stored one, and the certificate
+proves a stored table consistent, not equal to the built one (logs to
+another primitive root pass it and renumber the characters).  Every command
+takes its table from the in-process memo (chars.get_table); the mean-value
+statistics store and read L-vector records only.  put_table and get_table
+remain as library API.  A ReportCache handle holds only its directory:
+every load reads the record again.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import CharacterTable, GroupComponent, _certifies_logs, get_table
+from .chars import CharacterTable, GroupComponent, _certifies_logs
 
 log = logging.getLogger("lfunlab")
 
@@ -213,14 +215,3 @@ class ReportCache:
                 pass
         return removed
 
-
-def load_table(q: int, cache: ReportCache | None) -> CharacterTable:
-    """The character table mod q: read from the cache when it holds one,
-    else built (through the in-process memo) and stored."""
-    if cache is None:
-        return get_table(q)
-    t = cache.get_table(q)
-    if t is None:
-        t = get_table(q)
-        cache.put_table(t)
-    return t

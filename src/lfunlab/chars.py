@@ -48,9 +48,10 @@ import numpy as np
 
 from .arith import Factorization, discrete_log_array, factorize, powers_mod, primitive_root
 
-# Measured on a 2-core x86-64 host: at q = 99991 a table builds in 0.02 s
-# and holds 1.5 MB, and `lfunlab sweep --target thm1` runs in 0.2 s with a
-# 50 MB peak RSS.  Larger moduli are untested.
+# Measured on a 2-core x86-64 host: at q = 99991 a table builds in 1.5 ms
+# (best of 30) and holds 3.2 MB with the unit order, twiddles and conjugation
+# map it keeps, and `lfunlab sweep --target thm1` runs in 0.3 s with a 57 MB
+# peak RSS.  Larger moduli are untested.
 _MAX_MODULUS = 10**5
 
 _DENSE_ORACLE_BYTES = 2**30
@@ -276,10 +277,12 @@ def build_character_table(q: int) -> CharacterTable:
     return CharacterTable(q, tuple(components), tuple(orders), residue_index)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def get_table(q: int) -> CharacterTable:
-    """Memoized build_character_table; sweeps touching one modulus at a time
-    keep at most a handful of tables alive."""
+    """Memoized build_character_table, holding the last table built: every
+    command reads one modulus at a time (sweeps go modulus by modulus, and a
+    report or verify target re-reads the same q), so one table keeps every
+    hit and more would only hold memory."""
     return build_character_table(q)
 
 

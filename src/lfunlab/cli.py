@@ -31,11 +31,11 @@ import numpy as np
 
 from . import lfun, meanval
 from .arith import euler_phi, factorize, is_prime
-from .cache import ReportCache, default_cache_dir, load_table
-from .chars import orthogonality_defect, nonprincipal_period_sum_defect
+from .cache import ReportCache, default_cache_dir
+from .chars import get_table, nonprincipal_period_sum_defect, orthogonality_defect
 from .expsum import (Polynomial, check_difference_budget, complete_sum, lemma2_defect, lemma3_report,
                      weighted_char_sum_all)
-from .meanval import MeanValueReport, ResidualSeries, build_report, cross_terms, residual_sweep
+from .meanval import MeanValueReport, ResidualSeries, cross_terms, residual_sweep
 from .specfun import ShiftParam
 
 CSV_COLUMNS = (
@@ -250,7 +250,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
-    t = load_table(ns.q, cache)
+    t = get_table(ns.q)
     phi = t.phi
     print(f"modulus q = {t.q}: phi(q) = {phi}, character group exponent = {t.exponent}")
     for c in t.components:
@@ -276,7 +276,7 @@ def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
 
 def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
-    t = load_table(ns.q, cache)
+    t = get_table(ns.q)
     _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
     a = ns.a
     if 0 < a.numerator < a.denominator:
@@ -300,7 +300,7 @@ def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     p = ns.q
     f = ns.f
     _require(f is not None, "--f is required")
-    t = load_table(p, cache)
+    t = get_table(p)
     _require(ns.j is None or 0 <= ns.j < t.phi, f"character index {ns.j} out of range for modulus {t.q}")
     sums = weighted_char_sum_all(t, f)
     indices = range(t.phi) if ns.j is None else [ns.j]
@@ -318,7 +318,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     target = ns.target
     if target == "orthogonality":
         _require(ns.q is not None, "--q is required")
-        t = load_table(ns.q, cache)
+        t = get_table(ns.q)
         defect = orthogonality_defect(t)
         tol = 1e-9 * t.phi
         print(f"orthogonality defect for q={ns.q}: {defect:.3e} (tolerance {tol:.3e})")
@@ -326,7 +326,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
     if target == "lemma1":
         _require(ns.q is not None, "--q is required")
-        t = load_table(ns.q, cache)
+        t = get_table(ns.q)
         _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
         a = ns.a
         # Every route leaves the principal slot 0, so it adds nothing to either maximum.
@@ -345,7 +345,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     if target == "lemma2":
         _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         check_difference_budget(ns.q)
-        t = load_table(ns.q, cache)
+        t = get_table(ns.q)
         defect = lemma2_defect(t, ns.f)
         tol = 1e-7 * ns.q
         print(f"difference-sum identity defect for p={ns.q}, f={ns.f}: {defect:.3e} (tolerance {tol:.3e})")

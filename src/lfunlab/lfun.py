@@ -23,20 +23,23 @@ to N.  The terms are completely monotone, so each weight's remainder is at
 most the first omitted term |B_12|/(12q) (24 + beta)^-12 (DLMF 2.10(i)); the
 route's bound is 2q/(N+1) plus q times that (at most 5.8e-19).
 
-The closed routes share the digamma backend but assemble different
-expressions; the truncated route shares nothing with them and anchors the
-tolerance chain.  Caveat: digamma's asymptotic series is the same
-Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart because
-this code is separate (its own Bernoulli constants, nothing imported from
-specfun) and applies the expansion only at k + beta >= 24 after 24 q direct
-terms, while digamma shifts its argument to x >= 10, uses B_2 .. B_14 and no
-direct terms.  route_vectors evaluates every psi grid the closed routes it
-is asked for need in one digamma call, and transforms each distinct grid
-once, in one batched call; it keeps nothing.  A batched row is bit-identical
-to a call of its own, so the sharing changes no number: route_agreement
-still compares closed_direct's transform of psi((r + a)/q) with
-closed_lemma1's L(1, chi) - a * tail, whose pieces are transformed as rows
-of their own.  At a = 0 both routes read the one row of psi(r/q).
+The closed routes share the digamma backend and compute the same
+expression: closed_lemma1's -T(psi_0)/q - a T(psi_a - psi_0)/(a q) is
+closed_direct's -T(psi_a)/q, with T the character transform and psi_a the
+grid psi((r + a)/q), so their gap measures transform rounding only.  The
+truncated route shares nothing with them and anchors the tolerance
+chain.  Caveat: digamma's asymptotic series is the same Euler-Maclaurin
+expansion of sum 1/(k + x).  The routes stay apart because this code is
+separate (its own Bernoulli constants, nothing imported from specfun) and
+applies the expansion only at k + beta >= 24 after 24 q direct terms, while
+digamma shifts its argument to x >= 10, uses B_2 .. B_14 and no direct
+terms.  route_vectors evaluates every psi grid the closed routes it is asked
+for need in one digamma call, and transforms each distinct grid once, in
+one batched call; it keeps nothing.  A batched row is bit-identical to a
+call of its own, so the sharing changes no number: route_agreement still
+compares closed_direct's transform of psi((r + a)/q) with closed_lemma1's
+L(1, chi) - a * tail, whose pieces are transformed as rows of their own.  At
+a = 0 both routes read the one row of psi(r/q).
 
 Each route is computed for all characters at once (l1a_vector,
 truncated_vector, dispatched by route_vectors): the residue weights are one

@@ -67,55 +67,38 @@ def make_query(target: str, q: int, a, k: int | None = None, f: Polynomial | Non
     return query
 
 
-def _check_modulus(q) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 3:
-        raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
-
-
-def _check_weight(k, q: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
-    if math.gcd(k, q) != 1:
-        raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
-
-
-def _check_shift_at_least_one(a: ShiftParam) -> None:
-    if a.numerator < a.denominator:
-        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
-
-
-def _check_prime_modulus(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"thm2 modulus must be prime, got {p}")
-
-
 def validate_query(query: MeanValueQuery) -> None:
+    """Raise ValueError unless the query lies in its target's range."""
     if query.target not in TARGETS:
         raise ValueError(f"unknown target {query.target!r}; expected one of {TARGETS}")
-    _check_modulus(query.q)
+    q, a = query.q, query.a
+    if not isinstance(q, int) or isinstance(q, bool) or q < 3:
+        raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
     if query.method not in lfun.METHODS:
         raise ValueError(f"unknown method {query.method!r}; expected one of {lfun.METHODS}")
-    a = query.a
     if query.target == "lemma4":
         if not a.is_integer or a.numerator < 2:
             raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
-        if math.gcd(a.numerator, query.q) != 1:
-            raise ValueError(f"lemma4 weight a={a} must be coprime to q={query.q}")
+        if math.gcd(a.numerator, q) != 1:
+            raise ValueError(f"lemma4 weight a={a} must be coprime to q={q}")
         return
-    _check_shift_at_least_one(a)
-    if query.target == "eq1":
-        return
+    if a.numerator < a.denominator:
+        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
     if query.target == "thm1":
-        _check_weight(query.k, query.q)
-        return
-    # thm2
-    _check_prime_modulus(query.q)
-    if query.f is None:
-        raise ValueError("thm2 requires a polynomial")
-    if not query.f.coprime_to(query.q):
-        raise ValueError(f"p={query.q} divides every coefficient of {query.f}")
-    if a.is_integer and math.gcd(a.numerator, query.q) != 1:
-        raise ValueError(f"integer shift a={a} must be coprime to p={query.q}")
+        k = query.k
+        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+            raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
+        if math.gcd(k, q) != 1:
+            raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
+    elif query.target == "thm2":
+        if not is_prime(q):
+            raise ValueError(f"thm2 modulus must be prime, got {q}")
+        if query.f is None:
+            raise ValueError("thm2 requires a polynomial")
+        if not query.f.coprime_to(q):
+            raise ValueError(f"p={q} divides every coefficient of {query.f}")
+        if a.is_integer and math.gcd(a.numerator, q) != 1:
+            raise ValueError(f"integer shift a={a} must be coprime to p={q}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +179,8 @@ def _divisor_zetas(fac: Factorization, a: ShiftParam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # lemma4: sum chi(a) |L(1, chi)|^2
 
-def lemma4_lhs(q: int, a, method: str = "closed_direct",
-               cache: ReportCache | None = None) -> complex:
-    return _lhs(make_query("lemma4", q, a, method=method), cache)
-
-
-def lemma4_main(q: int, a) -> float:
-    a = make_query("lemma4", q, a).a
-    return _lemma4_main(factorize(q), a)
-
-
 def _lemma4_main(fac: Factorization, a: ShiftParam) -> float:
+    """(phi(q)/a) zeta(2) prod_{p|q} (1 - p^-2)."""
     return euler_phi(fac) / a.numerator * _ZETA2 * _sieve_factor(fac)
 
 
@@ -218,13 +192,9 @@ class Eq1Main(NamedTuple):
     first_term_only: float
 
 
-def eq1_lhs(q: int, a, method: str = "closed_direct",
-            cache: ReportCache | None = None) -> float:
-    return _lhs(make_query("eq1", q, a, method=method), cache).real
-
-
-def eq1_main(q: int, a) -> Eq1Main:
-    """Published main term and its first-term-only variant.
+def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
+    """Published main term and its first-term-only variant, from q's
+    factorization and zetas = _divisor_zetas(fac, a).
 
     full  = phi(q) sum_{d|q} mu(d)/d^2 zeta(2, a/d)
             - (4 phi(q)/a) sum_{d|q} mu(d)/d H_[a/d]
@@ -233,13 +203,6 @@ def eq1_main(q: int, a) -> Eq1Main:
     term alone is exactly the diagonal prediction, since
     sum_{d|q} mu(d) = 0 cancels the n = 0 boundary of the Hurwitz zetas.
     """
-    a = make_query("eq1", q, a).a
-    fac = factorize(q)
-    return _eq1_main(fac, a, _divisor_zetas(fac, a))
-
-
-def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
-    """eq1_main from q's factorization and _divisor_zetas(fac, a)."""
     phi = euler_phi(fac)
     terms = _mobius_divisor_terms(fac)
     zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
@@ -257,17 +220,12 @@ def thm1_lhs(q: int, k: int, a, method: str = "closed_direct",
     return _lhs(make_query("thm1", q, a, k=k, method=method), cache)
 
 
-def thm1_main(q: int, k: int, a) -> float:
+def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     """(phi(q)/(a (k-1))) sum_{d|q} mu(d)/d sum_{l=[a/(kd)]+1}^{[a/d]} 1/l.
 
     Inner blocks with an empty l-range contribute exactly 0.  The weight k
     enters as the written integer; only character evaluation reduces it mod q.
     """
-    a = make_query("thm1", q, a, k=k).a
-    return _thm1_main(factorize(q), k, a)
-
-
-def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     phi = euler_phi(fac)
     total = 0.0
     for d, mu in _mobius_divisor_terms(fac):
@@ -278,33 +236,21 @@ def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     return phi / (a.real_value * (k - 1)) * total
 
 
-def thm1_diagonal_oracle(q: int, k: int, a) -> float:
-    """phi(q) sum_{n >= 1, gcd(n,q)=1} 1/((n+a)(kn+a)), in closed form.
+def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
+    """phi(q) sum_{n >= 1, gcd(n,q)=1} 1/((n+a)(kn+a)), in closed form (a >= 1).
 
     This is the m = kn exact-equality class of the orthogonality expansion of
-    thm1_lhs: an independent prediction of the dominant contribution.  The
-    Mobius sieve turns each class into sums of 1/((dm+a)(kdm+a)) whose
-    partial fractions telescope to digamma differences:
+    the thm1 statistic: an independent prediction of the dominant
+    contribution.  The Mobius sieve turns each class into sums of
+    1/((dm+a)(kdm+a)) whose partial fractions telescope to digamma
+    differences:
 
         sum_m 1/((dm+a)(kdm+a)) = [psi(1 + a/d) - psi(1 + a/(kd))]/(a (k-1) d).
-
-    At a = 0 the partial fractions collapse and the value is
-    (phi(q)/k) zeta(2) prod_{p|q}(1 - p^-2).
     """
-    _check_modulus(q)
-    _check_weight(k, q)
-    a = ShiftParam.of(a)
-    return _thm1_diagonal_oracle(factorize(q), k, a)
-
-
-def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
-    phi = euler_phi(fac)
-    if a.is_zero:
-        return phi / k * _ZETA2 * _sieve_factor(fac)
     terms = _mobius_divisor_terms(fac)
     psi = digamma(np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in terms]))
     total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(terms, psi)))
-    return phi / (a.real_value * (k - 1)) * total
+    return euler_phi(fac) / (a.real_value * (k - 1)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +294,10 @@ def thm2_sides(p: int, f: Polynomial, a, cache: ReportCache | None = None) -> tu
     return direct, _decomposed(get_table(p), f, w)
 
 
-def thm2_main(p: int, a, k_deg: int) -> float:
-    """p^2 sum_{d|p} mu(d)/d^2 zeta(2, a/d) - (4 p^2/a) sum_{d|p} mu(d)/d H_[a/d],
-    with d running over {1, p}."""
-    if not isinstance(k_deg, int) or isinstance(k_deg, bool) or k_deg < 1:
-        raise ValueError(f"polynomial degree must be an integer >= 1, got {k_deg!r}")
-    _check_prime_modulus(p)
-    a = ShiftParam.of(a)
-    _check_shift_at_least_one(a)
-    return _thm2_main(p, a, _divisor_zetas(Factorization(p, ((p, 1),)), a))
-
-
 def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
-    """thm2_main from zetas = zeta(2, [a, a/p]), the _divisor_zetas of p."""
+    """p^2 sum_{d|p} mu(d)/d^2 zeta(2, a/d) - (4 p^2/a) sum_{d|p} mu(d)/d H_[a/d],
+    with d running over {1, p}, from zetas = zeta(2, [a, a/p]), the
+    _divisor_zetas of p."""
     p2 = float(p * p)
     zeta_a, zeta_ap = zetas
     zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
@@ -447,22 +384,15 @@ class MeanValueReport:
     flags: tuple[str, ...]
 
 
-def normalization(target: str, q: int, k_deg: int | None = None) -> float:
-    """The error-term scale each residual is measured against."""
-    return _normalization(target, factorize(q), k_deg)
-
-
 def _normalization(target: str, fac: Factorization, k_deg: int | None) -> float:
+    """The error-term scale each residual is measured against, for a valid
+    query mod q = fac.n; k_deg is the thm2 polynomial's degree."""
     q = fac.n
-    if target in ("thm1", "eq1"):
-        return euler_phi(fac) * math.log(q) / math.sqrt(q)
     if target == "lemma4":
         return math.log(q) ** 2
     if target == "thm2":
-        if not k_deg:
-            raise ValueError("thm2 normalization needs the polynomial degree")
         return float(q) ** (2.0 - 1.0 / k_deg)
-    raise ValueError(f"unknown target {target!r}")
+    return euler_phi(fac) * math.log(q) / math.sqrt(q)  # eq1 and thm1
 
 
 def _route_statistics(query: MeanValueQuery, methods: Sequence[str], cache: ReportCache | None,

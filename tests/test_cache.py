@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lfunlab import chars, cli
+from lfunlab.arith import discrete_log_array
 from lfunlab.cache import (
     _LVEC_ARRAYS,
     _TABLE_ARRAYS,
@@ -195,24 +196,47 @@ def _lvalue_stdout(capsys, *flags):
     return capsys.readouterr().out
 
 
+def _stored_exponent(meta, arrays):
+    meta.update(phi=12, exponent=24)
+
+
 @pytest.mark.parametrize("edit, warned", [
     (_swap_logs_of_2_and_3, True),
-    (lambda meta, arrays: meta.update(phi=12, exponent=24), False),
+    (_stored_exponent, False),
     (_to_version_3, False),
 ], ids=["swapped_logs", "stored_exponent", "version_3"])
 def test_edited_table_record_never_changes_lvalue(cache, caplog, capsys, edit, warned):
-    # Each record keeps a valid checksum.  Swapping the logs of 2 and 3 keeps
-    # the units on the grid once each but breaks the group law, and is
-    # discarded; an exponent of 24 in the meta line is not read, since the
-    # exponent is derived from the orders; and a version-3 record is a
-    # silent miss.  Either way lvalue prints the uncached bytes.
+    # Each record keeps a valid checksum.  lvalue reads no stored table, so
+    # it prints the uncached bytes.  Read through the library, swapping the
+    # logs of 2 and 3 keeps the units on the grid once each but breaks the
+    # group law, and is discarded; an exponent of 24 in the meta line is not
+    # read, since the exponent is derived from the orders; and a version-3
+    # record is a silent miss.
     uncached = _lvalue_stdout(capsys)
     assert "1.30081758+0.53393692i" in uncached
     cache.put_table(build_character_table(13))
-    edit_entry(cache._table_path(13), edit)
+    path = cache._table_path(13)
+    edit_entry(path, edit)
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
         assert _lvalue_stdout(capsys, "--cache-dir", cache.directory) == uncached
+        assert not caplog.records
+        back = cache.get_table(13)
     assert any("certificate" in r.getMessage() for r in caplog.records) == warned
+    assert (back is None) == (edit is not _stored_exponent)
+    assert os.path.exists(path) != warned
+
+
+def test_table_on_another_root_never_changes_lvalue(cache, capsys):
+    # Logs to the primitive root 6 instead of 2, with 6 as the generator,
+    # pass the certificate and number the characters differently; lvalue
+    # builds its table and never reads the record.
+    uncached = _lvalue_stdout(capsys)
+    assert "1.30081758+0.53393692i" in uncached
+    planted = chars.CharacterTable(13, (chars.GroupComponent(13, (6,), (12,)),), (12,),
+                                   discrete_log_array(13, 6))
+    assert chars._certifies_logs(planted)
+    cache.put_table(planted)
+    assert _lvalue_stdout(capsys, "--cache-dir", cache.directory) == uncached
 
 
 @pytest.mark.parametrize("component", [[13, [6], [12]], [1000, [2], [12]], [13, [], [12]]],

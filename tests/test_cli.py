@@ -114,7 +114,7 @@ class TestExitCodes:
         residue_index = t.residue_index.copy()
         residue_index[[2, 4]] = residue_index[[4, 2]]  # 2 and 4 = 2^2 swap their logs
         broken = dataclasses.replace(t, residue_index=residue_index)
-        monkeypatch.setattr(cli, "load_table", lambda q, cache: broken)
+        monkeypatch.setattr(cli, "get_table", lambda q: broken)
         assert run_cli("verify", "--target", "orthogonality", "--q", "13") == 1
         assert "defect for q=13: inf" in capsys.readouterr().out
 
@@ -128,7 +128,7 @@ class TestExitCodes:
         t = chars.build_character_table(q)
         assert t.orders == (2, 4)
         broken = dataclasses.replace(t, **{field: edit(t, getattr(t, field))})
-        monkeypatch.setattr(cli, "load_table", lambda q, cache: broken)
+        monkeypatch.setattr(cli, "get_table", lambda q: broken)
         assert run_cli("verify", "--target", "orthogonality", "--q", str(q)) == 1
         assert f"defect for q={q}: inf" in capsys.readouterr().out
 
@@ -288,7 +288,8 @@ class TestReportSchema:
         lhs_re = row[5]
         mantissa = lhs_re.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 15
-        assert float(lhs_re) == pytest.approx(meanval.eq1_lhs(5, ShiftParam.of(1)), rel=1e-14)
+        lhs = meanval.build_report(meanval.make_query("eq1", 5, ShiftParam.of(1))).lhs
+        assert float(lhs_re) == pytest.approx(lhs.real, rel=1e-14)
 
     def test_csv_k_and_oracle_cells(self, tmp_path):
         out_path = tmp_path / "r.csv"
@@ -401,11 +402,12 @@ class TestDeterminismAndCache:
 
     def test_cache_subcommand_reports_and_clears(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        run_cli("chars", "--q", "35", "--cache-dir", cache_dir)
+        run_cli("chars", "--q", "35", "--cache-dir", cache_dir)  # stores no table
+        run_cli("sweep", "--target", "eq1", "--moduli", "35", "--a", "1", "--cache-dir", cache_dir)
         capsys.readouterr()
         assert run_cli("cache", "--cache-dir", cache_dir) == 0
         out = capsys.readouterr().out
-        assert "1 character tables" in out
+        assert "entries: 0 character tables, 1 L-vector records" in out
         assert run_cli("cache", "--cache-dir", cache_dir, "--clear") == 0
         out = capsys.readouterr().out
         assert "cleared 1" in out
@@ -417,18 +419,23 @@ class TestDeterminismAndCache:
         ("verify", "--target", "lemma1", "--q", "7"),
         ("verify", "--target", "lemma2", "--p", "7", "--f", "0,1"),
     ])
-    def test_cache_dir_serves_the_table(self, argv, tmp_path, monkeypatch, capsys):
+    def test_cache_dir_neither_stores_nor_reads_a_table(self, argv, tmp_path, monkeypatch, capsys):
+        # The table commands build their table whatever --cache-dir holds.
+        assert run_cli(*argv) == 0
+        plain = capsys.readouterr().out
         cache_dir = tmp_path / "cache"
         assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
-        assert (cache_dir / "table_q7.rec").exists()
+        assert capsys.readouterr().out == plain
+        assert not cache_dir.exists()
+        ReportCache(str(cache_dir)).put_table(chars.build_character_table(7))
         get_table.cache_clear()
-
-        def no_build(q):
-            raise AssertionError(f"table mod {q} rebuilt despite the cache")
-
-        monkeypatch.setattr(chars, "build_character_table", no_build)
+        built = []
+        build = chars.build_character_table
+        monkeypatch.setattr(chars, "build_character_table", lambda q: built.append(q) or build(q))
         assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == plain
+        assert built == [7]
+        get_table.cache_clear()
 
     def test_warm_sweep_evaluates_no_digamma(self, tmp_path, monkeypatch):
         # thm1 reads the chi(k) column, so the warm pass builds its tables
@@ -489,10 +496,11 @@ class TestDeterminismAndCache:
 
     def test_single_route_callers_share_the_report_record(self, tmp_path, monkeypatch):
         cache = ReportCache(str(tmp_path / "cache"))
+        lemma4_query = meanval.make_query("lemma4", 97, 2)
         expected = meanval.thm1_lhs(97, 3, "5/2")
-        lemma4 = meanval.lemma4_lhs(97, 2)
+        lemma4 = meanval.build_report(lemma4_query).lhs
         meanval.build_report(meanval.make_query("eq1", 97, "5/2"), cache)
-        meanval.build_report(meanval.make_query("lemma4", 97, 2), cache)
+        meanval.build_report(lemma4_query, cache)
         written = {p.name: p.read_bytes() for p in Path(cache.directory).iterdir()}
         assert set(written) == {"lvec_q97_a5_2.rec", "lvec_q97_a0_1.rec"}
 
@@ -501,8 +509,10 @@ class TestDeterminismAndCache:
 
         monkeypatch.setattr(lfun, "route_vectors", no_routes)
         assert meanval.thm1_lhs(97, 3, "5/2", cache=cache) == expected
-        assert meanval.eq1_lhs(97, "5/2", method="closed_lemma1", cache=cache) > 0
-        assert meanval.lemma4_lhs(97, 2, cache=cache) == lemma4
+        assert meanval.thm1_lhs(97, 3, "5/2", method="closed_lemma1", cache=cache) == pytest.approx(expected)
+        eq1 = meanval.build_report(meanval.make_query("eq1", 97, "5/2", method="closed_lemma1"), cache)
+        assert eq1.lhs.real > 0
+        assert meanval.build_report(lemma4_query, cache).lhs == lemma4
         meanval.cross_terms(97, 3, "5/2", cache)  # its shift-0 L-vector is lemma4's record
         assert {p.name: p.read_bytes() for p in Path(cache.directory).iterdir()} == written
 
@@ -538,7 +548,7 @@ class TestDeterminismAndCache:
         # A single-route caller also computes and stores both routes on a miss.
         record.unlink()
         calls.clear()
-        meanval.eq1_lhs(97, "3/2", method="closed_lemma1", cache=ReportCache(str(cache_dir)))
+        meanval.thm1_lhs(97, 2, "3/2", method="closed_lemma1", cache=ReportCache(str(cache_dir)))
         assert calls == [["closed_direct", "closed_lemma1"]]
         assert record.read_bytes() == stored
 

@@ -30,6 +30,12 @@ def nonprincipal(t):
     return [j for j in range(t.phi) if j != t.principal_index]
 
 
+def report(target, q, a, **kwargs):
+    """The report of one query: make_query -> build_report is the one public
+    path to lhs, paper_main and oracle_main."""
+    return meanval.build_report(meanval.make_query(target, q, a, **kwargs))
+
+
 def mobius_divisor_loop(q):
     """(d, mu(d)) over the squarefree divisors d | q, each d factorized on its own."""
     return [(d, moebius(factorize(d))) for d in divisors(factorize(q)) if moebius(factorize(d))]
@@ -37,11 +43,11 @@ def mobius_divisor_loop(q):
 
 class TestLemma4:
     def test_single_character_q3(self):
-        v = meanval.lemma4_lhs(3, A(2))
+        v = report("lemma4", 3, A(2)).lhs
         assert abs(v - (-(math.pi**2) / 27)) < 1e-12
 
     def test_single_character_q4(self):
-        v = meanval.lemma4_lhs(4, A(3))
+        v = report("lemma4", 4, A(3)).lhs
         assert abs(v - (-((math.pi / 4) ** 2))) < 1e-12
 
     def test_q5_matches_per_character_assembly(self):
@@ -49,54 +55,54 @@ class TestLemma4:
         expected = sum(
             char_value(t, j, 2) * abs(lfun.l1_chi(t, j)) ** 2 for j in nonprincipal(t)
         )
-        v = meanval.lemma4_lhs(5, A(2))
+        v = report("lemma4", 5, A(2)).lhs
         assert abs(v - expected) < 1e-12
         assert abs(v.imag) < 1e-9
 
     def test_main_plug_ins(self):
-        assert abs(meanval.lemma4_main(7, A(2)) - 3 * ZETA2 * (48 / 49)) < 1e-12
-        assert abs(meanval.lemma4_main(4, A(3)) - ZETA2 / 2) < 1e-12
-        assert abs(meanval.lemma4_main(3, A(2)) - 8 * math.pi**2 / 54) < 1e-12
+        assert abs(report("lemma4", 7, A(2)).paper_main - 3 * ZETA2 * (48 / 49)) < 1e-12
+        assert abs(report("lemma4", 4, A(3)).paper_main - ZETA2 / 2) < 1e-12
+        assert abs(report("lemma4", 3, A(2)).paper_main - 8 * math.pi**2 / 54) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            meanval.lemma4_lhs(5, A(1))  # needs a >= 2
+            meanval.make_query("lemma4", 5, A(1))  # needs a >= 2
         with pytest.raises(ValueError):
-            meanval.lemma4_lhs(9, A(3))  # gcd(a, q) > 1
+            meanval.make_query("lemma4", 9, A(3))  # gcd(a, q) > 1
         with pytest.raises(ValueError):
-            meanval.lemma4_lhs(5, A("7/2"))  # integer only
+            meanval.make_query("lemma4", 5, A("7/2"))  # integer only
 
 
 class TestEq1:
     def test_q4_single_character(self):
-        assert abs(meanval.eq1_lhs(4, A(1)) - (math.log(2) / 2) ** 2) < 1e-12
+        assert abs(report("eq1", 4, A(1)).lhs.real - (math.log(2) / 2) ** 2) < 1e-12
 
     def test_main_plug_in_q5(self):
-        main = meanval.eq1_main(5, A(2))
+        r = report("eq1", 5, A(2))  # paper_main is the full term, oracle_main the first
         first = 4 * (hurwitz_zeta(2, 2) - hurwitz_zeta(2, 2 / 5) / 25)
-        assert abs(main.first_term_only - first) < 1e-12
+        assert abs(r.oracle_main - first) < 1e-12
         full = first - (4 * 4 / 2) * (harmonic(2) - harmonic(0) / 5)
-        assert abs(main.full - full) < 1e-12
+        assert abs(r.paper_main - full) < 1e-12
 
     @pytest.mark.parametrize("q, a_str", [(5, "1"), (7, "2"), (12, "7/2"), (35, "1")])
     def test_lhs_nonnegative_real(self, q, a_str):
-        v = meanval.eq1_lhs(q, A(a_str))
+        v = report("eq1", q, A(a_str)).lhs.real
         assert v >= 0
 
     def test_lhs_is_sum_of_squares(self):
         t = get_table(7)
         lv = [lfun.l1_chi_a(t, j, A(2), "closed_direct").value for j in nonprincipal(t)]
-        assert abs(meanval.eq1_lhs(7, A(2)) - sum(abs(v) ** 2 for v in lv)) < 1e-12
+        assert abs(report("eq1", 7, A(2)).lhs.real - sum(abs(v) ** 2 for v in lv)) < 1e-12
 
 
 class TestThm1:
     def test_main_plug_ins(self):
-        assert meanval.thm1_main(5, 2, A(1)) == pytest.approx(4.0, abs=1e-12)
-        assert meanval.thm1_main(5, 3, A(1)) == pytest.approx(2.0, abs=1e-12)
+        assert report("thm1", 5, A(1), k=2).paper_main == pytest.approx(4.0, abs=1e-12)
+        assert report("thm1", 5, A(1), k=3).paper_main == pytest.approx(2.0, abs=1e-12)
 
     def test_main_empty_blocks_vanish(self):
         # a=1, k large: floor(a/d) = floor(a/(kd)) = 0 everywhere except d=1
-        assert meanval.thm1_main(7, 3, A(1)) == pytest.approx(6 / (1 * 2), abs=1e-12)
+        assert report("thm1", 7, A(1), k=3).paper_main == pytest.approx(6 / (1 * 2), abs=1e-12)
 
     def test_lhs_single_character(self):
         v = meanval.thm1_lhs(4, 3, A(1))
@@ -125,24 +131,19 @@ class TestDiagonalOracle:
         expected = 4 / (1 * 1) * (
             (digamma(2) - digamma(1.5)) - (digamma(1.2) - digamma(1.1)) / 5
         )
-        assert abs(meanval.thm1_diagonal_oracle(5, 2, A(1)) - expected) < 1e-12
+        assert abs(report("thm1", 5, A(1), k=2).oracle_main - expected) < 1e-12
 
     def test_brute_force_series(self):
         n = np.arange(1, 10**7, dtype=np.float64)
         keep = (np.arange(1, 10**7) % 5) != 0
         brute = 4 * float(np.sum(1.0 / ((n + 1) * (2 * n + 1)), where=keep))
-        assert abs(meanval.thm1_diagonal_oracle(5, 2, A(1)) - brute) < 1e-6
+        assert abs(report("thm1", 5, A(1), k=2).oracle_main - brute) < 1e-6
 
     def test_large_prime_limit(self):
         # sieve factor -> 1, so the density tends to 2 ln 2 - 1 per character
         q = 9973
-        v = meanval.thm1_diagonal_oracle(q, 2, A(1))
+        v = meanval._thm1_diagonal_oracle(factorize(q), 2, A(1))
         assert abs(v / (q - 1) - (2 * math.log(2) - 1)) < 1e-3
-
-    def test_zero_shift_edge(self):
-        t = get_table(5)
-        expected = (t.phi / 2) * ZETA2 * (1 - 1 / 25)
-        assert abs(meanval.thm1_diagonal_oracle(5, 2, A(0)) - expected) < 1e-12
 
 
 class TestCharColumn:
@@ -222,7 +223,7 @@ class TestThm2:
         direct = meanval.thm2_lhs_direct(5, f, A(1))
         assert abs(direct - expected) < 1e-10
         # |tau(chi)|^2 = 5 for every primitive character mod 5
-        reference = 5 * meanval.eq1_lhs(5, A(1))
+        reference = 5 * report("eq1", 5, A(1)).lhs.real
         assert abs(direct - reference) < 1e-10
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -262,7 +263,7 @@ class TestThm2:
             p**2 * (hurwitz_zeta(2, 1) - hurwitz_zeta(2, 1 / 5) / 25)
             - 4 * p**2 * (harmonic(1) - harmonic(0) / 5)
         )
-        assert abs(meanval.thm2_main(p, a, 1) - expected) < 1e-10
+        assert abs(report("thm2", p, a, f=Polynomial((0, 1))).paper_main - expected) < 1e-10
 
     def test_validation(self):
         f = Polynomial((0, 1))
@@ -278,32 +279,30 @@ class TestThm2:
 
 class TestReports:
     def test_oracle_wiring(self):
+        fac = factorize(7)
+        eq1_first = meanval._eq1_main(fac, A(2), meanval._divisor_zetas(fac, A(2))).first_term_only
         r_eq1 = meanval.build_report(meanval.make_query("eq1", 7, A(2)))
-        assert r_eq1.oracle_main == pytest.approx(
-            meanval.eq1_main(7, A(2)).first_term_only, abs=1e-12
-        )
+        assert r_eq1.oracle_main == pytest.approx(eq1_first, abs=1e-12)
         r_thm1 = meanval.build_report(meanval.make_query("thm1", 7, A(2), k=2))
         assert r_thm1.oracle_main == pytest.approx(
-            meanval.thm1_diagonal_oracle(7, 2, A(2)), abs=1e-12
+            meanval._thm1_diagonal_oracle(fac, 2, A(2)), abs=1e-12
         )
         r_lemma4 = meanval.build_report(meanval.make_query("lemma4", 7, A(2)))
         assert r_lemma4.oracle_main is None
         f = Polynomial((0, 1))
         r_thm2 = meanval.build_report(meanval.make_query("thm2", 7, A(2), f=f))
-        assert r_thm2.oracle_main == pytest.approx(
-            6 * meanval.eq1_main(7, A(2)).first_term_only, abs=1e-10
-        )
+        assert r_thm2.oracle_main == pytest.approx(6 * eq1_first, abs=1e-10)
 
     def test_normalizations(self):
-        phi7 = 6
-        assert meanval.normalization("thm1", 7) == pytest.approx(
+        phi7, fac = 6, factorize(7)
+        assert meanval._normalization("thm1", fac, None) == pytest.approx(
             phi7 * math.log(7) / math.sqrt(7)
         )
-        assert meanval.normalization("eq1", 7) == pytest.approx(
+        assert meanval._normalization("eq1", fac, None) == pytest.approx(
             phi7 * math.log(7) / math.sqrt(7)
         )
-        assert meanval.normalization("lemma4", 7) == pytest.approx(math.log(7) ** 2)
-        assert meanval.normalization("thm2", 7, 3) == pytest.approx(7 ** (2 - 1 / 3))
+        assert meanval._normalization("lemma4", fac, None) == pytest.approx(math.log(7) ** 2)
+        assert meanval._normalization("thm2", fac, 3) == pytest.approx(7 ** (2 - 1 / 3))
 
     def test_tension_flag_thresholds(self):
         r = meanval.build_report(meanval.make_query("thm1", 101, A(1), k=2))
@@ -319,7 +318,7 @@ class TestReports:
         r = meanval.build_report(
             meanval.make_query("eq1", 12, A(1), method="truncated")
         )
-        envelope = meanval.normalization("eq1", 12)  # loose sanity ceiling
+        envelope = meanval._normalization("eq1", factorize(12), None)  # loose sanity ceiling
         assert r.route_agreement < envelope
         assert math.isfinite(r.lhs.real)
 
@@ -399,10 +398,10 @@ class TestResidualSweep:
 
 def test_memo_and_cache_clear():
     meanval.clear_memo()
-    meanval.eq1_lhs(7, A(1))
-    meanval.eq1_lhs(7, A(1))
+    report("eq1", 7, A(1))
+    report("eq1", 7, A(1))
     meanval.clear_memo()
-    assert abs(meanval.eq1_lhs(7, A(1)) - meanval.eq1_lhs(7, A(1))) == 0.0
+    assert abs(report("eq1", 7, A(1)).lhs - report("eq1", 7, A(1)).lhs) == 0.0
 
 
 def test_sweep_keeps_nothing_past_the_table_memo():
@@ -419,6 +418,18 @@ def test_sweep_keeps_nothing_past_the_table_memo():
     t = get_table(moduli[-1])  # the largest table of the sweep
     table_memo = get_table.cache_info().maxsize * (t.residue_index.nbytes + t.conjugate_map.nbytes)
     assert after_40 - after_10 <= table_memo
+    meanval.clear_memo()
+
+
+@pytest.mark.parametrize("target, k, hits", [("eq1", None, 0), ("thm1", 2, 16)])
+def test_sweep_leaves_one_table_in_the_memo(target, k, hits):
+    # A sweep goes modulus by modulus: eq1 reads each table once, for its
+    # L-vectors; thm1 reads it again for the chi(k) column, a hit.
+    moduli = [p for p in range(10**4, 11000) if is_prime(p)][:16]
+    meanval.clear_memo()
+    meanval.residual_sweep(target, moduli, A(1), k=k)
+    info = get_table.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, hits, 16)
     meanval.clear_memo()
 
 
@@ -439,7 +450,8 @@ class TestMainTermsMatchDivisorLoop:
         for d, mu in mobius_divisor_loop(q):
             zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.div_value(d))
             harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
-        main = meanval.eq1_main(q, a)
+        fac = factorize(q)
+        main = meanval._eq1_main(fac, a, meanval._divisor_zetas(fac, a))
         assert math.isclose(main.first_term_only, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
         full = phi * zeta_sum - 4.0 * phi / a.real_value * harmonic_sum
         assert math.isclose(main.full, full, rel_tol=1e-14, abs_tol=0.0)
@@ -450,4 +462,5 @@ class TestMainTermsMatchDivisorLoop:
         for d, mu in mobius_divisor_loop(q):
             total += mu / d * (digamma(1.0 + a.div_value(d)) - digamma(1.0 + a.div_value(k * d)))
         expected = euler_phi(factorize(q)) / (a.real_value * (k - 1)) * total
-        assert math.isclose(meanval.thm1_diagonal_oracle(q, k, a), expected, rel_tol=1e-14, abs_tol=0.0)
+        assert math.isclose(meanval._thm1_diagonal_oracle(factorize(q), k, a), expected,
+                            rel_tol=1e-14, abs_tol=0.0)
