@@ -18,6 +18,8 @@ over the grid (Rader 1968; Platt 2016), O(q log q) time and O(q) memory:
 
 Both take a leading batch axis, (m, q) grids to (m, phi) sums and back, and
 send the whole batch through one FFT call; a single grid is a batch of one.
+Character values at one residue x, chi_j(x) for every j, are values_at(x),
+from the exact exponents in O(phi); char_value(t, j, n) is one entry of it.
 The unit residue at each grid index (on a cyclic group, the powers of g) is
 built on first use and kept with the table, like the transform's twiddles,
 so a call is one gather, one FFT call and the twiddle combine.  Reusing one
@@ -114,10 +116,6 @@ class CharacterTable:
     def _twiddles(self) -> np.ndarray:
         return self.roots_at(np.arange(self.phi // 2))
 
-    @functools.cached_property
-    def _roots(self) -> np.ndarray:
-        return self.roots_at(np.arange(self.exponent))
-
     def _transform(self, grid: np.ndarray) -> np.ndarray:
         """phi * ifftn over the cyclic factors of each row of an (m, phi)
         batch, flattened back to C order: one FFT call for the whole batch.
@@ -181,9 +179,18 @@ class CharacterTable:
         every root table of t uses, so equal v give bit-identical roots."""
         return np.exp(1j * (2.0 * np.pi * v / self.exponent))
 
-    def roots_of_unity(self) -> np.ndarray:
-        """exp(2 pi i v / L) for v = 0 .. L-1."""
-        return self._roots
+    def values_at(self, x: int) -> np.ndarray:
+        """chi_j(x) for every character j (0 at a non-unit x), x read mod q,
+        from the exact logs t_i(x): the exponent sum_i e_i t_i(x) L/s_i mod L
+        over the grid of tuples e, in O(phi) integers, then one root per
+        character."""
+        f = int(self.residue_index[x % self.q])
+        if f < 0:
+            return np.zeros(self.phi, dtype=np.complex128)
+        exps = np.zeros(1, dtype=np.int64)
+        for s, ti in zip(self.grid_shape, np.unravel_index(f, self.grid_shape)):
+            exps = (exps[:, None] + np.arange(s) * int(ti) % s * (self.exponent // s)).ravel()
+        return self.roots_at(exps % self.exponent)
 
     def unit_residues(self) -> np.ndarray:
         return np.flatnonzero(self.residue_index >= 0)
@@ -211,7 +218,7 @@ class CharacterTable:
         exps = (tuples * weights) @ logs.T
         exps %= self.exponent
         vals = np.zeros((self.phi, self.q), dtype=np.complex128)
-        vals[:, units] = self.roots_of_unity()[exps]
+        vals[:, units] = self.roots_at(np.arange(self.exponent))[exps]
         return vals
 
 
@@ -287,20 +294,10 @@ def get_table(q: int) -> CharacterTable:
 
 
 def char_value(t: CharacterTable, j: int, n: int) -> complex:
-    """chi_j(n) as a complex number (0 on non-units), from the exact exponent."""
+    """chi_j(n) as a complex number (0 on non-units): entry j of t.values_at(n)."""
     if not 0 <= j < t.phi:
         raise ValueError(f"character index {j} out of range for modulus {t.q}")
-    f = int(t.residue_index[n % t.q])
-    if f < 0:
-        return 0j
-    shape = t.grid_shape
-    e, logs = np.unravel_index(j, shape), np.unravel_index(f, shape)
-    v = sum(int(ei) * int(ti) * (t.exponent // s) for ei, ti, s in zip(e, logs, shape)) % t.exponent
-    return complex(t.roots_of_unity()[v])
-
-
-def is_principal(t: CharacterTable, j: int) -> bool:
-    return j == t.principal_index
+    return complex(t.values_at(n)[j])
 
 
 def _negation(shape: tuple[int, ...]) -> np.ndarray:

@@ -112,8 +112,6 @@ def _check_output_path(path: str) -> None:
 
 def emit_report(reports, path: str | None, series: ResidualSeries | None = None) -> None:
     """Write reports to path (.csv or .json by extension); stdout if no path."""
-    if isinstance(reports, MeanValueReport):
-        reports = [reports]
     if path is None:
         sys.stdout.write(render_csv(reports))
         return
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chars = sub.add_parser("chars", help="character-group structure and defects for one modulus")
     p_chars.add_argument("--q", type=int, required=True)
     p_chars.add_argument("--out", help="write the discrete-log table as JSON")
-    add_cache_args(p_chars)
 
     p_lval = sub.add_parser("lvalue", help="L(1, chi, a) for the non-principal characters mod q")
     p_lval.add_argument("--q", type=int, required=True)
@@ -171,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lval.add_argument("--j", type=int, default=None, help="single character index")
     p_lval.add_argument("--method", default="closed_direct", choices=lfun.METHODS)
     p_lval.add_argument("--n-terms", type=int, default=None, help="truncation length for --method truncated")
-    add_cache_args(p_lval)
 
     p_exp = sub.add_parser("expsum", help="weighted character sums for (p, f)")
     p_exp.add_argument("--p", type=int, required=True)
@@ -219,7 +215,9 @@ def _normalize(ns: argparse.Namespace) -> None:
         ns.f = Polynomial.parse(ns.f) if ns.f else None
     if hasattr(ns, "a"):
         ns.a = ShiftParam.of(ns.a)
-    if hasattr(ns, "p") and getattr(ns, "q", None) is None:
+    if getattr(ns, "p", None) is not None:
+        if getattr(ns, "q", None) is not None:
+            raise ValueError("--q and --p both name the modulus; give one of them")
         ns.q = ns.p
     # --n-terms sets the truncated route's N; only these two commands run that route.
     truncates = getattr(ns, "method", None) == "truncated" or getattr(ns, "target", None) == "lemma1"

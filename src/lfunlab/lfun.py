@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import CharacterTable, is_principal
+from .chars import CharacterTable
 from .specfun import ShiftParam, digamma, hurwitz_zeta
 
 METHODS = ("closed_direct", "closed_lemma1", "truncated")
@@ -86,7 +86,7 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
     """Reject an index outside 0..phi(q)-1 and the principal character."""
     if not 0 <= j < t.phi:
         raise ValueError(f"character index {j} out of range for modulus {t.q}")
-    if is_principal(t, j):
+    if j == t.principal_index:
         raise ValueError("L(1, chi) requires a non-principal character")
 
 

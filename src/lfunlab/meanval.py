@@ -141,19 +141,6 @@ def clear_memo() -> None:
     get_table.cache_clear()
 
 
-def _char_column(t: CharacterTable, x: int) -> np.ndarray:
-    """chi_j(x) for every character j (0 at a non-unit x), from the exact
-    logs t_i(x): the exponent sum_i e_i t_i(x) L/s_i mod L over the grid of
-    tuples e, in O(phi) integers, then one root per character."""
-    f = int(t.residue_index[x % t.q])
-    if f < 0:
-        return np.zeros(t.phi, dtype=np.complex128)
-    exps = np.zeros(1, dtype=np.int64)
-    for s, ti in zip(t.grid_shape, np.unravel_index(f, t.grid_shape)):
-        exps = (exps[:, None] + np.arange(s) * int(ti) % s * (t.exponent // s)).ravel()
-    return t.roots_at(exps % t.exponent)
-
-
 def _sieve_factor(fac: Factorization) -> float:
     """prod_{p | q} (1 - p^-2), the coprimality correction to zeta(2)."""
     out = 1.0
@@ -256,13 +243,11 @@ def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
 # ---------------------------------------------------------------------------
 # thm2: sum |S(chi, f)|^2 |L(1, chi, a)|^2 over a prime modulus
 
-def thm2_lhs_direct(p: int, f: Polynomial, a, method: str = "closed_direct",
-                    cache: ReportCache | None = None) -> float:
-    return _lhs(make_query("thm2", p, a, f=f, method=method), cache).real
+def thm2_lhs_direct(p: int, f: Polynomial, a) -> float:
+    return _lhs(make_query("thm2", p, a, f=f), None).real
 
 
-def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
-                        cache: ReportCache | None = None) -> complex:
+def thm2_lhs_decomposed(p: int, f: Polynomial, a) -> complex:
     """(p-1) eq1-statistic + sum_{x=2}^{p-1} T(g_x) sum_chi chi(x) |L(1,chi,a)|^2.
 
     Splitting |S(chi,f)|^2 through the difference-polynomial identity turns
@@ -271,8 +256,8 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a, method: str = "closed_direct",
     |direct - decomposed| is a floating-point-level end-to-end check of the
     whole exponential-sum layer.
     """
-    query = make_query("thm2", p, a, f=f, method=method)
-    w = np.abs(_lvalue_vectors(factorize(p), query.a, (method,), cache)[method]) ** 2
+    query = make_query("thm2", p, a, f=f)
+    w = np.abs(_lvalue_vectors(factorize(p), query.a, ("closed_direct",))["closed_direct"]) ** 2
     return _decomposed(get_table(p), f, w)
 
 
@@ -335,7 +320,7 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
     t = get_table(q)
     tvec = lfun.tail_vector(t, a)
     tvec[t.principal_index] = 0.0
-    col = _char_column(t, k)
+    col = t.values_at(k)
     conj = t.conjugate_map
     m1 = complex(col @ (tvec * lvec[conj]))
     m2 = complex(col @ (np.conj(tvec) * lvec))
@@ -375,7 +360,6 @@ class MeanValueReport:
     f: Polynomial | None
     method: str
     lhs: complex
-    lhs_imag_abs: float
     paper_main: float
     oracle_main: float | None
     residual: float
@@ -418,7 +402,7 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray]) -> dict[s
     if query.target == "thm2":
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
         return {m: complex((sq_sums * w).sum()) for m, w in weights.items()}
-    col = _char_column(t, query.a.numerator if query.target == "lemma4" else query.k)
+    col = t.values_at(query.a.numerator if query.target == "lemma4" else query.k)
     return {m: complex(col @ w) for m, w in weights.items()}
 
 
@@ -468,7 +452,6 @@ def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> Mea
         f=query.f,
         method=query.method,
         lhs=complex(lhs),
-        lhs_imag_abs=abs(lhs.imag),
         paper_main=float(paper_main),
         oracle_main=None if oracle_main is None else float(oracle_main),
         residual=float(residual),

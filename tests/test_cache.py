@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,9 +192,23 @@ def _to_version_3(meta, arrays):
     arrays["conjugate_map"] = chars._negation((12,))
 
 
-def _lvalue_stdout(capsys, *flags):
-    assert cli.run(["lvalue", "--q", "13", "--j", "1", *flags]) == 0
+def _lvalue_stdout(capsys):
+    assert cli.run(["lvalue", "--q", "13", "--j", "1"]) == 0
     return capsys.readouterr().out
+
+
+def _lvalue_refuses_the_cache_dir(cache, capsys):
+    """lvalue takes no cache flag: --cache-dir exits 2 before any work and
+    leaves the cache directory as it was."""
+    def contents():
+        return {name: (Path(cache.directory) / name).read_bytes() for name in os.listdir(cache.directory)}
+
+    before = contents()
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["lvalue", "--q", "13", "--j", "1", "--cache-dir", cache.directory])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert contents() == before
 
 
 def _stored_exponent(meta, arrays):
@@ -206,19 +221,20 @@ def _stored_exponent(meta, arrays):
     (_to_version_3, False),
 ], ids=["swapped_logs", "stored_exponent", "version_3"])
 def test_edited_table_record_never_changes_lvalue(cache, caplog, capsys, edit, warned):
-    # Each record keeps a valid checksum.  lvalue reads no stored table, so
-    # it prints the uncached bytes.  Read through the library, swapping the
-    # logs of 2 and 3 keeps the units on the grid once each but breaks the
-    # group law, and is discarded; an exponent of 24 in the meta line is not
-    # read, since the exponent is derived from the orders; and a version-3
-    # record is a silent miss.
+    # Each record keeps a valid checksum.  lvalue takes no cache flag and
+    # reads no stored table, so it prints the uncached bytes.  Read through
+    # the library, swapping the logs of 2 and 3 keeps the units on the grid
+    # once each but breaks the group law, and is discarded; an exponent of 24
+    # in the meta line is not read, since the exponent is derived from the
+    # orders; and a version-3 record is a silent miss.
     uncached = _lvalue_stdout(capsys)
     assert "1.30081758+0.53393692i" in uncached
     cache.put_table(build_character_table(13))
     path = cache._table_path(13)
     edit_entry(path, edit)
     with caplog.at_level(logging.WARNING, logger="lfunlab.cache"):
-        assert _lvalue_stdout(capsys, "--cache-dir", cache.directory) == uncached
+        _lvalue_refuses_the_cache_dir(cache, capsys)
+        assert _lvalue_stdout(capsys) == uncached
         assert not caplog.records
         back = cache.get_table(13)
     assert any("certificate" in r.getMessage() for r in caplog.records) == warned
@@ -229,14 +245,15 @@ def test_edited_table_record_never_changes_lvalue(cache, caplog, capsys, edit, w
 def test_table_on_another_root_never_changes_lvalue(cache, capsys):
     # Logs to the primitive root 6 instead of 2, with 6 as the generator,
     # pass the certificate and number the characters differently; lvalue
-    # builds its table and never reads the record.
+    # takes no cache flag, builds its table and never reads the record.
     uncached = _lvalue_stdout(capsys)
     assert "1.30081758+0.53393692i" in uncached
     planted = chars.CharacterTable(13, (chars.GroupComponent(13, (6,), (12,)),), (12,),
                                    discrete_log_array(13, 6))
     assert chars._certifies_logs(planted)
     cache.put_table(planted)
-    assert _lvalue_stdout(capsys, "--cache-dir", cache.directory) == uncached
+    _lvalue_refuses_the_cache_dir(cache, capsys)
+    assert _lvalue_stdout(capsys) == uncached
 
 
 @pytest.mark.parametrize("component", [[13, [6], [12]], [1000, [2], [12]], [13, [], [12]]],

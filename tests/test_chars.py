@@ -14,7 +14,6 @@ from lfunlab.chars import (
     build_character_table,
     char_value,
     get_table,
-    is_principal,
     nonprincipal_period_sum_defect,
     orthogonality_defect,
 )
@@ -77,12 +76,12 @@ class TestTableInvariants:
         rows = {tuple(row) for row in E.tolist()}
         assert len(rows) == t.phi
         V = t.values_matrix()  # the public oracle reads the same exponents
-        assert np.array_equal(V[E >= 0], t.roots_of_unity()[E[E >= 0]])
+        assert np.array_equal(V[E >= 0], t.roots_at(np.arange(t.exponent))[E[E >= 0]])
         assert not V[E < 0].any()
 
     def test_principal_row(self, q):
         t = get_table(q)
-        assert is_principal(t, t.principal_index)
+        assert t.principal_index == 0
         E = dense_exponents(t)
         for n in range(q):
             e = E[t.principal_index, n]
@@ -228,11 +227,12 @@ def test_transform_matches_sampled_rows_past_the_dense_budget(q):
     for x, w in ((rng.standard_normal(q), rng.standard_normal(t.phi)),
                  (_random_complex(rng, q), _random_complex(rng, t.phi))):
         got_residues, got_characters = t.sums_over_residues(x), t.sums_over_characters(w)
+        roots = t.roots_at(np.arange(t.exponent))
         for j in (0, 1, 2, t.phi // 2 - 1, t.phi // 2, t.phi // 2 + 1, t.phi - 1, *rng.integers(t.phi, size=9)):
-            row = t.roots_of_unity()[(j * logs) % t.phi]
+            row = roots[(j * logs) % t.phi]
             assert abs(got_residues[j] - row @ x[units]) <= 1e-12 * t.phi
         for n in (1, 2, q - 1, *rng.choice(units, size=9)):
-            column = t.roots_of_unity()[(np.arange(t.phi) * t.residue_index[n]) % t.phi]
+            column = roots[(np.arange(t.phi) * t.residue_index[n]) % t.phi]
             assert abs(got_characters[n] - column @ w) <= 1e-12 * t.phi
 
 
@@ -242,8 +242,9 @@ def test_transform_keeps_only_the_twiddles_it_reads(q):
     # the h twiddles, equal bit for bit to the first h roots of unity.
     t = build_character_table(q)
     t.sums_over_residues(np.ones(q))
-    assert "_roots" not in vars(t)
-    assert np.array_equal(t._twiddles, t.roots_of_unity()[: t.phi // 2])
+    kept = {name for name, value in vars(t).items() if isinstance(value, np.ndarray)}
+    assert kept == {"residue_index", "_units", "_twiddles"}
+    assert np.array_equal(t._twiddles, t.roots_at(np.arange(t.exponent))[: t.phi // 2])
 
 
 @pytest.mark.parametrize("q", [3, 101, 1033, 24, 2**10, 2310, 4620])

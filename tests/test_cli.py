@@ -32,6 +32,13 @@ def run_cli(*argv):
     return cli.run(list(argv))
 
 
+def refused_exit_code(*argv):
+    """The exit code of a command line the parser refuses (argparse exits)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    return exc.value.code
+
+
 def run_fresh(*argv):
     """The command in a fresh interpreter: (exit code, stdout, stderr)."""
     # The child finds the package where this process imported it from,
@@ -99,9 +106,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("lvalue", "--modulus", "4")
-        assert exc.value.code == 2
+        assert refused_exit_code("lvalue", "--modulus", "4") == 2
+
+    def test_verify_refuses_both_q_and_p(self, monkeypatch, capsys):
+        # Either flag names the modulus; given both, neither is dropped silently.
+        monkeypatch.setattr(cli, "get_table", lambda q: pytest.fail(f"built a table mod {q}"))
+        assert run_cli("verify", "--target", "lemma2", "--q", "13", "--p", "17", "--f", "1,0,3,2") == 2
+        assert capsys.readouterr().err == "error: --q and --p both name the modulus; give one of them\n"
 
     def test_numeric_failure_exits_1(self, capsys, monkeypatch):
         # force an identity breach by corrupting the defect computation
@@ -340,13 +351,13 @@ class TestReportSchema:
         reports = [
             MeanValueReport(
                 target="lemma4", q=7, a=ShiftParam.of(2), k=None, f=None, method="closed_direct",
-                lhs=complex(12.345678901234567, 1e-17), lhs_imag_abs=1e-17, paper_main=10.0,
+                lhs=complex(12.345678901234567, 1e-17), paper_main=10.0,
                 oracle_main=None, residual=2.345678901234567, normalized_residual=0.5,
                 route_agreement=0.0, flags=(),
             ),
             MeanValueReport(
                 target="thm1", q=35, a=ShiftParam.of("7/2"), k=3, f=None, method="closed_lemma1",
-                lhs=complex(-0.1, -2.5e-12), lhs_imag_abs=2.5e-12, paper_main=-1.0 / 3,
+                lhs=complex(-0.1, -2.5e-12), paper_main=-1.0 / 3,
                 oracle_main=-0.25, residual=0.23333333333333334, normalized_residual=-1.5e-300,
                 route_agreement=3e-13, flags=("main_term_tension",),
             ),
@@ -402,7 +413,8 @@ class TestDeterminismAndCache:
 
     def test_cache_subcommand_reports_and_clears(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        run_cli("chars", "--q", "35", "--cache-dir", cache_dir)  # stores no table
+        assert refused_exit_code("chars", "--q", "35", "--cache-dir", cache_dir) == 2
+        assert not os.path.exists(cache_dir)
         run_cli("sweep", "--target", "eq1", "--moduli", "35", "--a", "1", "--cache-dir", cache_dir)
         capsys.readouterr()
         assert run_cli("cache", "--cache-dir", cache_dir) == 0
@@ -420,19 +432,26 @@ class TestDeterminismAndCache:
         ("verify", "--target", "lemma2", "--p", "7", "--f", "0,1"),
     ])
     def test_cache_dir_neither_stores_nor_reads_a_table(self, argv, tmp_path, monkeypatch, capsys):
-        # The table commands build their table whatever --cache-dir holds.
+        # verify builds its table whatever --cache-dir holds; chars and
+        # lvalue take no cache flag, and refuse it before any work.
         assert run_cli(*argv) == 0
         plain = capsys.readouterr().out
         cache_dir = tmp_path / "cache"
-        assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
-        assert capsys.readouterr().out == plain
+        cached = (*argv, "--cache-dir", str(cache_dir))
+        if argv[0] == "verify":
+            assert run_cli(*cached) == 0
+            assert capsys.readouterr().out == plain
+        else:
+            assert refused_exit_code(*cached) == 2
+            assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+            cached = argv
         assert not cache_dir.exists()
         ReportCache(str(cache_dir)).put_table(chars.build_character_table(7))
         get_table.cache_clear()
         built = []
         build = chars.build_character_table
         monkeypatch.setattr(chars, "build_character_table", lambda q: built.append(q) or build(q))
-        assert run_cli(*argv, "--cache-dir", str(cache_dir)) == 0
+        assert run_cli(*cached) == 0
         assert capsys.readouterr().out == plain
         assert built == [7]
         get_table.cache_clear()
@@ -624,6 +643,28 @@ class TestDeterminismAndCache:
         assert run_cli("cache", "--cache-dir", str(cache_dir), "--clear") == 0
         assert "cleared 6" in capsys.readouterr().out
         assert list(cache_dir.iterdir()) == []
+
+
+# Every option of every subcommand, in the order the parser declares them.
+CLI_OPTIONS = {
+    "chars": ["--q", "--out"],
+    "lvalue": ["--q", "--a", "--j", "--method", "--n-terms"],
+    "expsum": ["--p", "--f", "--j"],
+    "verify": ["--target", "--q", "--p", "--a", "--k", "--f", "--n-terms", "--cache", "--cache-dir"],
+    "sweep": ["--target", "--primes", "--moduli", "--a", "--k", "--f", "--degree", "--seed", "--method",
+              "--jobs", "--out", "--cache", "--cache-dir"],
+    "cache": ["--cache-dir", "--clear"],
+}
+
+
+def test_cli_surface_pinned():
+    # Adding or dropping a flag shows up as a change to CLI_OPTIONS.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [s for action in p._actions if not isinstance(action, argparse._HelpAction)
+                      for s in action.option_strings]
+               for name, p in sub.choices.items()}
+    assert surface == CLI_OPTIONS
 
 
 class TestParserReuse:

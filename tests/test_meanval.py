@@ -147,7 +147,7 @@ class TestDiagonalOracle:
 
 
 class TestCharColumn:
-    """_char_column reads chi_j(x) for every j from the exact logs of x."""
+    """t.values_at(x) reads chi_j(x) for every j from the exact logs of x."""
 
     @staticmethod
     def _points(q):
@@ -155,11 +155,15 @@ class TestCharColumn:
         return sorted({0, 1 % q, 2 % q, (q - 1) % q, *range(3, q, max(1, q // 5))})
 
     def test_equals_char_value_bit_for_bit(self):
+        # The dense oracle forms its exponents as a matrix product.  x >= q
+        # is read mod q: thm1's k is the written integer.
         for q in range(1, 201):
             t = get_table(q)
+            dense = t.values_matrix()
             for x in self._points(q):
-                expected = np.array([char_value(t, j, x) for j in range(t.phi)])
-                assert np.array_equal(meanval._char_column(t, x), expected), (q, x)
+                for written in (x, x + q, x + 10 * q):
+                    assert np.array_equal(t.values_at(written), dense[:, x]), (q, written)
+                assert all(char_value(t, j, x) == dense[j, x] for j in range(t.phi)), (q, x)
 
     def test_matches_the_point_mass_transform(self):
         for q in range(1, 501):
@@ -167,7 +171,7 @@ class TestCharColumn:
             for x in self._points(q):
                 delta = np.zeros(q)
                 delta[x] = 1.0
-                assert np.abs(meanval._char_column(t, x) - t.sums_over_residues(delta)).max() <= 1e-14
+                assert np.abs(t.values_at(x) - t.sums_over_residues(delta)).max() <= 1e-14
 
 
 class TestCrossTerms:
