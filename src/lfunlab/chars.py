@@ -113,6 +113,19 @@ class CharacterTable:
         return order
 
     @functools.cached_property
+    def _period_sum_defects(self) -> tuple[float, float]:
+        """orthogonality_defect and nonprincipal_period_sum_defect, from one
+        certificate and one transform of the unit indicator (the period sums
+        sum_{n=1..q} chi_j(n)); (inf, inf) when _certifies_logs fails."""
+        if not _certifies_logs(self):
+            return math.inf, math.inf
+        sums = self.sums_over_residues((self.residue_index >= 0).astype(np.float64))
+        principal = abs(sums[self.principal_index] - self.phi)
+        sums[self.principal_index] = 0.0
+        nonprincipal = float(np.abs(sums).max())
+        return float(max(principal, nonprincipal)), nonprincipal
+
+    @functools.cached_property
     def _twiddles(self) -> np.ndarray:
         return self.roots_at(np.arange(self.phi // 2))
 
@@ -354,11 +367,6 @@ def _certifies_logs(t: CharacterTable) -> bool:
     return True
 
 
-def _period_sums(t: CharacterTable) -> np.ndarray:
-    """sum_{n=1..q} chi_j(n) for every character j: the transform of the unit indicator."""
-    return t.sums_over_residues((t.residue_index >= 0).astype(np.float64))
-
-
 def orthogonality_defect(t: CharacterTable) -> float:
     """max_j |sum_{n=1..q} chi_j(n) - phi [chi_j = chi_0]|, or inf when the
     logs fail the exact certificate of _certifies_logs.
@@ -367,18 +375,10 @@ def orthogonality_defect(t: CharacterTable) -> float:
     float defect is the transform's rounding on the unit indicator.  Reads
     only the table's stored fields; no dense matrix is formed.
     """
-    if not _certifies_logs(t):
-        return math.inf
-    sums = _period_sums(t)
-    sums[t.principal_index] -= t.phi
-    return float(np.abs(sums).max())
+    return t._period_sum_defects[0]
 
 
 def nonprincipal_period_sum_defect(t: CharacterTable) -> float:
     """max over chi != chi_0 of |sum_{n=1..q} chi(n)| (exactly 0 in theory),
     or inf when the logs fail the exact certificate."""
-    if not _certifies_logs(t):
-        return math.inf
-    sums = _period_sums(t)
-    sums[t.principal_index] = 0.0
-    return float(np.abs(sums).max())
+    return t._period_sum_defects[1]

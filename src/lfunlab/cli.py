@@ -154,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_cache_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cache", action="store_true", help="enable the on-disk cache at the default directory")
-        p.add_argument("--cache-dir", help="enable the on-disk cache at this directory")
-
     p_chars = sub.add_parser("chars", help="character-group structure and defects for one modulus")
     p_chars.add_argument("--q", type=int, required=True)
     p_chars.add_argument("--out", help="write the discrete-log table as JSON")
@@ -186,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=int)
     p_ver.add_argument("--f", help="polynomial coefficients a0,a1,...,ak")
     p_ver.add_argument("--n-terms", type=int, default=None)
-    add_cache_args(p_ver)
 
     p_swp = sub.add_parser("sweep", help="evaluate a mean-value target over many moduli")
     p_swp.add_argument("--target", required=True, choices=meanval.TARGETS)
@@ -200,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--method", default="closed_direct", choices=lfun.METHODS)
     p_swp.add_argument("--jobs", type=int, default=1, help="parallel workers across moduli")
     p_swp.add_argument("--out", help="output path (.csv or .json)")
-    add_cache_args(p_swp)
+    p_swp.add_argument("--cache", action="store_true", help="enable the on-disk cache at the default directory")
+    p_swp.add_argument("--cache-dir", help="enable the on-disk cache at this directory")
 
     p_cache = sub.add_parser("cache", help="inspect or clear the on-disk cache")
     p_cache.add_argument("--cache-dir", help="cache directory (default: env or ~/.cache/lfunlab)")
@@ -366,7 +362,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     if target == "thm2":
         _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         check_difference_budget(ns.q)  # before the direct side, which needs no difference table
-        direct, decomposed = meanval.thm2_sides(ns.q, ns.f, ns.a, cache)
+        direct, decomposed = meanval.thm2_sides(ns.q, ns.f, ns.a)
         gap = abs(direct - decomposed)
         tol = 1e-6 * ns.q * ns.q
         print(f"direct     = {direct:.12g}")
@@ -376,9 +372,8 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
     # recombination
     _require(ns.q is not None and ns.k is not None, "--q and --k are required")
-    ct = cross_terms(ns.q, ns.k, ns.a, cache)
-    lhs = meanval.thm1_lhs(ns.q, ns.k, ns.a, cache=cache)
-    gap = abs(lhs - ct.recombined)
+    ct = cross_terms(ns.q, ns.k, ns.a)
+    gap = abs(ct.lhs - ct.recombined)
     phi = euler_phi(factorize(ns.q))
     tol = 1e-8 * phi
     print(f"m1 = {ct.m1:.10g}  (predicted {ct.m1_predicted:.10g})")

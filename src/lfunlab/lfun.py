@@ -33,13 +33,14 @@ expansion of sum 1/(k + x).  The routes stay apart because this code is
 separate (its own Bernoulli constants, nothing imported from specfun) and
 applies the expansion only at k + beta >= 24 after 24 q direct terms, while
 digamma shifts its argument to x >= 10, uses B_2 .. B_14 and no direct
-terms.  route_vectors evaluates every psi grid the closed routes it is asked
-for need in one digamma call, and transforms each distinct grid once, in
-one batched call; it keeps nothing.  A batched row is bit-identical to a
-call of its own, so the sharing changes no number: route_agreement still
-compares closed_direct's transform of psi((r + a)/q) with closed_lemma1's
-L(1, chi) - a * tail, whose pieces are transformed as rows of their own.  At
-a = 0 both routes read the one row of psi(r/q).
+terms.  closed_vectors computes the closed pieces L(1, chi, a), L(1, chi)
+and the shift tail (a > 0) from one digamma call and one batched transform
+of each distinct grid.  route_vectors, tail_vector and meanval.cross_terms
+read it, so the tail has one implementation and verify --target
+recombination reads one batch.  A batched row is bit-identical to a call of
+its own, so the sharing changes no number: route_agreement still compares
+closed_direct's row of psi((r + a)/q) with closed_lemma1's
+L(1, chi) - a * tail, whose pieces are rows of their own.
 
 Each route is computed for all characters at once (l1a_vector,
 truncated_vector, dispatched by route_vectors): the residue weights are one
@@ -54,7 +55,7 @@ only independent evaluations.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +91,6 @@ def require_nonprincipal(t: CharacterTable, j: int) -> None:
         raise ValueError("L(1, chi) requires a non-principal character")
 
 
-def _psi_grids(q: int, shifts: Sequence[float]) -> np.ndarray:
-    """psi((r + s)/q) for r = 1 .. q-1 at column r (column 0 holds 0), one
-    row per shift s, from one digamma call (bit-identical, row by row, to a
-    call per shift)."""
-    grids = np.zeros((len(shifts), q))
-    grids[:, 1:] = digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
-    return grids
-
-
 def l1_vector(t: CharacterTable) -> np.ndarray:
     """L(1, chi) for every character as a length-phi(q) array.
 
@@ -117,8 +109,7 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
         grid = np.zeros(q)
         grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
         return t.sums_over_residues(grid) / (q * q)
-    psi_a, psi_0 = _psi_grids(q, (a.real_value, 0.0))
-    return t.sums_over_residues(psi_a - psi_0) / (a.real_value * q)
+    return closed_vectors(t, a, ("tail",))["tail"]
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
@@ -224,45 +215,57 @@ def default_truncation(q: int) -> int:
     return 10**4 * q
 
 
+def closed_vectors(t: CharacterTable, a: ShiftParam, parts: Collection[str]) -> dict[str, np.ndarray]:
+    """The closed pieces for every character, {part: new array}, principal
+    slot as the transform leaves it: "l1a" = -T(psi_a)/q, L(1, chi, a) by
+    closed_direct; "l1" = -T(psi_0)/q, L(1, chi); "tail" (a > 0 only) =
+    T(psi_a - psi_0)/(a q), sum_n chi(n)/(n (n + a)); with T the character
+    transform and psi_s the grid psi((r + s)/q) at column r = 1 .. q-1
+    (column 0 holds 0).  The grids come from one digamma call, each row
+    bit-identical to a call of its own, and each distinct grid is
+    transformed once, in one batched call.
+    """
+    q, s = t.q, a.real_value
+    if "tail" in parts and not s:
+        raise ValueError("the digamma tail needs a > 0; tail_vector takes a = 0")
+    grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
+    keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
+    shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
+    psi = np.zeros((len(shifts), q))
+    psi[:, 1:] = digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
+    psi = dict(zip(shifts, psi))
+    grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
+    sums = dict(zip(keys, t.sums_over_residues(np.stack(grids))))
+    return {p: sums["tail"] / (s * q) if p == "tail" else -sums[grid_of[p]] / q for p in parts}
+
+
 def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
                   n_terms: int | None = None) -> dict[str, tuple[np.ndarray, float]]:
     """L(1, chi, a) for every character by each named route, with the route's
     error bound: {method: (values, error_bound)}, principal slot 0.
 
-    The closed routes requested share one digamma call, on the psi grids of
-    the shifts they need, and one batched transform of each distinct grid:
-    psi((r + a)/q) for closed_direct, psi(r/q) and psi((r + a)/q) - psi(r/q)
-    for closed_lemma1 (at a = 0 the single grid psi(r/q)).  Each route then
-    assembles its vector from its own rows.  The truncated route is the
-    oracle and keeps its own transform.  n_terms is the truncated route's N
-    (default_truncation(q) when None); the closed routes ignore it.
+    The closed routes requested read one closed_vectors call: closed_direct
+    is "l1a", closed_lemma1 is "l1" - a * "tail".  The truncated route is
+    the oracle and keeps its own transform.  n_terms is the truncated
+    route's N (default_truncation(q) when None); the closed routes ignore it.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    q, s = t.q, a.real_value
-    rows = {}  # each distinct grid once: psi at a shift, keyed by the shift, or "tail"
-    if any(m != "truncated" for m in methods):
-        shifts = (s, 0.0) if "closed_lemma1" in methods and s else (s,)
-        psi = dict(zip(shifts, _psi_grids(q, shifts)))
-        if "closed_direct" in methods:
-            rows[s] = psi[s]
-        if "closed_lemma1" in methods:
-            rows[0.0] = psi[0.0]  # the same grid as psi[s] at a = 0
-            if s:  # the a * tail term is exactly 0 at a = 0
-                rows["tail"] = psi[s] - psi[0.0]
-    sums = dict(zip(rows, t.sums_over_residues(np.stack(list(rows.values()))))) if rows else {}
+    s = a.real_value
+    parts = {"l1a"} if "closed_direct" in methods else set()
+    if "closed_lemma1" in methods:
+        parts |= {"l1", "tail"} if s else {"l1"}  # the a * tail term is exactly 0 at a = 0
+    pieces = closed_vectors(t, a, parts) if parts else {}
     out = {}
     for method in methods:
         bound = _CLOSED_ERROR_BUDGET
         if method == "closed_direct":
-            vals = -sums[s] / q
+            vals = pieces["l1a"]
         elif method == "closed_lemma1":
-            vals = -sums[0.0] / q
-            if s:
-                vals -= s * (sums["tail"] / (s * q))
+            vals = pieces["l1"] - s * pieces["tail"] if s else pieces["l1"]
         else:
-            vals, bound = truncated_vector(t, a, default_truncation(q) if n_terms is None else n_terms)
+            vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
         vals[t.principal_index] = 0.0
         out[method] = (vals, bound)
     return out

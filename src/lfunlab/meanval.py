@@ -30,7 +30,7 @@ import numpy as np
 from . import lfun
 from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
-from .chars import CharacterTable, get_table
+from .chars import get_table
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
 from .specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
 
@@ -111,19 +111,17 @@ def _route_vectors(q: int, a: ShiftParam, methods: Sequence[str]) -> dict[str, n
 def _lvalue_vectors(fac: Factorization, a: ShiftParam, methods: Sequence[str],
                     cache: ReportCache | None = None) -> dict[str, np.ndarray]:
     """L(1, chi, a) for all characters mod q = fac.n by each requested route
-    (principal slot 0).
+    (principal slot 0); build_report's methods always hold both closed routes.
 
-    With a cache, a request for a closed route reads the one record of
-    (q, a), which holds both closed routes.  When it is missing, or its
-    vectors are not phi(q) long, one lfun.route_vectors call computes both
-    closed routes and stores them, whichever was asked for, so single-route
-    callers share the record with reports.  The truncated route is the
-    oracle and is never stored: it is recomputed, at the default truncation
-    length.  The character table comes from the in-process memo, and only
-    when a route is computed, so a warm eq1 report builds no table.
+    With a cache, the closed routes come from the one record of (q, a).  When
+    it is missing, or its vectors are not phi(q) long, one lfun.route_vectors
+    call computes both and stores them.  The truncated route is the oracle
+    and is never stored: it is recomputed, at the default truncation length.
+    The character table comes from the in-process memo, and only when a
+    route is computed, so a warm eq1 report builds no table.
     """
     q, vecs = fac.n, {}
-    if cache is not None and any(m in LVEC_ROUTES for m in methods):
+    if cache is not None:
         key = (q, a.numerator, a.denominator)
         vecs = cache.get_lvec(*key)
         if vecs is None or {len(v) for v in vecs.values()} != {euler_phi(fac)}:
@@ -147,6 +145,11 @@ def _sieve_factor(fac: Factorization) -> float:
     for p in fac.primes():
         out *= 1.0 - 1.0 / (p * p)
     return out
+
+
+def _mobius_harmonic(fac: Factorization, a: ShiftParam, k: int = 1) -> float:
+    """sum_{d|q} mu(d)/d H_[a/(kd)], summed from 0 in ascending d."""
+    return sum(mu / d * harmonic(floor_ratio(a, k * d)) for d, mu in _mobius_divisor_terms(fac))
 
 
 def _mobius_divisor_terms(fac: Factorization) -> list[tuple[int, int]]:
@@ -193,18 +196,16 @@ def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
     phi = euler_phi(fac)
     terms = _mobius_divisor_terms(fac)
     zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
-    harmonic_sum = sum(mu / d * harmonic(floor_ratio(a, d)) for d, mu in terms)
     first = phi * zeta_sum
-    full = first - 4.0 * phi / a.real_value * harmonic_sum
+    full = first - 4.0 * phi / a.real_value * _mobius_harmonic(fac, a)
     return Eq1Main(full, first)
 
 
 # ---------------------------------------------------------------------------
 # thm1: sum chi(k) |L(1, chi, a)|^2
 
-def thm1_lhs(q: int, k: int, a, method: str = "closed_direct",
-             cache: ReportCache | None = None) -> complex:
-    return _lhs(make_query("thm1", q, a, k=k, method=method), cache)
+def thm1_lhs(q: int, k: int, a, method: str = "closed_direct") -> complex:
+    return _lhs(make_query("thm1", q, a, k=k, method=method))
 
 
 def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
@@ -218,8 +219,7 @@ def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     for d, mu in _mobius_divisor_terms(fac):
         lo = floor_ratio(a, k * d)
         hi = floor_ratio(a, d)
-        block = harmonic(hi) - harmonic(lo) if hi > lo else 0.0
-        total += mu / d * block
+        total += mu / d * (harmonic(hi) - harmonic(lo))
     return phi / (a.real_value * (k - 1)) * total
 
 
@@ -244,7 +244,7 @@ def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
 # thm2: sum |S(chi, f)|^2 |L(1, chi, a)|^2 over a prime modulus
 
 def thm2_lhs_direct(p: int, f: Polynomial, a) -> float:
-    return _lhs(make_query("thm2", p, a, f=f), None).real
+    return _lhs(make_query("thm2", p, a, f=f)).real
 
 
 def thm2_lhs_decomposed(p: int, f: Polynomial, a) -> complex:
@@ -256,27 +256,18 @@ def thm2_lhs_decomposed(p: int, f: Polynomial, a) -> complex:
     |direct - decomposed| is a floating-point-level end-to-end check of the
     whole exponential-sum layer.
     """
-    query = make_query("thm2", p, a, f=f)
-    w = np.abs(_lvalue_vectors(factorize(p), query.a, ("closed_direct",))["closed_direct"]) ** 2
-    return _decomposed(get_table(p), f, w)
+    return thm2_sides(p, f, a)[1]
 
 
-def _decomposed(t: CharacterTable, f: Polynomial, w: np.ndarray) -> complex:
-    """thm2_lhs_decomposed from the weights w = |L(1, chi, a)|^2."""
-    p = t.q
-    g = difference_sums(p, f)
-    moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
-    return complex((p - 1) * w.sum() + g @ moments)
-
-
-def thm2_sides(p: int, f: Polynomial, a, cache: ReportCache | None = None) -> tuple[float, complex]:
+def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
     """thm2_lhs_direct and thm2_lhs_decomposed by closed_direct, from one
     L-vector and one table.  Both sides read the same |L(1, chi, a)|^2 by
     design: their gap checks the exponential-sum layer."""
     query = make_query("thm2", p, a, f=f)
-    w = np.abs(_lvalue_vectors(factorize(p), query.a, ("closed_direct",), cache)["closed_direct"]) ** 2
+    w = np.abs(_route_vectors(p, query.a, ("closed_direct",))["closed_direct"]) ** 2
     direct = _statistics(query, {"closed_direct": w})["closed_direct"].real
-    return direct, _decomposed(get_table(p), f, w)
+    moments = get_table(p).sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
+    return direct, complex((p - 1) * w.sum() + difference_sums(p, f) @ moments)
 
 
 def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
@@ -310,16 +301,21 @@ class CrossTerms:
     m3_predicted: float
     unshifted_moment: complex  # sum chi(k) |L(1, chi)|^2
     recombined: complex        # unshifted - a(m1 + m2) + a^2 m3
+    lhs: complex               # sum chi(k) |L(1, chi, a)|^2 by closed_direct, thm1_lhs
 
 
-def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTerms:
+def cross_terms(q: int, k: int, a) -> CrossTerms:
+    """The cross terms and the thm1 statistic from one lfun.closed_vectors
+    call: L(1, chi), the tail T(chi, a) and L(1, chi, a) from one digamma
+    call on psi(r/q) and psi((r + a)/q) and one 3-row transform."""
     query = make_query("thm1", q, a, k=k)
     a = query.a
     fac = factorize(q)
-    lvec = _lvalue_vectors(fac, ShiftParam(0), ("closed_direct",), cache)["closed_direct"]
     t = get_table(q)
-    tvec = lfun.tail_vector(t, a)
-    tvec[t.principal_index] = 0.0
+    vecs = lfun.closed_vectors(t, a, ("l1", "tail", "l1a"))
+    for vec in vecs.values():
+        vec[t.principal_index] = 0.0
+    lvec, tvec = vecs["l1"], vecs["tail"]
     col = t.values_at(k)
     conj = t.conjugate_map
     m1 = complex(col @ (tvec * lvec[conj]))
@@ -328,14 +324,12 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
     unshifted = complex(col @ (np.abs(lvec) ** 2))
     af = a.real_value
     recombined = unshifted - af * (m1 + m2) + af * af * m3
+    lhs = complex(col @ (np.abs(vecs["l1a"]) ** 2))
 
     phi = euler_phi(fac)
     sieve = _ZETA2 * _sieve_factor(fac)
-    h_d = 0.0
-    h_kd = 0.0
-    for d, mu in _mobius_divisor_terms(fac):
-        h_d += mu / d * harmonic(floor_ratio(a, d))
-        h_kd += mu / d * harmonic(floor_ratio(a, k * d))
+    h_d = _mobius_harmonic(fac, a)
+    h_kd = _mobius_harmonic(fac, a, k)
     m1_pred = phi / (af * k) * sieve - phi / (af * af * k) * h_d
     m2_pred = phi / (af * k) * sieve + phi / (af * af) * h_kd
     m3_pred = (
@@ -343,7 +337,7 @@ def cross_terms(q: int, k: int, a, cache: ReportCache | None = None) -> CrossTer
         + phi / (af**3 * k * (k - 1)) * h_d
         - k * phi / (af**3 * (k - 1)) * h_kd
     )
-    return CrossTerms(q, k, a, m1, m2, m3, m1_pred, m2_pred, m3_pred, unshifted, recombined)
+    return CrossTerms(q, k, a, m1, m2, m3, m1_pred, m2_pred, m3_pred, unshifted, recombined, lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +400,9 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray]) -> dict[s
     return {m: complex(col @ w) for m, w in weights.items()}
 
 
-def _lhs(query: MeanValueQuery, cache: ReportCache | None) -> complex:
+def _lhs(query: MeanValueQuery) -> complex:
     """The query's target statistic by its own route."""
-    return _route_statistics(query, (query.method,), cache, factorize(query.q))[query.method]
+    return _route_statistics(query, (query.method,), None, factorize(query.q))[query.method]
 
 
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:

@@ -430,28 +430,26 @@ class TestDeterminismAndCache:
         ("verify", "--target", "orthogonality", "--q", "7"),
         ("verify", "--target", "lemma1", "--q", "7"),
         ("verify", "--target", "lemma2", "--p", "7", "--f", "0,1"),
+        ("verify", "--target", "thm2", "--p", "7", "--f", "0,1"),
+        ("verify", "--target", "recombination", "--q", "7", "--k", "2"),
     ])
     def test_cache_dir_neither_stores_nor_reads_a_table(self, argv, tmp_path, monkeypatch, capsys):
-        # verify builds its table whatever --cache-dir holds; chars and
-        # lvalue take no cache flag, and refuse it before any work.
+        # Only sweep takes a cache flag: chars, lvalue and verify refuse
+        # --cache and --cache-dir before any work, and build their table in
+        # process whatever a cache directory holds.
         assert run_cli(*argv) == 0
         plain = capsys.readouterr().out
         cache_dir = tmp_path / "cache"
-        cached = (*argv, "--cache-dir", str(cache_dir))
-        if argv[0] == "verify":
-            assert run_cli(*cached) == 0
-            assert capsys.readouterr().out == plain
-        else:
-            assert refused_exit_code(*cached) == 2
-            assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
-            cached = argv
+        for flag in (("--cache-dir", str(cache_dir)), ("--cache",)):
+            assert refused_exit_code(*argv, *flag) == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not cache_dir.exists()
         ReportCache(str(cache_dir)).put_table(chars.build_character_table(7))
         get_table.cache_clear()
         built = []
         build = chars.build_character_table
         monkeypatch.setattr(chars, "build_character_table", lambda q: built.append(q) or build(q))
-        assert run_cli(*cached) == 0
+        assert run_cli(*argv) == 0
         assert capsys.readouterr().out == plain
         assert built == [7]
         get_table.cache_clear()
@@ -516,7 +514,6 @@ class TestDeterminismAndCache:
     def test_single_route_callers_share_the_report_record(self, tmp_path, monkeypatch):
         cache = ReportCache(str(tmp_path / "cache"))
         lemma4_query = meanval.make_query("lemma4", 97, 2)
-        expected = meanval.thm1_lhs(97, 3, "5/2")
         lemma4 = meanval.build_report(lemma4_query).lhs
         meanval.build_report(meanval.make_query("eq1", 97, "5/2"), cache)
         meanval.build_report(lemma4_query, cache)
@@ -527,12 +524,9 @@ class TestDeterminismAndCache:
             raise AssertionError("an L-route was computed despite the stored record")
 
         monkeypatch.setattr(lfun, "route_vectors", no_routes)
-        assert meanval.thm1_lhs(97, 3, "5/2", cache=cache) == expected
-        assert meanval.thm1_lhs(97, 3, "5/2", method="closed_lemma1", cache=cache) == pytest.approx(expected)
         eq1 = meanval.build_report(meanval.make_query("eq1", 97, "5/2", method="closed_lemma1"), cache)
         assert eq1.lhs.real > 0
         assert meanval.build_report(lemma4_query, cache).lhs == lemma4
-        meanval.cross_terms(97, 3, "5/2", cache)  # its shift-0 L-vector is lemma4's record
         assert {p.name: p.read_bytes() for p in Path(cache.directory).iterdir()} == written
 
     def test_missing_or_discarded_record_recomputes_both_routes_in_one_call(self, tmp_path, monkeypatch):
@@ -564,12 +558,6 @@ class TestDeterminismAndCache:
             assert again.read_bytes() == first.read_bytes()
             assert [p.name for p in cache_dir.iterdir()] == [record.name]
             assert record.read_bytes() == stored
-        # A single-route caller also computes and stores both routes on a miss.
-        record.unlink()
-        calls.clear()
-        meanval.thm1_lhs(97, 2, "3/2", method="closed_lemma1", cache=ReportCache(str(cache_dir)))
-        assert calls == [["closed_direct", "closed_lemma1"]]
-        assert record.read_bytes() == stored
 
     def test_per_method_records_are_neither_read_nor_deleted(self, tmp_path, monkeypatch, capsys, caplog):
         # The records an earlier version 3 kept: one per closed route, and the tables.
@@ -650,7 +638,7 @@ CLI_OPTIONS = {
     "chars": ["--q", "--out"],
     "lvalue": ["--q", "--a", "--j", "--method", "--n-terms"],
     "expsum": ["--p", "--f", "--j"],
-    "verify": ["--target", "--q", "--p", "--a", "--k", "--f", "--n-terms", "--cache", "--cache-dir"],
+    "verify": ["--target", "--q", "--p", "--a", "--k", "--f", "--n-terms"],
     "sweep": ["--target", "--primes", "--moduli", "--a", "--k", "--f", "--degree", "--seed", "--method",
               "--jobs", "--out", "--cache", "--cache-dir"],
     "cache": ["--cache-dir", "--clear"],
@@ -714,6 +702,31 @@ class TestOnePathPerQuantity:
         assert run_cli(*argv) == 0
         assert len(calls) == 1
         capsys.readouterr()
+
+    def test_recombination_reads_one_batch(self, monkeypatch, capsys):
+        # L(1, chi), the tail and L(1, chi, a): one digamma call on psi(r/q)
+        # and psi((r + a)/q), one transform of three rows.
+        q, grids, rows = 2310, [], []
+        digamma, transform = lfun.digamma, chars.CharacterTable._transform
+        monkeypatch.setattr(lfun, "digamma", lambda x: grids.append(np.shape(x)) or digamma(x))
+        monkeypatch.setattr(chars.CharacterTable, "_transform",
+                            lambda self, grid: rows.append(len(grid)) or transform(self, grid))
+        assert run_cli("verify", "--target", "recombination", "--q", str(q), "--k", "13", "--a", "3/2") == 0
+        assert grids == [(2, q - 1)]
+        assert rows == [3]
+        capsys.readouterr()
+
+    def test_chars_certifies_and_transforms_once(self, monkeypatch, capsys):
+        certified, transformed = [], []
+        certify, transform = chars._certifies_logs, chars.CharacterTable._transform
+        monkeypatch.setattr(chars, "_certifies_logs", lambda t: certified.append(t.q) or certify(t))
+        monkeypatch.setattr(chars.CharacterTable, "_transform",
+                            lambda self, grid: transformed.append(len(grid)) or transform(self, grid))
+        get_table.cache_clear()
+        assert run_cli("chars", "--q", "1009") == 0
+        assert certified == [1009] and transformed == [1]
+        capsys.readouterr()
+        get_table.cache_clear()
 
 
 class TestNoDenseMatrix:

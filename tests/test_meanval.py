@@ -202,6 +202,12 @@ class TestCrossTerms:
         )
         assert abs(ct.recombined - manual) < 1e-12
 
+    @pytest.mark.parametrize("q, k", [(35, 2), (1009, 3), (1024, 3), (2310, 13)])
+    @pytest.mark.parametrize("a_str", ["1", "3/2", "2"])
+    def test_lhs_is_thm1_lhs(self, q, k, a_str):
+        # One batch, the same bits as the thm1 statistic by its own route.
+        assert meanval.cross_terms(q, k, A(a_str)).lhs == meanval.thm1_lhs(q, k, A(a_str))
+
     def test_k_inversion_relates_m1_m2(self):
         for q, k, a_str in ((7, 2, "1"), (13, 5, "2")):
             ct = meanval.cross_terms(q, k, A(a_str))
