@@ -137,19 +137,21 @@ def primitive_root(pk: int) -> int:
 
 
 def powers_mod(g: int, m: int, count: int) -> np.ndarray:
-    """g^t mod m for t = 0 .. count-1 as int64, by doubling:
-    pow[s:2s] = pow[:s] * g^s mod m.  Products stay below m^2 < 2^63."""
+    """g^t mod m for t = 0 .. count-1 as int64, by baby and giant steps: with
+    b = ceil(sqrt(count)), g^(b j + i) = g^(b j) g^i, the b baby powers g^i
+    and the giant powers g^(b j) taken in exact Python ints and combined by
+    one int64 outer product mod m.  Products stay below m^2 < 2^63."""
     if (m - 1) ** 2 >= 2**63:
         raise ValueError(f"powers_mod needs (m - 1)^2 < 2^63, got m = {m}")
-    pows = np.empty(count, dtype=np.int64)
-    if count:
-        pows[0] = 1 % m
-    s, g_s = 1, g % m
-    while s < count:
-        n = min(s, count - s)
-        np.remainder(pows[:n] * g_s, m, out=pows[s:s + n])
-        s, g_s = s + n, g_s * g_s % m
-    return pows
+    b = math.isqrt(max(count - 1, 0)) + 1
+    baby = [1 % m]
+    for _ in range(b - 1):
+        baby.append(baby[-1] * g % m)
+    giant, g_b = [1 % m], baby[-1] * g % m
+    for _ in range(-(-count // b) - 1):
+        giant.append(giant[-1] * g_b % m)
+    pows = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
+    return np.remainder(pows, m, out=pows).ravel()[:count]
 
 
 def discrete_log_array(pk: int, g: int) -> np.ndarray:

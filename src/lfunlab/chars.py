@@ -10,21 +10,28 @@ same grid, and
 
     chi_e(n) = exp(2 pi i sum_i e_i t_i(n) / s_i),   s_i = orders[i].
 
-Every character sum over all characters at once is therefore one inverse FFT
+A table is built from generator walks: each cyclic factor walks its units
+in grid order (the powers of its generator), the walks are lifted to q by
+their CRT idempotents and combined by one outer sum mod q, which gives the
+unit residue at every flat grid index, and residue_index is its inverse.
+Every character sum over all characters at once is then one inverse FFT
 over the grid (Rader 1968; Platt 2016), O(q log q) time and O(q) memory:
 
-    sums_over_residues:   sum_n chi_j(n) x_n  for every character j
-    sums_over_characters: sum_j chi_j(n) w_j  for every residue n
+    sums_over_units:      sum_i chi_j(u_i) v_i   for every character j
+    sums_over_residues:   sum_n chi_j(n) x_n     for every character j
+    sums_over_characters: sum_j chi_j(n) w_j     for every residue n
 
-Both take a leading batch axis, (m, q) grids to (m, phi) sums and back, and
-send the whole batch through one FFT call; a single grid is a batch of one.
+with u_i the unit at grid index i.  A grid evaluated only at the units, in
+grid order, goes straight to the transform; sums_over_residues is that call
+on the gather of a length-q grid at the units.  All three take a leading
+batch axis, (m, phi) or (m, q) grids to (m, phi) sums and back, and send the
+whole batch through one FFT call; a single grid is a batch of one.
 Character values at one residue x, chi_j(x) for every j, are values_at(x),
 from the exact exponents in O(phi); char_value(t, j, n) is one entry of it.
-The unit residue at each grid index (on a cyclic group, the powers of g) is
-built on first use and kept with the table, like the transform's twiddles,
-so a call is one gather, one FFT call and the twiddle combine.  Reusing one
-FFT set-up across many transforms (Frigo and Johnson, Proc. IEEE 93(2),
-2005) is what makes the batch cheaper than a call per grid.
+The unit order and the transform's twiddles are kept with the table, so a
+call is one FFT call and the twiddle combine.  Reusing one FFT set-up
+across many transforms (Frigo and Johnson, Proc. IEEE 93(2), 2005) is what
+makes the batch cheaper than a call per grid.
 
 The table stores only q, its components, the cyclic orders and the logs
 residue_index, O(q) exact integers, so cached tables are bit-reproducible;
@@ -48,11 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Factorization, discrete_log_array, factorize, powers_mod, primitive_root
+from .arith import factorize, powers_mod, primitive_root
 
-# Measured on a 2-core x86-64 host: at q = 99991 a table builds in 1.5 ms
-# (best of 30) and holds 3.2 MB with the unit order, twiddles and conjugation
-# map it keeps, and `lfunlab sweep --target thm1` runs in 0.3 s with a 57 MB
+# Measured on a 2-core x86-64 host: at q = 99991 a table builds with its unit
+# order in 2.7-3.2 ms (best of 30; 0.3-0.5 ms at q = 99990, whose walks are
+# short) and holds 3.2 MB with the unit order, twiddles and conjugation map
+# it keeps, and `lfunlab sweep --target thm1` runs in 0.25 s with a 54 MB
 # peak RSS.  Larger moduli are untested.
 _MAX_MODULUS = 10**5
 
@@ -106,7 +114,8 @@ class CharacterTable:
     @functools.cached_property
     def _units(self) -> np.ndarray:
         """The unit residue at each flat grid index (on a cyclic group, the
-        powers of g)."""
+        powers of g): set by the build, derived here for a table read from a
+        record."""
         units = self.unit_residues()
         order = np.empty(self.phi, dtype=np.int64)
         order[self.residue_index[units]] = units  # units fill the grid exactly once
@@ -119,7 +128,7 @@ class CharacterTable:
         sum_{n=1..q} chi_j(n)); (inf, inf) when _certifies_logs fails."""
         if not _certifies_logs(self):
             return math.inf, math.inf
-        sums = self.sums_over_residues((self.residue_index >= 0).astype(np.float64))
+        sums = self.sums_over_units(np.ones(self.phi))
         principal = abs(sums[self.principal_index] - self.phi)
         sums[self.principal_index] = 0.0
         nonprincipal = float(np.abs(sums).max())
@@ -170,13 +179,18 @@ class CharacterTable:
         np.subtract(even, odd, out=out[:, h:])
         return out
 
+    def sums_over_units(self, v: np.ndarray) -> np.ndarray:
+        """sum_i chi_j(_units[i]) v[..., i] for every character j, v given at
+        the units in grid order: a grid of length phi gives phi sums, an
+        (m, phi) batch gives (m, phi), from one batched transform."""
+        v = np.asarray(v)
+        return self._transform(v.reshape(-1, self.phi)).reshape(v.shape)
+
     def sums_over_residues(self, x: np.ndarray) -> np.ndarray:
         """sum_{n=0}^{q-1} chi_j(n) x[..., n] for every character j: a grid of
-        length q gives phi sums, an (m, q) batch gives (m, phi), from one
-        gather through the unit order and one batched transform."""
-        x = np.asarray(x)
-        sums = self._transform(x.reshape(-1, self.q)[:, self._units])
-        return sums.reshape(x.shape[:-1] + (self.phi,))
+        length q gives phi sums, an (m, q) batch gives (m, phi); sums_over_units
+        of the gather of x at the units."""
+        return self.sums_over_units(np.asarray(x)[..., self._units])
 
     def sums_over_characters(self, w: np.ndarray) -> np.ndarray:
         """sum_j chi_j(n) w[..., j] for every residue n = 0..q-1 (0 off the
@@ -235,49 +249,18 @@ class CharacterTable:
         return vals
 
 
-def _two_power_logs(e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-residue logs (t0, t1) with u = (-1)^t0 5^t1 mod 2^e, e >= 3."""
-    pk = 2**e
-    t0 = np.full(pk, -1, dtype=np.int64)
-    t1 = np.full(pk, -1, dtype=np.int64)
-    pows = powers_mod(5, pk, 2 ** (e - 2))
-    steps = np.arange(len(pows))
-    t0[pows], t1[pows] = 0, steps
-    t0[pk - pows], t1[pk - pows] = 1, steps
-    return t0, t1
-
-
-def _component_logs(fac: Factorization) -> tuple[list[GroupComponent], list[int], list[np.ndarray]]:
-    """Components, cyclic orders, and one length-q log column per order,
-    q = fac.n: the logs mod each prime power pk | q, repeated q/pk times."""
-    components: list[GroupComponent] = []
-    orders: list[int] = []
-    log_columns: list[np.ndarray] = []
-    for p, e in fac.factors:
-        pk = p**e
-        if p == 2:
-            if e == 1:
-                continue  # units mod 2 are trivial
-            if e == 2:
-                components.append(GroupComponent(4, (3,), (2,)))
-                orders.append(2)
-                logs = (np.array([-1, 0, -1, 1], dtype=np.int64),)
-            else:
-                components.append(GroupComponent(pk, (pk - 1, 5), (2, 2 ** (e - 2))))
-                orders.extend((2, 2 ** (e - 2)))
-                logs = _two_power_logs(e)
-        else:
-            g = primitive_root(pk)
-            order = pk // p * (p - 1)
-            components.append(GroupComponent(pk, (g,), (order,)))
-            orders.append(order)
-            logs = (discrete_log_array(pk, g),)
-        log_columns.extend(np.tile(col, fac.n // pk) for col in logs)
-    return components, orders, log_columns
-
-
 def build_character_table(q: int) -> CharacterTable:
-    """Construct the character table mod q in O(q) time and memory.
+    """Construct the character table mod q from generator walks, in O(q) time
+    and memory.
+
+    Each component walks its units mod its prime power in C order over its
+    axes: the powers of a primitive root g for an odd prime power, 1, 3 for
+    4, and 5^t then 2^e - 5^t for 2^e, e >= 3 (the factor 2 of q = 2 mod 4
+    is the constant 1).  Each walk is lifted to q by its CRT idempotent and
+    the lifts are combined by one outer sum mod q, which gives the unit at
+    every flat grid index (kept as the transform's unit order); residue_index
+    is its inverse, -1 off the units.  A walk that misses a unit raises
+    ValueError.
 
     Accepts 1 <= q <= 1e5.  q = 1 yields the single character that is
     identically 1, with every integer landing in the unit residue class 0.
@@ -286,15 +269,33 @@ def build_character_table(q: int) -> CharacterTable:
         raise ValueError(f"modulus must be a positive integer, got {q!r}")
     if q > _MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds the table bound {_MAX_MODULUS}")
-    fac = factorize(q)
-    components, orders, log_columns = _component_logs(fac)
-    residue_index = np.zeros(q, dtype=np.int64)
-    for col, s in zip(log_columns, orders):
-        residue_index = residue_index * s + col
-    # Non-units by prime factor (q = 2m has no log column for 2); _certifies_logs checks this mask.
-    for p, _ in fac.factors:
-        residue_index[::p] = -1
-    return CharacterTable(q, tuple(components), tuple(orders), residue_index)
+    components: list[GroupComponent] = []
+    units = np.zeros(1, dtype=np.int64)
+    for p, e in factorize(q).factors:
+        pk = p**e
+        if pk == 2:
+            walk = np.ones(1, dtype=np.int64)  # units mod 2 are trivial
+        elif pk == 4:
+            components.append(GroupComponent(4, (3,), (2,)))
+            walk = np.array([1, 3], dtype=np.int64)
+        elif p == 2:
+            components.append(GroupComponent(pk, (pk - 1, 5), (2, 2 ** (e - 2))))
+            fives = powers_mod(5, pk, 2 ** (e - 2))
+            walk = np.concatenate((fives, pk - fives))  # (-1)^t0 5^t1
+        else:
+            g, order = primitive_root(pk), pk // p * (p - 1)
+            components.append(GroupComponent(pk, (g,), (order,)))
+            walk = powers_mod(g, pk, order)
+        cofactor = q // pk
+        units = (units[:, None] + walk * (cofactor * pow(cofactor, -1, pk))).ravel()
+    units %= q
+    residue_index = np.full(q, -1, dtype=np.int64)
+    residue_index[units] = np.arange(len(units))
+    t = CharacterTable(q, tuple(components), tuple(s for c in components for s in c.orders), residue_index)
+    if np.count_nonzero(residue_index >= 0) != t.phi:
+        raise ValueError(f"the generator walks mod {q} do not reach all {t.phi} units")
+    t._units = units
+    return t
 
 
 @functools.lru_cache(maxsize=1)

@@ -132,12 +132,10 @@ def complete_sum(p: int, coefficients) -> complex:
 
 def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
     """S(chi, f) for every character at once (row j = character j), by one
-    transform over the unit group."""
+    transform of e(f(u)/p) at the units u in grid order."""
     p = t.q
     _check_prime(p)
-    terms = np.zeros(p, dtype=np.complex128)
-    terms[1:] = _e(_poly_values_mod(f.coefficients, p, np.arange(1, p, dtype=np.int64)), p)
-    return t.sums_over_residues(terms)
+    return t.sums_over_units(_e(_poly_values_mod(f.coefficients, p, t._units), p))
 
 
 # (x, y) pairs summed per block of the difference sums (at least two rows).

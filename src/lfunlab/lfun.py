@@ -26,31 +26,33 @@ route's bound is 2q/(N+1) plus q times that (at most 5.8e-19).
 The closed routes share the digamma backend and compute the same
 expression: closed_lemma1's -T(psi_0)/q - a T(psi_a - psi_0)/(a q) is
 closed_direct's -T(psi_a)/q, with T the character transform and psi_a the
-grid psi((r + a)/q), so their gap measures transform rounding only.  The
-truncated route shares nothing with them and anchors the tolerance
-chain.  Caveat: digamma's asymptotic series is the same Euler-Maclaurin
-expansion of sum 1/(k + x).  The routes stay apart because this code is
-separate (its own Bernoulli constants, nothing imported from specfun) and
-applies the expansion only at k + beta >= 24 after 24 q direct terms, while
-digamma shifts its argument to x >= 10, uses B_2 .. B_14 and no direct
-terms.  closed_vectors computes the closed pieces L(1, chi, a), L(1, chi)
-and the shift tail (a > 0) from one digamma call and one batched transform
-of each distinct grid.  route_vectors, tail_vector and meanval.cross_terms
-read it, so the tail has one implementation and verify --target
-recombination reads one batch.  A batched row is bit-identical to a call of
-its own, so the sharing changes no number: route_agreement still compares
-closed_direct's row of psi((r + a)/q) with closed_lemma1's
-L(1, chi) - a * tail, whose pieces are rows of their own.
+grid psi((u + a)/q) at the units u in grid order, so their gap measures
+transform rounding only.  The truncated route shares nothing with them and
+anchors the tolerance chain.  Caveat: digamma's asymptotic series is the
+same Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart
+because this code is separate (its own Bernoulli constants, nothing
+imported from specfun) and applies the expansion only at k + beta >= 24
+after 24 q direct terms, while digamma shifts its argument to x >= 10, uses
+B_2 .. B_14 and no direct terms.  closed_vectors computes the closed pieces
+L(1, chi, a), L(1, chi) and the shift tail (a > 0) from one digamma call
+and one batched transform of each distinct grid.  route_vectors,
+tail_vector and meanval.cross_terms read it, so the tail has one
+implementation and verify --target recombination reads one batch.  A
+batched row is bit-identical to a call of its own, so the sharing changes
+no number: route_agreement still compares closed_direct's row of
+psi((u + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces are
+rows of their own.
 
 Each route is computed for all characters at once (l1a_vector,
-truncated_vector, dispatched by route_vectors): the residue weights are one
-numpy array expression (digamma and zeta(2, .) take arrays) or one folded
-partial sum, and the character sum over them is one transform over the
-unit group (CharacterTable.sums_over_residues), O(q log q) per modulus.  The
-per-character functions (evaluate, l1_chi, shifted_tail_sum, l1_chi_a,
-l1_chi_a_truncated) validate the index and read one entry of those vectors;
-they are views, not a second implementation, so the three routes stay the
-only independent evaluations.
+truncated_vector, dispatched by route_vectors), by one transform over the
+unit group, O(q log q) per modulus.  The closed routes evaluate psi and
+zeta(2, .) (which take arrays) only at the phi(q) units, in the grid order
+the transform reads (CharacterTable.sums_over_units); the truncated route
+folds its partial sum onto all q residues and gathers the units from it
+(CharacterTable.sums_over_residues).  The per-character functions
+(evaluate, l1_chi, shifted_tail_sum, l1_chi_a, l1_chi_a_truncated) validate
+the index and read one entry of those vectors; they are views, not a second
+implementation, so the three routes stay the only independent evaluations.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
     the tail series converges absolutely for every chi)."""
     q = t.q
     if a.is_zero:
-        grid = np.zeros(q)
-        grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
-        return t.sums_over_residues(grid) / (q * q)
+        grid = np.zeros(t.phi)
+        first = int(q == 1)  # the unit mod 1 is residue 0, whose weight is 0
+        grid[first:] = hurwitz_zeta(2.0, t._units[first:] / q)
+        return t.sums_over_units(grid) / (q * q)
     return closed_vectors(t, a, ("tail",))["tail"]
 
 
@@ -220,10 +223,10 @@ def closed_vectors(t: CharacterTable, a: ShiftParam, parts: Collection[str]) -> 
     slot as the transform leaves it: "l1a" = -T(psi_a)/q, L(1, chi, a) by
     closed_direct; "l1" = -T(psi_0)/q, L(1, chi); "tail" (a > 0 only) =
     T(psi_a - psi_0)/(a q), sum_n chi(n)/(n (n + a)); with T the character
-    transform and psi_s the grid psi((r + s)/q) at column r = 1 .. q-1
-    (column 0 holds 0).  The grids come from one digamma call, each row
-    bit-identical to a call of its own, and each distinct grid is
-    transformed once, in one batched call.
+    transform and psi_s the grid psi((u + s)/q) at the units u in grid order
+    (t._units; at q = 1 the unit is residue 0 and its slot holds 0).  The
+    grids come from one digamma call, each row bit-identical to a call of
+    its own, and each distinct grid is transformed once, in one batched call.
     """
     q, s = t.q, a.real_value
     if "tail" in parts and not s:
@@ -231,11 +234,12 @@ def closed_vectors(t: CharacterTable, a: ShiftParam, parts: Collection[str]) -> 
     grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
     keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
     shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
-    psi = np.zeros((len(shifts), q))
-    psi[:, 1:] = digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
+    first = int(q == 1)
+    psi = np.zeros((len(shifts), t.phi))
+    psi[:, first:] = digamma((t._units[first:] + np.array(shifts)[:, None]) / q)
     psi = dict(zip(shifts, psi))
     grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
-    sums = dict(zip(keys, t.sums_over_residues(np.stack(grids))))
+    sums = dict(zip(keys, t.sums_over_units(np.stack(grids))))
     return {p: sums["tail"] / (s * q) if p == "tail" else -sums[grid_of[p]] / q for p in parts}
 
 

@@ -5,7 +5,9 @@ test.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from lfunlab.arith import (
     factorize,
     is_prime,
     moebius,
+    powers_mod,
     primitive_root,
 )
 
@@ -171,6 +174,19 @@ def test_discrete_log_roundtrip(pk):
     assert sorted(table.values()) == list(range(len(units)))
     for u, e in table.items():
         assert pow(g, e, pk) == u
+
+
+def test_powers_mod_matches_pow_loop():
+    rng = random.Random(2019)
+    cases = [(3, 7, 0), (3, 7, 1), (5, 1, 6), (0, 11, 5), (22, 11, 4), (-3, 10, 9), (2, 3037000500, 40)]
+    cases += [(rng.randrange(-10**6, 10**6), rng.randrange(1, 5000), rng.randrange(0, 3000)) for _ in range(200)]
+    for g, m, count in cases:
+        expected, x = [], 1 % m
+        for _ in range(count):
+            expected.append(x)
+            x = x * g % m
+        got = powers_mod(g, m, count)
+        assert got.dtype == np.int64 and got.tolist() == expected, (g, m, count)
 
 
 def test_discrete_log_rejects_non_generator():

@@ -410,7 +410,7 @@ class TestGroupLawCertificate:
 
 
 def test_residue_index_marks_units_by_gcd():
-    """The build strikes the multiples of each prime factor of q; that is the gcd mask."""
+    """The walks reach exactly the residues prime to q: the gcd mask."""
     for q in [*range(1, 3001), 99991]:
         t = build_character_table(q)
         units = np.gcd(np.arange(q), q) == 1
@@ -507,15 +507,58 @@ class TestDiscreteLogsByDoubling:
     def test_two_power_logs_match_pow_loop(self):
         for e in range(3, 17):
             pk = 2**e
-            t0 = np.full(pk, -1, dtype=np.int64)
-            t1 = np.full(pk, -1, dtype=np.int64)
+            logs = np.full(pk, -1, dtype=np.int64)
             x = 1
-            for i in range(2 ** (e - 2)):  # u = (-1)^t0 5^t1
-                t0[x], t1[x] = 0, i
-                t0[pk - x], t1[pk - x] = 1, i
+            for i in range(2 ** (e - 2)):  # u = (-1)^t0 5^t1 at flat index t0 2^(e-2) + t1
+                logs[x] = i
+                logs[pk - x] = 2 ** (e - 2) + i
                 x = x * 5 % pk
-            got = chars._two_power_logs(e)
-            assert np.array_equal(got[0], t0) and np.array_equal(got[1], t1), e
+            assert np.array_equal(build_character_table(pk).residue_index, logs), e
+
+    def test_walk_built_tables_match_log_oracle(self):
+        # The oracle: per prime power pk > 2 of q, the flat log of each
+        # residue mod pk by pow loops (-1 off the units), read at n mod pk
+        # and combined in C order, then -1 at every n sharing a factor with q.
+        component_logs = {}
+
+        def logs_mod(pk):
+            if pk not in component_logs:
+                if pk % 2:
+                    logs = _pow_loop_logs(pk, primitive_root(pk), euler_phi(factorize(pk)))
+                elif pk == 4:
+                    logs = _pow_loop_logs(4, 3, 2)
+                else:  # u = (-1)^t0 5^t1 at flat index t0 pk/4 + t1
+                    fives = _pow_loop_logs(pk, 5, pk // 4)
+                    negated = fives[-np.arange(pk) % pk]
+                    logs = np.where(fives >= 0, fives, np.where(negated >= 0, pk // 4 + negated, -1))
+                component_logs[pk] = logs
+            return component_logs[pk]
+
+        for q in [*range(1, 3001), 2**16, 30030, 96983, 99990, 99991]:
+            t = build_character_table(q)
+            n = np.arange(q)
+            oracle = np.zeros(q, dtype=np.int64)
+            units = np.ones(q, dtype=bool)
+            for p, e in factorize(q).factors:
+                units &= n % p != 0
+                if p**e > 2:
+                    oracle = oracle * euler_phi(factorize(p**e)) + logs_mod(p**e)[n % p**e]
+            oracle[~units] = -1
+            assert np.array_equal(t.residue_index, oracle), q
+            assert np.array_equal(t.residue_index[t._units], np.arange(t.phi)), q
+            assert chars._certifies_logs(t), q
+
+    def test_walk_through_a_non_generator_raises(self, monkeypatch):
+        monkeypatch.setattr(chars, "primitive_root", lambda pk: 4)  # a square: order (p-1)/2 at most
+        for q in (7, 2 * 49, 8 * 9):
+            with pytest.raises(ValueError, match="do not reach"):
+                build_character_table(q)
+
+    def test_trivial_groups_keep_their_tables(self):
+        for q, residue_index in ((1, [0]), (2, [-1, 0])):
+            t = build_character_table(q)
+            assert t.components == () and t.orders == () and t.phi == 1
+            assert t.residue_index.tolist() == residue_index and t._units.tolist() == [q - 1]
 
     def test_every_non_generator_rejected(self):
         for pk in (7, 9, 25, 27, 49, 121, 169, 2 * 49):

@@ -704,15 +704,15 @@ class TestOnePathPerQuantity:
         capsys.readouterr()
 
     def test_recombination_reads_one_batch(self, monkeypatch, capsys):
-        # L(1, chi), the tail and L(1, chi, a): one digamma call on psi(r/q)
-        # and psi((r + a)/q), one transform of three rows.
+        # L(1, chi), the tail and L(1, chi, a): one digamma call on psi(u/q)
+        # and psi((u + a)/q) at the phi(q) units u, one transform of three rows.
         q, grids, rows = 2310, [], []
         digamma, transform = lfun.digamma, chars.CharacterTable._transform
         monkeypatch.setattr(lfun, "digamma", lambda x: grids.append(np.shape(x)) or digamma(x))
         monkeypatch.setattr(chars.CharacterTable, "_transform",
                             lambda self, grid: rows.append(len(grid)) or transform(self, grid))
         assert run_cli("verify", "--target", "recombination", "--q", str(q), "--k", "13", "--a", "3/2") == 0
-        assert grids == [(2, q - 1)]
+        assert grids == [(2, get_table(q).phi)]
         assert rows == [3]
         capsys.readouterr()
 

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from lfunlab import lfun, meanval
+from lfunlab import expsum, lfun, meanval
+from lfunlab.arith import is_prime
 from lfunlab.chars import get_table
 from lfunlab.expsum import Polynomial
 from lfunlab.specfun import ShiftParam, hurwitz_zeta
@@ -292,8 +293,9 @@ class TestFarPeriods:
         assert np.array_equal(values, expected) and bound == expected_bound
 
 class TestPsiGridWork:
-    """Each report makes one digamma call, on every psi grid it needs, and one
-    batched transform of the grids (calls counted, not timed)."""
+    """Each report makes one digamma call, on every psi grid it needs at the
+    phi(q) units, and one batched transform of the grids (calls counted, not
+    timed)."""
 
     @staticmethod
     def _record_grid_sizes(monkeypatch):
@@ -330,8 +332,9 @@ class TestPsiGridWork:
         fft_calls = self._record_fft_calls(monkeypatch)
         meanval.build_report(query)
         # thm1's diagonal oracle adds a digamma call on its few divisor terms
-        assert [n for n in sizes["digamma"] if n >= q - 1] == [psi_grids * (q - 1)]
-        assert sizes["hurwitz_zeta"].count(q - 1) == 0
+        phi = get_table(q).phi
+        assert [n for n in sizes["digamma"] if n >= phi] == [psi_grids * phi]
+        assert sizes["hurwitz_zeta"].count(phi) == 0
         # the closed routes' batch; thm2 adds the one transform of S(chi, f)
         assert len(fft_calls) == (2 if target == "thm2" else 1)
         meanval.clear_memo()
@@ -345,7 +348,7 @@ class TestPsiGridWork:
         sizes = self._record_grid_sizes(monkeypatch)
         fft_calls = self._record_fft_calls(monkeypatch)
         got = lfun.route_vectors(t, a, ("closed_direct", "closed_lemma1"))
-        assert sizes["digamma"] == [(1 if a.is_zero else 2) * (q - 1)]
+        assert sizes["digamma"] == [(1 if a.is_zero else 2) * t.phi]  # psi at the units only
         assert [shape[0] for shape in fft_calls] == [rows]  # one call on the batch of distinct grids
         for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
             assert np.array_equal(got[m][0], vals) and got[m][1] == bound
@@ -360,3 +363,42 @@ class TestPsiGridWork:
 
         monkeypatch.setattr(lfun, "hurwitz_zeta", no_tail)
         assert np.array_equal(lfun.l1a_vector(t, ShiftParam(0), "closed_lemma1"), expected)
+
+
+def _residue_order_closed_vectors(t, a, parts):
+    """Oracle: closed_vectors with every psi grid at the residues r = 1 .. q-1
+    (column 0 holds 0), transformed through sums_over_residues."""
+    q, s = t.q, a.real_value
+    shifts = (s, 0.0)
+    psi = np.zeros((2, q))
+    psi[:, 1:] = lfun.digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
+    grids = {"l1a": psi[0], "l1": psi[1], "tail": psi[0] - psi[1]}
+    keys = [p for p in ("l1a", "l1", "tail") if p in parts]
+    sums = dict(zip(keys, t.sums_over_residues(np.stack([grids[k] for k in keys]))))
+    return {p: sums[p] / (s * q) if p == "tail" else -sums[p] / q for p in keys}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 24, 101, 1033, 2310, 30030])
+def test_unit_order_grids_are_bit_identical_to_residue_order(q, monkeypatch):
+    # Grids evaluated at the phi(q) units in grid order change no bit of the
+    # closed pieces, the zeta(2, .) tail at a = 0 or S(chi, f).  At q = 1 the
+    # only unit is residue 0: its slot stays 0 and no psi is taken there.
+    t = get_table(q)
+    arguments = []
+    digamma = lfun.digamma
+    monkeypatch.setattr(lfun, "digamma", lambda x: arguments.append(np.min(x, initial=1.0)) or digamma(x))
+    for a in ("0", "3/2", "2"):
+        a = ShiftParam.of(a)
+        parts = ("l1a", "l1", "tail") if a.real_value else ("l1a", "l1")
+        got, expected = lfun.closed_vectors(t, a, parts), _residue_order_closed_vectors(t, a, parts)
+        for p in parts:
+            assert np.array_equal(got[p], expected[p]), (a, p)
+    assert min(arguments) > 0
+    zeta_grid = np.zeros(q)
+    zeta_grid[1:] = hurwitz_zeta(2.0, np.arange(1, q) / q)
+    assert np.array_equal(lfun.tail_vector(t, ShiftParam(0)), t.sums_over_residues(zeta_grid) / (q * q))
+    if q > 2 and is_prime(q):
+        f = Polynomial.parse("1,0,3,2")
+        terms = np.zeros(q, dtype=np.complex128)
+        terms[1:] = expsum._e(expsum._poly_values_mod(f.coefficients, q, np.arange(1, q, dtype=np.int64)), q)
+        assert np.array_equal(expsum.weighted_char_sum_all(t, f), t.sums_over_residues(terms))
