@@ -95,24 +95,16 @@ def divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
-def _multiplicative_order_is(g: int, m: int, order: int, order_f: Factorization) -> bool:
-    """True iff g has full multiplicative order `order` modulo m.
-
-    Checks g^(order/r) != 1 for every prime r | order; assumes g^order == 1,
-    which holds for units by Euler's theorem when order = phi(m).
-    """
-    for r in order_f.primes():
-        if pow(g, order // r, m) == 1:
-            return False
-    return True
-
-
-def primitive_root(pk: int) -> int:
+def primitive_root(pk: int, fac: Factorization | None = None) -> int:
     """Smallest primitive root modulo pk.
 
     Only moduli with cyclic unit groups are accepted: 1, 2, 4, p^e, 2 p^e for
-    odd primes p.  Candidates are scanned in increasing order and the order
-    check uses the factored group order, so the result is deterministic.
+    odd primes p.  fac is the factorization of pk when the caller has it (a
+    table build passes each prime power of q); otherwise pk is factored
+    here.  The group order phi = p^(e-1) (p - 1) has the primes of p - 1,
+    and p when e > 1, so only p - 1 is factored.  Candidates are scanned in
+    increasing order: g is taken at the first unit with g^(phi/r) != 1 for
+    every prime r | phi, smallest r first, so the result is deterministic.
     """
     if pk < 1:
         raise ValueError(f"primitive_root expects pk >= 1, got {pk}")
@@ -120,19 +112,22 @@ def primitive_root(pk: int) -> int:
         return 1  # trivial unit group
     if pk == 4:
         return 3
-    f = factorize(pk)
+    f = factorize(pk) if fac is None else fac
     odd = [(p, e) for p, e in f.factors if p != 2]
     two_exp = next((e for p, e in f.factors if p == 2), 0)
     cyclic = len(odd) == 1 and two_exp <= 1
     if not cyclic:
         raise ValueError(f"unit group mod {pk} is not cyclic; no primitive root exists")
-    phi = euler_phi(f)
-    phi_f = factorize(phi)
+    (p, e), = odd
+    phi = p ** (e - 1) * (p - 1)
+    exponents = [phi // r for r in factorize(p - 1).primes() + ((p,) if e > 1 else ())]  # r ascending
     for g in range(2, pk):
-        if math.gcd(g, pk) != 1:
-            continue
-        if _multiplicative_order_is(g, pk, phi, phi_f):
-            return g
+        if math.gcd(g, pk) == 1:
+            for x in exponents:
+                if pow(g, x, pk) == 1:
+                    break
+            else:
+                return g
     raise ValueError(f"no primitive root found modulo {pk}")  # unreachable for valid pk
 
 

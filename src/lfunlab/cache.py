@@ -23,8 +23,9 @@ Nothing in the package stores or reads a table record: building a table
 costs less than reading and certifying a stored one, and the certificate
 proves a stored table consistent, not equal to the built one (logs to
 another primitive root pass it and renumber the characters).  Every command
-takes its table from the in-process memo (chars.get_table); the mean-value
-statistics store and read L-vector records only.  put_table and get_table
+builds its tables in process (a sweep per batch of moduli, the others
+through the chars.get_table memo); the mean-value statistics store and
+read L-vector records only.  put_table and get_table
 remain as library API.  A ReportCache handle holds only its directory:
 every load reads the record again.
 """

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, powers_mod, primitive_root
+from .arith import Factorization, factorize, powers_mod, primitive_root
 
 # Measured on a 2-core x86-64 host: at q = 99991 a table builds with its unit
 # order in 2.7-3.2 ms (best of 30; 0.3-0.5 ms at q = 99990, whose walks are
@@ -283,7 +283,7 @@ def build_character_table(q: int) -> CharacterTable:
             fives = powers_mod(5, pk, 2 ** (e - 2))
             walk = np.concatenate((fives, pk - fives))  # (-1)^t0 5^t1
         else:
-            g, order = primitive_root(pk), pk // p * (p - 1)
+            g, order = primitive_root(pk, Factorization(pk, ((p, e),))), pk // p * (p - 1)
             components.append(GroupComponent(pk, (g,), (order,)))
             walk = powers_mod(g, pk, order)
         cofactor = q // pk
@@ -300,10 +300,12 @@ def build_character_table(q: int) -> CharacterTable:
 
 @functools.lru_cache(maxsize=1)
 def get_table(q: int) -> CharacterTable:
-    """Memoized build_character_table, holding the last table built: every
-    command reads one modulus at a time (sweeps go modulus by modulus, and a
-    report or verify target re-reads the same q), so one table keeps every
-    hit and more would only hold memory."""
+    """Memoized build_character_table, holding the last table built: the
+    commands that read it (chars, lvalue, expsum, verify and the
+    single-route helpers of meanval) read one modulus at a time and re-read
+    the same q, so one table keeps every hit and more would only hold
+    memory.  Sweeps never read it: meanval.build_reports builds the tables
+    of a batch of moduli itself and hands them down."""
     return build_character_table(q)
 
 

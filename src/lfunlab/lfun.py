@@ -37,9 +37,14 @@ B_2 .. B_14 and no direct terms.  closed_vectors computes the closed pieces
 L(1, chi, a), L(1, chi) and the shift tail (a > 0) from one digamma call
 and one batched transform of each distinct grid.  route_vectors,
 tail_vector and meanval.cross_terms read it, so the tail has one
-implementation and verify --target recombination reads one batch.  A
-batched row is bit-identical to a call of its own, so the sharing changes
-no number: route_agreement still compares closed_direct's row of
+implementation and verify --target recombination reads one batch.
+closed_vectors_batch and route_vectors_batch take several (table, shift)
+jobs, as a sweep's batch of moduli does (meanval.build_reports): the grids
+of all jobs come from one digamma call, and each table transforms its own
+grids; closed_vectors and route_vectors are batches of one, passed to
+digamma as they are.  digamma is elementwise bit for bit and a batched row
+is bit-identical to a call of its own, so the sharing changes no number:
+route_agreement still compares closed_direct's row of
 psi((u + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces are
 rows of their own.
 
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chars import CharacterTable
-from .specfun import ShiftParam, digamma, hurwitz_zeta
+from .specfun import ShiftParam, digamma, elementwise_batch, hurwitz_zeta
 
 METHODS = ("closed_direct", "closed_lemma1", "truncated")
 
@@ -224,54 +229,82 @@ def closed_vectors(t: CharacterTable, a: ShiftParam, parts: Collection[str]) -> 
     closed_direct; "l1" = -T(psi_0)/q, L(1, chi); "tail" (a > 0 only) =
     T(psi_a - psi_0)/(a q), sum_n chi(n)/(n (n + a)); with T the character
     transform and psi_s the grid psi((u + s)/q) at the units u in grid order
-    (t._units; at q = 1 the unit is residue 0 and its slot holds 0).  The
-    grids come from one digamma call, each row bit-identical to a call of
-    its own, and each distinct grid is transformed once, in one batched call.
-    """
-    q, s = t.q, a.real_value
-    if "tail" in parts and not s:
-        raise ValueError("the digamma tail needs a > 0; tail_vector takes a = 0")
-    grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
-    keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
-    shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
-    first = int(q == 1)
-    psi = np.zeros((len(shifts), t.phi))
-    psi[:, first:] = digamma((t._units[first:] + np.array(shifts)[:, None]) / q)
-    psi = dict(zip(shifts, psi))
-    grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
-    sums = dict(zip(keys, t.sums_over_units(np.stack(grids))))
-    return {p: sums["tail"] / (s * q) if p == "tail" else -sums[grid_of[p]] / q for p in parts}
+    (t._units; at q = 1 the unit is residue 0 and its slot holds 0).  A
+    batch of one closed_vectors_batch job."""
+    return closed_vectors_batch([(t, a, parts)])[0]
+
+
+def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, Collection[str]]]
+                         ) -> list[dict[str, np.ndarray]]:
+    """closed_vectors for each (table, shift, parts) job.  The psi grids of
+    every job come from one digamma call on the concatenated arguments (a
+    single job's are passed as they are), each entry bit-identical to a call
+    of its own; then each table transforms its distinct grids once, in one
+    batched call, as a job of its own would."""
+    plans = []
+    for t, a, parts in jobs:
+        s = a.real_value
+        if "tail" in parts and not s:
+            raise ValueError("the digamma tail needs a > 0; tail_vector takes a = 0")
+        grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
+        keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
+        shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
+        plans.append((grid_of, keys, shifts))
+    # the arguments are freed when the call returns; at q = 1 there are none
+    values = elementwise_batch(digamma, [(t._units[int(t.q == 1):] + np.array(shifts)[:, None]) / t.q
+                                         for (t, _, _), (_, _, shifts) in zip(jobs, plans)])
+    out = []
+    for (t, a, parts), (grid_of, keys, shifts), value in zip(jobs, plans, values):
+        q, s = t.q, a.real_value
+        psi = dict(zip(shifts, value if q > 1 else np.zeros((len(shifts), 1))))
+        grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
+        sums = dict(zip(keys, t.sums_over_units(np.stack(grids))))
+        out.append({p: sums["tail"] / (s * q) if p == "tail" else -sums[grid_of[p]] / q for p in parts})
+    return out
 
 
 def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
                   n_terms: int | None = None) -> dict[str, tuple[np.ndarray, float]]:
     """L(1, chi, a) for every character by each named route, with the route's
-    error bound: {method: (values, error_bound)}, principal slot 0.
+    error bound: {method: (values, error_bound)}, principal slot 0.  A batch
+    of one route_vectors_batch job."""
+    return route_vectors_batch([(t, a)], methods, n_terms)[0]
 
-    The closed routes requested read one closed_vectors call: closed_direct
+
+def route_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam]], methods: Sequence[str],
+                        n_terms: int | None = None) -> list[dict[str, tuple[np.ndarray, float]]]:
+    """route_vectors for each (table, shift) job.
+
+    The closed routes requested read one closed_vectors_batch call for all
+    jobs, so every job's psi grids come from one digamma call: closed_direct
     is "l1a", closed_lemma1 is "l1" - a * "tail".  The truncated route is
-    the oracle and keeps its own transform.  n_terms is the truncated
-    route's N (default_truncation(q) when None); the closed routes ignore it.
+    the oracle and keeps its own transform per job.  n_terms is the
+    truncated route's N (default_truncation(q) when None); the closed routes
+    ignore it.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    s = a.real_value
     parts = {"l1a"} if "closed_direct" in methods else set()
+    tail = set()
     if "closed_lemma1" in methods:
-        parts |= {"l1", "tail"} if s else {"l1"}  # the a * tail term is exactly 0 at a = 0
-    pieces = closed_vectors(t, a, parts) if parts else {}
-    out = {}
-    for method in methods:
-        bound = _CLOSED_ERROR_BUDGET
-        if method == "closed_direct":
-            vals = pieces["l1a"]
-        elif method == "closed_lemma1":
-            vals = pieces["l1"] - s * pieces["tail"] if s else pieces["l1"]
-        else:
-            vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
-        vals[t.principal_index] = 0.0
-        out[method] = (vals, bound)
+        parts, tail = parts | {"l1"}, {"tail"}  # the a * tail term is exactly 0 at a = 0
+    pieces = (closed_vectors_batch([(t, a, parts | tail if a.real_value else parts) for t, a in jobs])
+              if parts else [{}] * len(jobs))
+    out = []
+    for (t, a), piece in zip(jobs, pieces):
+        s, vecs = a.real_value, {}
+        for method in methods:
+            bound = _CLOSED_ERROR_BUDGET
+            if method == "closed_direct":
+                vals = piece["l1a"]
+            elif method == "closed_lemma1":
+                vals = piece["l1"] - s * piece["tail"] if s else piece["l1"]
+            else:
+                vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
+            vals[t.principal_index] = 0.0
+            vecs[method] = (vals, bound)
+        out.append(vecs)
     return out
 
 

@@ -15,6 +15,10 @@ published main terms show constant-level tension with the direct computation
 (see the flags carried on reports).  Residual sweeps fit log |residual|
 against log q so the decay exponent lands in the output rather than in a
 hand-waved tolerance.
+
+Reports are built in batches (build_reports; build_report is a batch of
+one, and a sweep sends consecutive moduli), which pay each special
+function's fixed cost once a batch instead of once a report.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import lfun
+from . import chars, lfun
 from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
-from .chars import get_table
+from .chars import CharacterTable
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
-from .specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
+from .specfun import ShiftParam, digamma, elementwise_batch, floor_ratio, harmonic, hurwitz_zeta
 
 log = logging.getLogger("lfunlab")
 
@@ -104,39 +108,58 @@ def validate_query(query: MeanValueQuery) -> None:
 # ---------------------------------------------------------------------------
 # L-value vectors, optionally stored on disk
 
-def _route_vectors(q: int, a: ShiftParam, methods: Sequence[str]) -> dict[str, np.ndarray]:
-    return {m: vec for m, (vec, _) in lfun.route_vectors(get_table(q), a, methods).items()}
+def _lvec_shift(query: MeanValueQuery) -> ShiftParam:
+    """The shift of the L-vectors a query reads: lemma4 weights L(1, chi)."""
+    return ShiftParam(0) if query.target == "lemma4" else query.a
 
 
-def _lvalue_vectors(fac: Factorization, a: ShiftParam, methods: Sequence[str],
-                    cache: ReportCache | None = None) -> dict[str, np.ndarray]:
-    """L(1, chi, a) for all characters mod q = fac.n by each requested route
-    (principal slot 0); build_report's methods always hold both closed routes.
+def _stored_vectors(queries: Sequence[MeanValueQuery], facs: dict[int, Factorization],
+                    cache: ReportCache | None) -> list[dict[str, np.ndarray] | None]:
+    """The closed-route vectors of each query's (q, shift) record, or None
+    when there is no cache, no record, or its vectors are not phi(q) long."""
+    if cache is None:
+        return [None] * len(queries)
+    out = []
+    for query in queries:
+        a = _lvec_shift(query)
+        vecs = cache.get_lvec(query.q, a.numerator, a.denominator)
+        sound = vecs is not None and {len(v) for v in vecs.values()} == {euler_phi(facs[query.q])}
+        out.append(vecs if sound else None)
+    return out
 
-    With a cache, the closed routes come from the one record of (q, a).  When
-    it is missing, or its vectors are not phi(q) long, one lfun.route_vectors
-    call computes both and stores them.  The truncated route is the oracle
-    and is never stored: it is recomputed, at the default truncation length.
-    The character table comes from the in-process memo, and only when a
-    route is computed, so a warm eq1 report builds no table.
+
+def _lvalue_vectors(queries: Sequence[MeanValueQuery], stored: list[dict[str, np.ndarray] | None],
+                    tables: dict[int, CharacterTable], cache: ReportCache | None) -> list[dict[str, np.ndarray]]:
+    """L(1, chi, a) for all characters by every route each query compares
+    (principal slot 0): both closed routes, and the truncated one for a
+    truncated query.
+
+    The closed routes come from the stored records; the misses are computed
+    by one lfun.route_vectors_batch call, so their psi grids come from one
+    digamma call, and stored when there is a cache.  The truncated route is
+    the oracle and is never stored: it is recomputed, at the default
+    truncation length.
     """
-    q, vecs = fac.n, {}
+    vecs = [dict(v) if v is not None else {} for v in stored]
+    misses = [i for i, v in enumerate(stored) if v is None]
+    truncated = [i for i, query in enumerate(queries) if query.method == "truncated"]
+    for indices, methods in ((misses, LVEC_ROUTES), (truncated, ("truncated",))):
+        if not indices:
+            continue
+        jobs = [(tables[queries[i].q], _lvec_shift(queries[i])) for i in indices]
+        for i, routes in zip(indices, lfun.route_vectors_batch(jobs, methods)):
+            vecs[i].update({m: vec for m, (vec, _) in routes.items()})
     if cache is not None:
-        key = (q, a.numerator, a.denominator)
-        vecs = cache.get_lvec(*key)
-        if vecs is None or {len(v) for v in vecs.values()} != {euler_phi(fac)}:
-            vecs = _route_vectors(q, a, LVEC_ROUTES)
-            cache.put_lvec(*key, vecs)
-    missing = [m for m in methods if m not in vecs]
-    if missing:
-        vecs = {**vecs, **_route_vectors(q, a, missing)}
+        for i in misses:
+            a = _lvec_shift(queries[i])
+            cache.put_lvec(queries[i].q, a.numerator, a.denominator, vecs[i])
     return vecs
 
 
 def clear_memo() -> None:
     """Forget the in-process character tables (chars.get_table, the one
     in-process memo); nothing else outlives a report."""
-    get_table.cache_clear()
+    chars.get_table.cache_clear()
 
 
 def _sieve_factor(fac: Factorization) -> float:
@@ -161,9 +184,11 @@ def _mobius_divisor_terms(fac: Factorization) -> list[tuple[int, int]]:
     return sorted(terms)
 
 
-def _divisor_zetas(fac: Factorization, a: ShiftParam) -> np.ndarray:
-    """zeta(2, a/d) over the d of _mobius_divisor_terms, in one call."""
-    return hurwitz_zeta(2.0, np.array([a.div_value(d) for d, _ in _mobius_divisor_terms(fac)]))
+def _divisor_zetas(jobs: Sequence[tuple[Factorization, ShiftParam]]) -> list[np.ndarray]:
+    """zeta(2, a/d) over the d of _mobius_divisor_terms(fac) for each
+    (fac, a), from one hurwitz_zeta call for all of them."""
+    args = [np.array([a.div_value(d) for d, _ in _mobius_divisor_terms(fac)]) for fac, a in jobs]
+    return elementwise_batch(lambda x: hurwitz_zeta(2.0, x), args)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +248,9 @@ def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     return phi / (a.real_value * (k - 1)) * total
 
 
-def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
-    """phi(q) sum_{n >= 1, gcd(n,q)=1} 1/((n+a)(kn+a)), in closed form (a >= 1).
+def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]) -> list[float]:
+    """phi(q) sum_{n >= 1, gcd(n,q)=1} 1/((n+a)(kn+a)), in closed form (a >= 1),
+    for each (fac, k, a) with q = fac.n, from one digamma call for all of them.
 
     This is the m = kn exact-equality class of the orthogonality expansion of
     the thm1 statistic: an independent prediction of the dominant
@@ -234,10 +260,14 @@ def _thm1_diagonal_oracle(fac: Factorization, k: int, a: ShiftParam) -> float:
 
         sum_m 1/((dm+a)(kdm+a)) = [psi(1 + a/d) - psi(1 + a/(kd))]/(a (k-1) d).
     """
-    terms = _mobius_divisor_terms(fac)
-    psi = digamma(np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in terms]))
-    total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(terms, psi)))
-    return euler_phi(fac) / (a.real_value * (k - 1)) * total
+    terms = [_mobius_divisor_terms(fac) for fac, _, _ in jobs]
+    args = [np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in divisor_terms])
+            for divisor_terms, (_, k, a) in zip(terms, jobs)]
+    out = []
+    for divisor_terms, (fac, k, a), psi in zip(terms, jobs, elementwise_batch(digamma, args)):
+        total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(divisor_terms, psi)))
+        out.append(euler_phi(fac) / (a.real_value * (k - 1)) * total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +294,10 @@ def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
     L-vector and one table.  Both sides read the same |L(1, chi, a)|^2 by
     design: their gap checks the exponential-sum layer."""
     query = make_query("thm2", p, a, f=f)
-    w = np.abs(_route_vectors(p, query.a, ("closed_direct",))["closed_direct"]) ** 2
-    direct = _statistics(query, {"closed_direct": w})["closed_direct"].real
-    moments = get_table(p).sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
+    t = chars.get_table(p)
+    w = np.abs(lfun.route_vectors(t, query.a, ("closed_direct",))["closed_direct"][0]) ** 2
+    direct = _statistics(query, {"closed_direct": w}, t)["closed_direct"].real
+    moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return direct, complex((p - 1) * w.sum() + difference_sums(p, f) @ moments)
 
 
@@ -311,7 +342,7 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     query = make_query("thm1", q, a, k=k)
     a = query.a
     fac = factorize(q)
-    t = get_table(q)
+    t = chars.get_table(q)
     vecs = lfun.closed_vectors(t, a, ("l1", "tail", "l1a"))
     for vec in vecs.values():
         vec[t.principal_index] = 0.0
@@ -373,26 +404,17 @@ def _normalization(target: str, fac: Factorization, k_deg: int | None) -> float:
     return euler_phi(fac) * math.log(q) / math.sqrt(q)  # eq1 and thm1
 
 
-def _route_statistics(query: MeanValueQuery, methods: Sequence[str], cache: ReportCache | None,
-                      fac: Factorization) -> dict[str, complex]:
-    """The query's target statistic from the L-vector of each named route;
-    fac is the factorization of query.q."""
-    lvec_shift = ShiftParam(0) if query.target == "lemma4" else query.a
-    lvecs = _lvalue_vectors(fac, lvec_shift, methods, cache)
-    return _statistics(query, {m: np.abs(lvecs[m]) ** 2 for m in methods})
-
-
-def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray]) -> dict[str, complex]:
+def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
+                t: CharacterTable | None) -> dict[str, complex]:
     """The query's target statistic for each route's weights |L(1, chi, a)|^2
-    (the principal slot is already 0).
+    (the principal slot is already 0), t the table mod query.q.
 
-    eq1 sums them and reads no character, so it needs no table when its
+    eq1 sums them and reads no character, so it takes t = None when its
     vectors are stored; lemma4 and thm1 read the chi(k) column, and thm2
-    |S(chi, f)|^2, from the in-process table memo.
+    |S(chi, f)|^2, from t.
     """
     if query.target == "eq1":
         return {m: complex(w.sum()) for m, w in weights.items()}
-    t = get_table(query.q)
     if query.target == "thm2":
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
         return {m: complex((sq_sums * w).sum()) for m, w in weights.items()}
@@ -401,35 +423,66 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray]) -> dict[s
 
 
 def _lhs(query: MeanValueQuery) -> complex:
-    """The query's target statistic by its own route."""
-    return _route_statistics(query, (query.method,), None, factorize(query.q))[query.method]
+    """The query's target statistic by its own route, on the memo's table."""
+    t = chars.get_table(query.q)
+    vec = lfun.route_vectors(t, _lvec_shift(query), (query.method,))[query.method][0]
+    return _statistics(query, {query.method: np.abs(vec) ** 2}, t)[query.method]
 
 
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
-    """Evaluate the query, compare lfun routes, and assemble the report row."""
-    validate_query(query)
-    fac, a = factorize(query.q), query.a
-    methods = ["closed_direct", "closed_lemma1"]
-    if query.method == "truncated":
-        methods.append("truncated")
-    stats = _route_statistics(query, methods, cache, fac)
-    lhs = stats[query.method]
-    route_agreement = max(
-        abs(stats[m1] - stats[m2]) for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
-    )
+    """Evaluate the query, compare lfun routes, and assemble the report row:
+    a batch of one build_reports query."""
+    return build_reports([query], cache)[0]
 
-    if query.target == "lemma4":
-        paper_main, oracle_main = _lemma4_main(fac, a), None
-    elif query.target == "eq1":
-        paper_main, oracle_main = _eq1_main(fac, a, _divisor_zetas(fac, a))
-    elif query.target == "thm1":
-        paper_main = _thm1_main(fac, query.k, a)
-        oracle_main = _thm1_diagonal_oracle(fac, query.k, a)
-    else:  # zeta(2, [a, a/p]) once, for the main term and its eq1 oracle
-        zetas = _divisor_zetas(fac, a)
-        paper_main = _thm2_main(query.q, a, zetas)
-        oracle_main = (query.q - 1) * _eq1_main(fac, a, zetas).first_term_only
 
+def build_reports(queries: Sequence[MeanValueQuery], cache: ReportCache | None = None) -> list[MeanValueReport]:
+    """One report row per query, in order, built as one batch.
+
+    Each modulus is factored once, and its table built once (not from the
+    chars.get_table memo) when a route is computed or the statistic reads
+    characters, so a warm eq1 batch builds none; both are handed down.  The
+    cache records are read first.  The psi grids of the misses come from one
+    digamma call, the eq1 and thm2 main terms' zeta(2, a/d) from one
+    hurwitz_zeta call and the thm1 oracles from one more digamma call; both
+    functions are elementwise bit for bit, so a report does not depend on
+    its batch.  Transforms, statistics and assembly stay per modulus.
+    """
+    for query in queries:
+        validate_query(query)
+    facs = {query.q: factorize(query.q) for query in queries}
+    stored = _stored_vectors(queries, facs, cache)
+    built = [query.q for query, vecs in zip(queries, stored)
+             if vecs is None or query.method == "truncated" or query.target != "eq1"]
+    tables = {q: chars.build_character_table(q) for q in dict.fromkeys(built)}
+    lvecs = _lvalue_vectors(queries, stored, tables, cache)
+    # the special values, in query order, consumed by the queries that read them
+    zetas = iter(_divisor_zetas([(facs[qu.q], qu.a) for qu in queries if qu.target in ("eq1", "thm2")]))
+    oracles = iter(_thm1_diagonal_oracles([(facs[qu.q], qu.k, qu.a) for qu in queries if qu.target == "thm1"]))
+    reports = []
+    for query, vecs in zip(queries, lvecs):
+        fac, a = facs[query.q], query.a
+        stats = _statistics(query, {m: np.abs(v) ** 2 for m, v in vecs.items()}, tables.get(query.q))
+        methods = list(vecs)
+        route_agreement = max(
+            abs(stats[m1] - stats[m2]) for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
+        )
+        if query.target == "lemma4":
+            paper_main, oracle_main = _lemma4_main(fac, a), None
+        elif query.target == "eq1":
+            paper_main, oracle_main = _eq1_main(fac, a, next(zetas))
+        elif query.target == "thm1":
+            paper_main, oracle_main = _thm1_main(fac, query.k, a), next(oracles)
+        else:  # zeta(2, [a, a/p]) once, for the main term and its eq1 oracle
+            zeta_pair = next(zetas)
+            paper_main = _thm2_main(query.q, a, zeta_pair)
+            oracle_main = (query.q - 1) * _eq1_main(fac, a, zeta_pair).first_term_only
+        reports.append(_report(query, fac, stats[query.method], route_agreement, paper_main, oracle_main))
+    return reports
+
+
+def _report(query: MeanValueQuery, fac: Factorization, lhs: complex, route_agreement: float,
+            paper_main: float, oracle_main: float | None) -> MeanValueReport:
+    """The report row of a query from its statistic and main terms."""
     residual = lhs.real - paper_main
     k_deg = query.f.degree if query.target == "thm2" else None
     flags = []
@@ -491,10 +544,35 @@ def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
     return make_query(target, q, a, k=k, f=f, method=method)
 
 
-def _report_for(args: tuple) -> MeanValueReport:
-    query, cache_dir = args
+# Digamma arguments one batch of a sweep may take: a query counts its psi
+# grids (one for lemma4, two otherwise) times q, a bound on phi(q), and a
+# query over the cap is a batch of its own.  Measured with perfbench/run.py
+# on a 2-core x86-64 host, sweep-many at seeds 1-3 (moduli 300-2000): a
+# batch per report peaks at 35.40-35.49 MB RSS in 32-35 ms per pass; caps
+# 2^12, 2^13, 2^14 and 2^16 peak at 35.50-35.55, 35.51-35.66, 36.29-36.41
+# and 36.65-36.78 MB in 30.8-32.1, 28.8-29.2, 28.4-29.5 and 27.9-28.5 ms.
+# 2^13 takes most of the gain within 1% of the memory.
+_BATCH_ARGUMENTS = 2**13
+
+
+def _batches(queries: list[MeanValueQuery]) -> list[list[MeanValueQuery]]:
+    """Consecutive runs of queries whose psi arguments stay within _BATCH_ARGUMENTS."""
+    batches: list[list[MeanValueQuery]] = []
+    size = 0
+    for query in queries:
+        n = (1 if query.target == "lemma4" else 2) * query.q
+        if not batches or size + n > _BATCH_ARGUMENTS:
+            batches.append([])
+            size = 0
+        batches[-1].append(query)
+        size += n
+    return batches
+
+
+def _reports_for(args: tuple) -> list[MeanValueReport]:
+    queries, cache_dir = args
     cache = ReportCache(cache_dir) if cache_dir is not None else None
-    return build_report(query, cache)
+    return build_reports(queries, cache)
 
 
 def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
@@ -503,6 +581,8 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    jobs: int = 1, cache: ReportCache | None = None) -> ResidualSeries:
     """Evaluate the target over a modulus list, skipping invalid moduli.
 
+    The valid queries go to build_reports in batches of consecutive moduli
+    (_batches), in process or, with jobs > 1, one batch per pool task.
     Reports come back ordered by modulus regardless of worker scheduling;
     the fit runs on |residual| > 0 rows only.
     """
@@ -517,14 +597,15 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
         except ValueError as exc:
             log.warning("skipping q=%s: %s", q, exc)
             skipped.append((q, str(exc)))
+    batches = _batches(queries)
     cache_dir = cache.directory if cache is not None else None
-    if jobs > 1 and len(queries) > 1:
+    if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays this import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_report_for, [(qu, cache_dir) for qu in queries]))
+            reports = [r for rs in pool.map(_reports_for, [(b, cache_dir) for b in batches]) for r in rs]
     else:
-        reports = [build_report(qu, cache) for qu in queries]
+        reports = [r for batch in batches for r in build_reports(batch, cache)]
     reports.sort(key=lambda r: r.q)
     beta, constant = _fit_residuals(reports)
     return ResidualSeries(target, tuple(reports), tuple(skipped), beta, constant)

@@ -15,8 +15,10 @@ of unit steps n = ceil(10 - x) is computed once, the recurrence terms
 entry needs and under a mask for the rest, and the series is a Horner
 evaluation in place.  An entry's arithmetic never depends on the other
 entries, so an array call equals the entry-by-entry calls bit for bit.  The
-Hurwitz zeta sums its (at most ten) direct terms as one (n, alpha) array
-before adding the Euler-Maclaurin tail.
+Hurwitz zeta evaluates its (at most ten) direct terms as one (n, alpha)
+array and adds its rows in order, smallest terms first, before adding the
+Euler-Maclaurin tail; it too works on a flat array whatever the argument's
+shape, so it is elementwise bit for bit as well.
 
 ShiftParam carries the series shift a as an exact reduced fraction so that
 floor quantities like [a/d] never go through floating point.
@@ -115,10 +117,16 @@ def hurwitz_zeta(s: float, alpha):
     if not math.isfinite(s) or s <= 1.0:
         raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
     alpha = _positive_array(alpha, "hurwitz_zeta requires alpha > 0")
+    shape = alpha.shape
+    alpha = alpha.reshape(-1)  # 1-D, so a float takes the array arithmetic too
     m = np.maximum(0.0, np.ceil(_SHIFT_CUTOFF - alpha))
-    # rows n = M-1 .. 0 (largest n, smallest terms, first) against every alpha
-    n = np.arange(m.max(initial=0.0) - 1.0, -1.0, -1.0).reshape((-1,) + (1,) * alpha.ndim)
-    direct = np.where(n < m, (n + alpha) ** (-s), 0.0).sum(axis=0)
+    # rows n = M-1 .. 0 (largest n, smallest terms, first) against every alpha,
+    # added row by row: a reduction over the rows would sum a single column
+    # pairwise and several columns in order
+    n = np.arange(m.max(initial=0.0) - 1.0, -1.0, -1.0)[:, None]
+    direct = np.zeros_like(alpha)
+    for row in np.where(n < m, (n + alpha) ** (-s), 0.0):
+        direct += row
     c = m + alpha
     tail = c ** (1.0 - s) / (s - 1.0) + 0.5 * c ** (-s)
     rising = s  # s (s+1) ... (s + 2j - 2), grown incrementally
@@ -128,7 +136,20 @@ def hurwitz_zeta(s: float, alpha):
         tail += b / math.factorial(2 * j) * rising * cpow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         cpow = cpow * inv_c2
-    return _result(direct + tail)
+    return _result((direct + tail).reshape(shape))
+
+
+def elementwise_batch(fn, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """fn(x) for each array x of arrays, from one call of fn on all their
+    entries: the concatenated entries are split back and reshaped to each
+    array's shape, and a single array is passed as it is, with no copy.
+    For digamma and hurwitz_zeta, which are elementwise bit for bit, each
+    piece equals fn(x) exactly, while the call's fixed cost is paid once."""
+    if len(arrays) <= 1:
+        return [fn(x) for x in arrays]
+    flat = fn(np.concatenate([x.ravel() for x in arrays]))
+    pieces = np.split(flat, np.cumsum([x.size for x in arrays[:-1]]))
+    return [piece.reshape(x.shape) for piece, x in zip(pieces, arrays)]
 
 
 def harmonic(n: int) -> float:

@@ -154,6 +154,29 @@ class TestPrimitiveRoot:
                 order += 1
             assert order < phi
 
+    def test_matches_the_full_factorization_scan(self):
+        # The scan factors only p - 1 (and takes pk's factorization from a
+        # caller that has it); it must still return the root of the scan over
+        # the factored group order, for every p^e and 2 p^e up to 10^4.
+        def scan(pk):
+            f = factorize(pk)
+            phi = euler_phi(f)
+            primes = factorize(phi).primes()
+            return next(g for g in range(2, pk)
+                        if math.gcd(g, pk) == 1 and all(pow(g, phi // r, pk) != 1 for r in primes))
+
+        checked = 0
+        for pk in range(3, 10**4 + 1):
+            odd = [(p, e) for p, e in factorize(pk).factors if p != 2]
+            if len(odd) != 1 or pk % 4 == 0:
+                continue
+            expected = scan(pk)
+            assert primitive_root(pk) == expected, pk
+            if pk % 2:
+                assert primitive_root(pk, Factorization(pk, tuple(odd))) == expected, pk
+            checked += 1
+        assert checked > 1900
+
     def test_special_cases(self):
         assert primitive_root(1) == 1
         assert primitive_root(2) == 1

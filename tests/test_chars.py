@@ -549,7 +549,7 @@ class TestDiscreteLogsByDoubling:
             assert chars._certifies_logs(t), q
 
     def test_walk_through_a_non_generator_raises(self, monkeypatch):
-        monkeypatch.setattr(chars, "primitive_root", lambda pk: 4)  # a square: order (p-1)/2 at most
+        monkeypatch.setattr(chars, "primitive_root", lambda pk, fac=None: 4)  # a square: order (p-1)/2 at most
         for q in (7, 2 * 49, 8 * 9):
             with pytest.raises(ValueError, match="do not reach"):
                 build_character_table(q)

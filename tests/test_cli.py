@@ -523,7 +523,7 @@ class TestDeterminismAndCache:
         def no_routes(*args, **kwargs):
             raise AssertionError("an L-route was computed despite the stored record")
 
-        monkeypatch.setattr(lfun, "route_vectors", no_routes)
+        monkeypatch.setattr(lfun, "route_vectors_batch", no_routes)  # route_vectors is a batch of one
         eq1 = meanval.build_report(meanval.make_query("eq1", 97, "5/2", method="closed_lemma1"), cache)
         assert eq1.lhs.real > 0
         assert meanval.build_report(lemma4_query, cache).lhs == lemma4
@@ -531,13 +531,13 @@ class TestDeterminismAndCache:
 
     def test_missing_or_discarded_record_recomputes_both_routes_in_one_call(self, tmp_path, monkeypatch):
         calls = []
-        route_vectors = lfun.route_vectors
+        route_vectors_batch = lfun.route_vectors_batch
 
-        def recording(t, a, methods, n_terms=None):
+        def recording(jobs, methods, n_terms=None):
             calls.append(list(methods))
-            return route_vectors(t, a, methods, n_terms)
+            return route_vectors_batch(jobs, methods, n_terms)
 
-        monkeypatch.setattr(lfun, "route_vectors", recording)
+        monkeypatch.setattr(lfun, "route_vectors_batch", recording)
         args = ("sweep", "--target", "eq1", "--moduli", "97", "--a", "3/2")
         cache_dir = tmp_path / "cache"
         record = cache_dir / "lvec_q97_a3_2.rec"

@@ -9,7 +9,7 @@ import pytest
 
 from lfunlab import expsum, lfun, meanval
 from lfunlab.arith import is_prime
-from lfunlab.chars import get_table
+from lfunlab.chars import build_character_table, get_table
 from lfunlab.expsum import Polynomial
 from lfunlab.specfun import ShiftParam, hurwitz_zeta
 
@@ -352,6 +352,26 @@ class TestPsiGridWork:
         assert [shape[0] for shape in fft_calls] == [rows]  # one call on the batch of distinct grids
         for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
             assert np.array_equal(got[m][0], vals) and got[m][1] == bound
+
+    @pytest.mark.parametrize("methods", [
+        ("closed_direct", "closed_lemma1"), ("closed_lemma1",), ("closed_direct", "truncated"), ("truncated",),
+    ])
+    def test_route_vectors_batch_equals_one_job_calls(self, methods, monkeypatch):
+        # Every job's psi grids come from one digamma call on all of them, and
+        # each job's vectors equal its own route_vectors call bit for bit.
+        jobs = [(build_character_table(q), ShiftParam.of(a))
+                for q, a in ((1, "3/2"), (5, "3/2"), (24, "0"), (101, "2"), (1033, "3/2"), (2310, "5/2"))]
+        sizes = self._record_grid_sizes(monkeypatch)
+        expected = [lfun.route_vectors(t, a, methods) for t, a in jobs]
+        one_job = list(sizes["digamma"])
+        sizes["digamma"].clear()
+        got = lfun.route_vectors_batch(jobs, methods)
+        assert sizes["digamma"] == ([sum(one_job)] if one_job else [])  # none for the truncated route alone
+        for vecs, ref in zip(got, expected):
+            assert list(vecs) == list(methods)
+            for m, (vals, bound) in ref.items():
+                assert np.array_equal(vecs[m][0], vals) and vecs[m][1] == bound
+        assert lfun.route_vectors_batch([], methods) == []
 
     @pytest.mark.parametrize("q", [5, 24, 101])
     def test_closed_lemma1_at_zero_is_l1_vector(self, q, monkeypatch):

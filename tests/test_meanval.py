@@ -11,11 +11,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from lfunlab import arith, chars, lfun, meanval
+from lfunlab import arith, chars, cli, lfun, meanval
 from lfunlab.arith import divisors, euler_phi, factorize, is_prime, moebius
 from lfunlab.cache import ReportCache
 from lfunlab.chars import char_value, get_table
@@ -142,7 +143,7 @@ class TestDiagonalOracle:
     def test_large_prime_limit(self):
         # sieve factor -> 1, so the density tends to 2 ln 2 - 1 per character
         q = 9973
-        v = meanval._thm1_diagonal_oracle(factorize(q), 2, A(1))
+        v = meanval._thm1_diagonal_oracles([(factorize(q), 2, A(1))])[0]
         assert abs(v / (q - 1) - (2 * math.log(2) - 1)) < 1e-3
 
 
@@ -290,12 +291,12 @@ class TestThm2:
 class TestReports:
     def test_oracle_wiring(self):
         fac = factorize(7)
-        eq1_first = meanval._eq1_main(fac, A(2), meanval._divisor_zetas(fac, A(2))).first_term_only
+        eq1_first = meanval._eq1_main(fac, A(2), meanval._divisor_zetas([(fac, A(2))])[0]).first_term_only
         r_eq1 = meanval.build_report(meanval.make_query("eq1", 7, A(2)))
         assert r_eq1.oracle_main == pytest.approx(eq1_first, abs=1e-12)
         r_thm1 = meanval.build_report(meanval.make_query("thm1", 7, A(2), k=2))
         assert r_thm1.oracle_main == pytest.approx(
-            meanval._thm1_diagonal_oracle(fac, 2, A(2)), abs=1e-12
+            meanval._thm1_diagonal_oracles([(fac, 2, A(2))])[0], abs=1e-12
         )
         r_lemma4 = meanval.build_report(meanval.make_query("lemma4", 7, A(2)))
         assert r_lemma4.oracle_main is None
@@ -336,7 +337,8 @@ class TestReports:
 @pytest.mark.parametrize("q", [1033, 1116])
 def test_eq1_report_factorizes_q_once(q, monkeypatch, tmp_path):
     # A report passes one factorization of q to its main terms, normalization
-    # and cache check; the table build, when the memo misses, makes its own.
+    # and cache check; the table build, which every report that computes a
+    # route makes (no memo), makes its own.  A warm eq1 report builds no table.
     calls = []
 
     def counting(n, _fn=arith.factorize):
@@ -349,17 +351,16 @@ def test_eq1_report_factorizes_q_once(q, monkeypatch, tmp_path):
         monkeypatch.setattr(module, "factorize", counting)
     chars.build_character_table(q)
     table_calls = len(calls)
-    calls.clear()
-    meanval.build_report(query)
-    assert len(calls) == 1 + table_calls
-    for store in (None, ReportCache(str(tmp_path / "cache"))):
-        calls.clear()  # the table is in the memo now; cold and warm cache alike
-        meanval.build_report(query, store)
-        assert calls == [q]
+    store = ReportCache(str(tmp_path / "cache"))
+    for cache in (None, None, store):  # twice without a cache, then a cold cache
+        calls.clear()
+        meanval.build_report(query, cache)
+        assert len(calls) == 1 + table_calls and calls.count(q) == 2
+    for _ in range(2):
         calls.clear()
         meanval.build_report(query, store)
         assert calls == [q]
-    meanval.clear_memo()
+    assert get_table.cache_info().currsize == 0
 
 
 class TestResidualSweep:
@@ -431,16 +432,118 @@ def test_sweep_keeps_nothing_past_the_table_memo():
     meanval.clear_memo()
 
 
-@pytest.mark.parametrize("target, k, hits", [("eq1", None, 0), ("thm1", 2, 16)])
-def test_sweep_leaves_one_table_in_the_memo(target, k, hits):
-    # A sweep goes modulus by modulus: eq1 reads each table once, for its
-    # L-vectors; thm1 reads it again for the chi(k) column, a hit.
+@pytest.mark.parametrize("target, k", [("eq1", None), ("thm1", 2)])
+def test_sweep_leaves_the_table_memo_empty(target, k):
+    # A sweep builds the tables of each batch itself and hands them down: eq1
+    # reads each table for its L-vectors, thm1 again for the chi(k) column,
+    # and neither reads or fills the chars.get_table memo.
     moduli = [p for p in range(10**4, 11000) if is_prime(p)][:16]
     meanval.clear_memo()
     meanval.residual_sweep(target, moduli, A(1), k=k)
     info = get_table.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, hits, 16)
-    meanval.clear_memo()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+
+# Primes, prime powers and composites up to 2000; each target skips some.
+BATCH_MODULI = (3, 4, 5, 7, 8, 9, 12, 15, 16, 24, 97, 101, 210, 211, 243, 1009, 1024, 1155, 1999)
+BATCH_SWEEPS = {
+    "lemma4": dict(a=A(3)),
+    "eq1": dict(a=A("3/2")),
+    "thm1": dict(a=A(2), k=5),
+    "thm2": dict(a=A(2), degree=3, seed=7),
+}
+
+
+def _one_query_reports(target, method):
+    """build_report on each valid query of the sweep, one at a time."""
+    kwargs = BATCH_SWEEPS[target]
+    reports = []
+    for q in BATCH_MODULI:
+        try:
+            query = meanval._sweep_query(target, q, kwargs["a"], kwargs.get("k"), None,
+                                         kwargs.get("degree"), kwargs.get("seed"), method)
+        except ValueError:
+            continue
+        reports.append(meanval.build_report(query))
+    return reports
+
+
+class TestBatchedSweep:
+    """A sweep builds its reports in batches of consecutive moduli through
+    build_reports, which changes no byte of any report."""
+
+    @pytest.mark.parametrize("target", meanval.TARGETS)
+    @pytest.mark.parametrize("method", lfun.METHODS)
+    def test_sweep_bytes_equal_one_query_reports(self, target, method, tmp_path, monkeypatch):
+        expected = _one_query_reports(target, method)
+        csv_text, json_text = cli.render_csv(expected), cli.render_json(expected)
+        batches = []
+        build_reports = meanval.build_reports
+        monkeypatch.setattr(meanval, "build_reports",
+                            lambda queries, cache=None: batches.append(len(queries)) or build_reports(queries, cache))
+        for cap in (meanval._BATCH_ARGUMENTS, 1000, 1):  # the default; several queries a batch; one
+            monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", cap)
+            store = ReportCache(str(tmp_path / f"cache_{cap}"))
+            for cache in (None, store, store):  # no cache, cold, warm
+                batches.clear()
+                series = meanval.residual_sweep(target, BATCH_MODULI, method=method, cache=cache,
+                                                **BATCH_SWEEPS[target])
+                assert cli.render_csv(series.reports) == csv_text
+                assert cli.render_json(series.reports) == json_text
+                assert sum(batches) == len(expected)
+                assert len(series.skipped) == len(BATCH_MODULI) - len(expected)
+            if cap == 1:  # every query is over the cap: a batch of its own
+                assert len(batches) == len(expected)
+            elif cap == 1000:
+                assert 3 <= len(batches) < len(expected)
+
+    @pytest.mark.parametrize("target", meanval.TARGETS)
+    def test_one_call_of_each_kind_per_batch(self, target, monkeypatch):
+        calls = {"psi": [], "zeta": [], "oracle": [], "factorize": [], "table": [], "batch": []}
+
+        def spy(module, name, log):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kw: log.append(args) or fn(*args, **kw))
+
+        spy(lfun, "digamma", calls["psi"])
+        spy(meanval, "hurwitz_zeta", calls["zeta"])
+        spy(meanval, "digamma", calls["oracle"])
+        spy(meanval, "factorize", calls["factorize"])
+        spy(chars, "factorize", calls["factorize"])
+        spy(chars, "build_character_table", calls["table"])
+        spy(meanval, "build_reports", calls["batch"])
+        monkeypatch.setattr(chars, "get_table", lambda q: pytest.fail(f"a sweep read the memo for q={q}"))
+        monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 1000)
+        series = meanval.residual_sweep(target, BATCH_MODULI, **BATCH_SWEEPS[target])
+        valid = [r.q for r in series.reports]
+        batches = len(calls["batch"])
+        assert 3 <= batches < len(valid)
+        assert len(calls["psi"]) == batches
+        assert len(calls["zeta"]) == (batches if target in ("eq1", "thm2") else 0)
+        assert len(calls["oracle"]) == (batches if target == "thm1" else 0)
+        assert [args[0] for args in calls["table"]] == valid
+        factored = Counter(args[0] for args in calls["factorize"])
+        assert set(factored) == set(valid) and max(factored.values()) <= 2
+
+    def test_parallel_batches_match_serial(self, monkeypatch):
+        monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 1000)  # several batches for the pool
+        batches = meanval._batches([meanval.make_query("thm1", q, 2, k=5) for q in (97, 101, 211, 1009, 7)])
+        assert [[query.q for query in batch] for batch in batches] == [[97, 101, 211], [1009], [7]]
+        serial = meanval.residual_sweep("thm1", BATCH_MODULI, A(2), k=5, jobs=1)
+        parallel = meanval.residual_sweep("thm1", BATCH_MODULI, A(2), k=5, jobs=2)
+        assert parallel.reports == serial.reports
+
+    def test_memory_is_set_by_the_batch_cap_not_the_sweep_length(self):
+        moduli = [q for q in range(19800, 20200) if q % 10 == 1][:40]
+        peaks = []
+        for sweep in (moduli[-1:], moduli):
+            tracemalloc.start()
+            try:
+                meanval.residual_sweep("eq1", sweep, A("3/2"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_divisor_terms_from_the_primes_match_the_loop():
@@ -461,7 +564,7 @@ class TestMainTermsMatchDivisorLoop:
             zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.div_value(d))
             harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
         fac = factorize(q)
-        main = meanval._eq1_main(fac, a, meanval._divisor_zetas(fac, a))
+        main = meanval._eq1_main(fac, a, meanval._divisor_zetas([(fac, a)])[0])
         assert math.isclose(main.first_term_only, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
         full = phi * zeta_sum - 4.0 * phi / a.real_value * harmonic_sum
         assert math.isclose(main.full, full, rel_tol=1e-14, abs_tol=0.0)
@@ -472,5 +575,5 @@ class TestMainTermsMatchDivisorLoop:
         for d, mu in mobius_divisor_loop(q):
             total += mu / d * (digamma(1.0 + a.div_value(d)) - digamma(1.0 + a.div_value(k * d)))
         expected = euler_phi(factorize(q)) / (a.real_value * (k - 1)) * total
-        assert math.isclose(meanval._thm1_diagonal_oracle(factorize(q), k, a), expected,
+        assert math.isclose(meanval._thm1_diagonal_oracles([(factorize(q), k, a)])[0], expected,
                             rel_tol=1e-14, abs_tol=0.0)

@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from lfunlab.specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
+from lfunlab.specfun import ShiftParam, digamma, elementwise_batch, floor_ratio, harmonic, hurwitz_zeta
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -94,6 +94,28 @@ class TestArrayArguments:
         zeta = hurwitz_zeta(2.0, self.GRID)
         assert np.allclose(zeta, scipy.special.zeta(2.0, self.GRID), rtol=1e-11, atol=0.0)
         assert np.allclose(zeta, [hurwitz_zeta(2.0, float(x)) for x in self.GRID], rtol=1e-15, atol=0.0)
+
+    def test_hurwitz_zeta_array_equals_entry_by_entry(self):
+        # the direct terms are added row by row, so an entry's sum does not
+        # depend on how many entries share the array (a float included)
+        alpha = np.concatenate([self.GRID, np.random.default_rng(5).uniform(1e-6, 12.0, 2000)])
+        zeta = hurwitz_zeta(2.0, alpha)
+        assert np.array_equal(zeta, [hurwitz_zeta(2.0, float(x)) for x in alpha])
+        assert np.array_equal(zeta[:999], [hurwitz_zeta(2.0, alpha[i:i + 1])[0] for i in range(999)])
+        assert np.array_equal(hurwitz_zeta(2.0, alpha[:36].reshape(6, 6)), zeta[:36].reshape(6, 6))
+
+    def test_elementwise_batch_equals_separate_calls(self):
+        rng = np.random.default_rng(11)
+        arrays = [rng.uniform(1e-3, 15.0, shape) for shape in ((7,), (2, 5), (0,), (1,), (3, 1))]
+        for fn in (digamma, lambda x: hurwitz_zeta(2.0, x)):
+            for batch in (arrays, arrays[1:2], []):
+                got = elementwise_batch(fn, batch)
+                assert len(got) == len(batch)
+                for piece, x in zip(got, batch):
+                    assert piece.shape == x.shape and np.array_equal(piece, fn(x))
+        seen = []
+        elementwise_batch(lambda x: seen.append(x) or digamma(x), arrays[1:2])
+        assert seen[0] is arrays[1]  # a single array is passed as it is, not copied
 
     def test_float_argument_gives_float(self):
         assert type(digamma(2.5)) is float
