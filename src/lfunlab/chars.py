@@ -300,12 +300,12 @@ def build_character_table(q: int) -> CharacterTable:
 
 @functools.lru_cache(maxsize=1)
 def get_table(q: int) -> CharacterTable:
-    """Memoized build_character_table, holding the last table built: the
-    commands that read it (chars, lvalue, expsum, verify and the
-    single-route helpers of meanval) read one modulus at a time and re-read
-    the same q, so one table keeps every hit and more would only hold
-    memory.  Sweeps never read it: meanval.build_reports builds the tables
-    of a batch of moduli itself and hands them down."""
+    """Memoized build_character_table, holding the last table built.  The
+    commands read at most one table each through it (chars, lvalue, expsum
+    and every verify target but lemma3: 0 hits, 0 or 1 misses), so its hits
+    come from library callers that read a modulus again, directly or through
+    meanval.thm2_sides and meanval.cross_terms.  Sweeps and reports never
+    read it: meanval.build_reports builds the tables of a batch itself."""
     return build_character_table(q)
 
 

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--q", type=int)
     p_ver.add_argument("--p", type=int)
-    p_ver.add_argument("--a", default="1")
+    p_ver.add_argument("--a")
     p_ver.add_argument("--k", type=int)
     p_ver.add_argument("--f", help="polynomial coefficients a0,a1,...,ak")
     p_ver.add_argument("--n-terms", type=int, default=None)
@@ -207,6 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _normalize(ns: argparse.Namespace) -> None:
     """Parse the text-valued flags in place and fold --p into q."""
+    if ns.subcommand == "verify":  # a flag the target ignores is refused, not dropped
+        for flag, readers in (("a", ("lemma1", "thm2", "recombination")), ("k", ("recombination",)),
+                              ("f", ("lemma2", "lemma3", "thm2"))):
+            if getattr(ns, flag) is not None and ns.target not in readers:
+                raise ValueError(f"--{flag} applies only to verify --target {', '.join(readers)}")
+        ns.a = "1" if ns.a is None else ns.a  # the default shift of lemma1, thm2 and recombination
     if hasattr(ns, "f"):
         ns.f = Polynomial.parse(ns.f) if ns.f else None
     if hasattr(ns, "a"):

@@ -1,10 +1,11 @@
 """Shifted Dirichlet L-series at s = 1 by three independent routes.
 
-For a non-principal character chi mod q and a rational shift a >= 0, the
-series L(1, chi, a) = sum_{n>=1} chi(n) / (n + a) converges conditionally and
-has the closed form -(1/q) sum_r chi(r) psi((r + a)/q): splitting n into
-residue classes turns the series into Hurwitz zetas whose pole cancels
-against sum_r chi(r) = 0, leaving digamma values.
+For a non-principal character chi mod q and a rational shift a >= 0 (a
+specfun.ShiftParam, whose float(a) each function reads once per job), the
+series L(1, chi, a) = sum_{n>=1} chi(n) / (n + a) converges conditionally
+and has the closed form -(1/q) sum_r chi(r) psi((r + a)/q): splitting n
+into residue classes turns the series into Hurwitz zetas whose pole
+cancels against sum_r chi(r) = 0, leaving digamma values.
 
 Routes:
   closed_direct  -- the digamma closed form at shift a;
@@ -112,7 +113,7 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
     """sum_n chi(n) / (n (n + a)) for every character (principal slot kept:
     the tail series converges absolutely for every chi)."""
     q = t.q
-    if a.is_zero:
+    if a == 0:
         grid = np.zeros(t.phi)
         first = int(q == 1)  # the unit mod 1 is residue 0, whose weight is 0
         grid[first:] = hurwitz_zeta(2.0, t._units[first:] / q)
@@ -163,7 +164,7 @@ def _far_periods(q: int, a: ShiftParam, periods: int) -> np.ndarray:
     each correction sum evaluated by Horner (_em_corrections).
     """
     span = periods - 1 - _HEAD_PERIODS
-    lo = _HEAD_PERIODS + (np.arange(1, q + 1) + a.real_value) / q
+    lo = _HEAD_PERIODS + (np.arange(1, q + 1) + float(a)) / q
     hi = lo + span
     total = np.log1p(span / lo) + 0.5 * (1.0 / lo + 1.0 / hi)
     total -= _em_corrections(hi) - _em_corrections(lo)
@@ -180,7 +181,7 @@ def _far_remainder(q: int, a: ShiftParam, periods: int) -> float:
     """
     if periods <= _HEAD_PERIODS:
         return 0.0
-    lo_min = _HEAD_PERIODS + (1 + a.real_value) / q
+    lo_min = _HEAD_PERIODS + (1 + float(a)) / q
     return _EM_OMITTED_B12 / 12.0 * lo_min ** -12
 
 
@@ -196,10 +197,11 @@ def _folded_weights(q: int, a: ShiftParam, n_terms: int) -> np.ndarray:
     head = min(periods, _HEAD_PERIODS)
     rows = max(1, _FOLD_BLOCK_TERMS // q)
     acc = np.zeros(q)
+    s = float(a)
     for k in range(0, head, rows):
         # n < 2^53, so the float64 range holds each n exactly
         terms = np.arange(k * q + 1, min(k + rows, head) * q + 1, dtype=np.float64)
-        terms += a.real_value
+        terms += s
         np.reciprocal(terms, out=terms)
         acc += terms.reshape(-1, q).sum(axis=0)
     if periods > head:
@@ -243,19 +245,19 @@ def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, Collec
     batched call, as a job of its own would."""
     plans = []
     for t, a, parts in jobs:
-        s = a.real_value
+        s = float(a)
         if "tail" in parts and not s:
             raise ValueError("the digamma tail needs a > 0; tail_vector takes a = 0")
         grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
         keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
         shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
-        plans.append((grid_of, keys, shifts))
+        plans.append((s, grid_of, keys, shifts))
     # the arguments are freed when the call returns; at q = 1 there are none
     values = elementwise_batch(digamma, [(t._units[int(t.q == 1):] + np.array(shifts)[:, None]) / t.q
-                                         for (t, _, _), (_, _, shifts) in zip(jobs, plans)])
+                                         for (t, _, _), (_, _, _, shifts) in zip(jobs, plans)])
     out = []
-    for (t, a, parts), (grid_of, keys, shifts), value in zip(jobs, plans, values):
-        q, s = t.q, a.real_value
+    for (t, _, parts), (s, grid_of, keys, shifts), value in zip(jobs, plans, values):
+        q = t.q
         psi = dict(zip(shifts, value if q > 1 else np.zeros((len(shifts), 1))))
         grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
         sums = dict(zip(keys, t.sums_over_units(np.stack(grids))))
@@ -289,11 +291,12 @@ def route_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam]], metho
     tail = set()
     if "closed_lemma1" in methods:
         parts, tail = parts | {"l1"}, {"tail"}  # the a * tail term is exactly 0 at a = 0
-    pieces = (closed_vectors_batch([(t, a, parts | tail if a.real_value else parts) for t, a in jobs])
+    shifts = [float(a) for _, a in jobs]
+    pieces = (closed_vectors_batch([(t, a, parts | tail if s else parts) for (t, a), s in zip(jobs, shifts)])
               if parts else [{}] * len(jobs))
     out = []
-    for (t, a), piece in zip(jobs, pieces):
-        s, vecs = a.real_value, {}
+    for (t, a), s, piece in zip(jobs, shifts, pieces):
+        vecs = {}
         for method in methods:
             bound = _CLOSED_ERROR_BUDGET
             if method == "closed_direct":

@@ -18,11 +18,13 @@ hand-waved tolerance.
 
 Reports are built in batches (build_reports; build_report is a batch of
 one, and a sweep sends consecutive moduli), which pay each special
-function's fixed cost once a batch instead of once a report.
+function's fixed cost once a batch instead of once a report.  thm1_lhs
+and thm2_lhs_direct return a report's lhs; cross_terms.lhs uses _statistics.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
@@ -54,7 +56,8 @@ TENSION_FLAG = "main_term_tension"
 
 @dataclass(frozen=True)
 class MeanValueQuery:
-    """One evaluation request: target statistic, modulus, shift, weights."""
+    """One evaluation request: target statistic, modulus, shift, weights;
+    construction coerces a and raises ValueError outside the target's range."""
 
     target: str
     q: int
@@ -63,46 +66,42 @@ class MeanValueQuery:
     f: Polynomial | None = None
     method: str = "closed_direct"
 
+    def __post_init__(self) -> None:
+        a = ShiftParam.of(self.a)
+        object.__setattr__(self, "a", a)
+        if self.target not in TARGETS:
+            raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
+        q = self.q
+        if not isinstance(q, int) or isinstance(q, bool) or q < 3:
+            raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
+        if self.method not in lfun.METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {lfun.METHODS}")
+        if self.target == "lemma4":
+            if a.denominator != 1 or a.numerator < 2:
+                raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
+            if math.gcd(a.numerator, q) != 1:
+                raise ValueError(f"lemma4 weight a={a} must be coprime to q={q}")
+            return
+        if a.numerator < a.denominator:
+            raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+        if self.target == "thm1":
+            k = self.k
+            if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+                raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
+            if math.gcd(k, q) != 1:
+                raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
+        elif self.target == "thm2":
+            if not is_prime(q):
+                raise ValueError(f"thm2 modulus must be prime, got {q}")
+            if self.f is None:
+                raise ValueError("thm2 requires a polynomial")
+            if not self.f.coprime_to(q):
+                raise ValueError(f"p={q} divides every coefficient of {self.f}")
+            if a.denominator == 1 and math.gcd(a.numerator, q) != 1:
+                raise ValueError(f"integer shift a={a} must be coprime to p={q}")
 
-def make_query(target: str, q: int, a, k: int | None = None, f: Polynomial | None = None,
-               method: str = "closed_direct") -> MeanValueQuery:
-    query = MeanValueQuery(target, q, ShiftParam.of(a), k, f, method)
-    validate_query(query)
-    return query
 
-
-def validate_query(query: MeanValueQuery) -> None:
-    """Raise ValueError unless the query lies in its target's range."""
-    if query.target not in TARGETS:
-        raise ValueError(f"unknown target {query.target!r}; expected one of {TARGETS}")
-    q, a = query.q, query.a
-    if not isinstance(q, int) or isinstance(q, bool) or q < 3:
-        raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
-    if query.method not in lfun.METHODS:
-        raise ValueError(f"unknown method {query.method!r}; expected one of {lfun.METHODS}")
-    if query.target == "lemma4":
-        if not a.is_integer or a.numerator < 2:
-            raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
-        if math.gcd(a.numerator, q) != 1:
-            raise ValueError(f"lemma4 weight a={a} must be coprime to q={q}")
-        return
-    if a.numerator < a.denominator:
-        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
-    if query.target == "thm1":
-        k = query.k
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-            raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
-        if math.gcd(k, q) != 1:
-            raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
-    elif query.target == "thm2":
-        if not is_prime(q):
-            raise ValueError(f"thm2 modulus must be prime, got {q}")
-        if query.f is None:
-            raise ValueError("thm2 requires a polynomial")
-        if not query.f.coprime_to(q):
-            raise ValueError(f"p={q} divides every coefficient of {query.f}")
-        if a.is_integer and math.gcd(a.numerator, q) != 1:
-            raise ValueError(f"integer shift a={a} must be coprime to p={q}")
+make_query = MeanValueQuery
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,8 @@ def _mobius_divisor_terms(fac: Factorization) -> list[tuple[int, int]]:
 def _divisor_zetas(jobs: Sequence[tuple[Factorization, ShiftParam]]) -> list[np.ndarray]:
     """zeta(2, a/d) over the d of _mobius_divisor_terms(fac) for each
     (fac, a), from one hurwitz_zeta call for all of them."""
-    args = [np.array([a.div_value(d) for d, _ in _mobius_divisor_terms(fac)]) for fac, a in jobs]
+    args = [np.array([a.numerator / (a.denominator * d) for d, _ in _mobius_divisor_terms(fac)])
+            for fac, a in jobs]
     return elementwise_batch(lambda x: hurwitz_zeta(2.0, x), args)
 
 
@@ -222,7 +222,7 @@ def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
     terms = _mobius_divisor_terms(fac)
     zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
     first = phi * zeta_sum
-    full = first - 4.0 * phi / a.real_value * _mobius_harmonic(fac, a)
+    full = first - 4.0 * phi / float(a) * _mobius_harmonic(fac, a)
     return Eq1Main(full, first)
 
 
@@ -230,7 +230,7 @@ def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
 # thm1: sum chi(k) |L(1, chi, a)|^2
 
 def thm1_lhs(q: int, k: int, a, method: str = "closed_direct") -> complex:
-    return _lhs(make_query("thm1", q, a, k=k, method=method))
+    return build_report(MeanValueQuery("thm1", q, a, k, method=method)).lhs
 
 
 def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
@@ -245,7 +245,7 @@ def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
         lo = floor_ratio(a, k * d)
         hi = floor_ratio(a, d)
         total += mu / d * (harmonic(hi) - harmonic(lo))
-    return phi / (a.real_value * (k - 1)) * total
+    return phi / (float(a) * (k - 1)) * total
 
 
 def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]) -> list[float]:
@@ -261,12 +261,12 @@ def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]
         sum_m 1/((dm+a)(kdm+a)) = [psi(1 + a/d) - psi(1 + a/(kd))]/(a (k-1) d).
     """
     terms = [_mobius_divisor_terms(fac) for fac, _, _ in jobs]
-    args = [np.array([[1.0 + a.div_value(d), 1.0 + a.div_value(k * d)] for d, _ in divisor_terms])
+    args = [1.0 + np.array([[a.numerator / (a.denominator * m) for m in (d, k * d)] for d, _ in divisor_terms])
             for divisor_terms, (_, k, a) in zip(terms, jobs)]
     out = []
     for divisor_terms, (fac, k, a), psi in zip(terms, jobs, elementwise_batch(digamma, args)):
         total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(divisor_terms, psi)))
-        out.append(euler_phi(fac) / (a.real_value * (k - 1)) * total)
+        out.append(euler_phi(fac) / (float(a) * (k - 1)) * total)
     return out
 
 
@@ -274,7 +274,7 @@ def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]
 # thm2: sum |S(chi, f)|^2 |L(1, chi, a)|^2 over a prime modulus
 
 def thm2_lhs_direct(p: int, f: Polynomial, a) -> float:
-    return _lhs(make_query("thm2", p, a, f=f)).real
+    return build_report(MeanValueQuery("thm2", p, a, f=f)).lhs.real
 
 
 def thm2_lhs_decomposed(p: int, f: Polynomial, a) -> complex:
@@ -293,7 +293,7 @@ def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
     """thm2_lhs_direct and thm2_lhs_decomposed by closed_direct, from one
     L-vector and one table.  Both sides read the same |L(1, chi, a)|^2 by
     design: their gap checks the exponential-sum layer."""
-    query = make_query("thm2", p, a, f=f)
+    query = MeanValueQuery("thm2", p, a, f=f)
     t = chars.get_table(p)
     w = np.abs(lfun.route_vectors(t, query.a, ("closed_direct",))["closed_direct"][0]) ** 2
     direct = _statistics(query, {"closed_direct": w}, t)["closed_direct"].real
@@ -308,7 +308,7 @@ def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
     p2 = float(p * p)
     zeta_a, zeta_ap = zetas
     zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
-    harm_part = 4.0 * p2 / a.real_value * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
+    harm_part = 4.0 * p2 / float(a) * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
     return zeta_part - harm_part
 
 
@@ -332,14 +332,15 @@ class CrossTerms:
     m3_predicted: float
     unshifted_moment: complex  # sum chi(k) |L(1, chi)|^2
     recombined: complex        # unshifted - a(m1 + m2) + a^2 m3
-    lhs: complex               # sum chi(k) |L(1, chi, a)|^2 by closed_direct, thm1_lhs
+    lhs: complex               # sum chi(k) |L(1, chi, a)|^2 by closed_direct, as thm1_lhs
 
 
 def cross_terms(q: int, k: int, a) -> CrossTerms:
     """The cross terms and the thm1 statistic from one lfun.closed_vectors
     call: L(1, chi), the tail T(chi, a) and L(1, chi, a) from one digamma
-    call on psi(r/q) and psi((r + a)/q) and one 3-row transform."""
-    query = make_query("thm1", q, a, k=k)
+    call on psi(r/q) and psi((r + a)/q) and one 3-row transform.  The
+    statistic is the reports' own (_statistics) of that L(1, chi, a)."""
+    query = MeanValueQuery("thm1", q, a, k)
     a = query.a
     fac = factorize(q)
     t = chars.get_table(q)
@@ -353,9 +354,9 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     m2 = complex(col @ (np.conj(tvec) * lvec))
     m3 = complex(col @ (np.abs(tvec) ** 2))
     unshifted = complex(col @ (np.abs(lvec) ** 2))
-    af = a.real_value
+    af = float(a)
     recombined = unshifted - af * (m1 + m2) + af * af * m3
-    lhs = complex(col @ (np.abs(vecs["l1a"]) ** 2))
+    lhs = _statistics(query, {"closed_direct": np.abs(vecs["l1a"]) ** 2}, t)["closed_direct"]
 
     phi = euler_phi(fac)
     sieve = _ZETA2 * _sieve_factor(fac)
@@ -422,13 +423,6 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
     return {m: complex(col @ w) for m, w in weights.items()}
 
 
-def _lhs(query: MeanValueQuery) -> complex:
-    """The query's target statistic by its own route, on the memo's table."""
-    t = chars.get_table(query.q)
-    vec = lfun.route_vectors(t, _lvec_shift(query), (query.method,))[query.method][0]
-    return _statistics(query, {query.method: np.abs(vec) ** 2}, t)[query.method]
-
-
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
     """Evaluate the query, compare lfun routes, and assemble the report row:
     a batch of one build_reports query."""
@@ -447,8 +441,6 @@ def build_reports(queries: Sequence[MeanValueQuery], cache: ReportCache | None =
     functions are elementwise bit for bit, so a report does not depend on
     its batch.  Transforms, statistics and assembly stay per modulus.
     """
-    for query in queries:
-        validate_query(query)
     facs = {query.q: factorize(query.q) for query in queries}
     stored = _stored_vectors(queries, facs, cache)
     built = [query.q for query, vecs in zip(queries, stored)
@@ -541,7 +533,7 @@ def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
     if target == "thm2" and f is None:  # residual_sweep has checked that degree is set
         rng = random.Random((seed if seed is not None else 0) * 1_000_003 + q)
         f = sample_polynomial(rng, degree, q)
-    return make_query(target, q, a, k=k, f=f, method=method)
+    return MeanValueQuery(target, q, a, k, f, method)
 
 
 # Digamma arguments one batch of a sweep may take: a query counts its psi
@@ -569,12 +561,6 @@ def _batches(queries: list[MeanValueQuery]) -> list[list[MeanValueQuery]]:
     return batches
 
 
-def _reports_for(args: tuple) -> list[MeanValueReport]:
-    queries, cache_dir = args
-    cache = ReportCache(cache_dir) if cache_dir is not None else None
-    return build_reports(queries, cache)
-
-
 def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    f: Polynomial | None = None, degree: int | None = None,
                    seed: int | None = None, method: str = "closed_direct",
@@ -598,12 +584,11 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
             log.warning("skipping q=%s: %s", q, exc)
             skipped.append((q, str(exc)))
     batches = _batches(queries)
-    cache_dir = cache.directory if cache is not None else None
     if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays this import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = [r for rs in pool.map(_reports_for, [(b, cache_dir) for b in batches]) for r in rs]
+            reports = [r for rs in pool.map(functools.partial(build_reports, cache=cache), batches) for r in rs]
     else:
         reports = [r for batch in batches for r in build_reports(batch, cache)]
     reports.sort(key=lambda r: r.q)

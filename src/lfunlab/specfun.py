@@ -20,14 +20,14 @@ array and adds its rows in order, smallest terms first, before adding the
 Euler-Maclaurin tail; it too works on a flat array whatever the argument's
 shape, so it is elementwise bit for bit as well.
 
-ShiftParam carries the series shift a as an exact reduced fraction so that
-floor quantities like [a/d] never go through floating point.
+ShiftParam is a fractions.Fraction holding the series shift a >= 0 exactly,
+so floor quantities like [a/d] never go through floating point; the loops
+over divisors take [a/d] (floor_ratio) and a/d from its integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -82,15 +82,16 @@ def digamma(x):
         np.add(x, i, out=term)
         np.reciprocal(term, out=term)
         np.subtract(shift, term, out=shift, where=True if i < shared else steps > i)
-    y = x + steps
-    w = y * y
+    # y reuses steps, and w and then the result reuse term: four full-length buffers
+    y = np.add(x, steps, out=steps)
+    w = np.multiply(y, y, out=term)
     np.reciprocal(w, out=w)
     series = np.full_like(x, _PSI_COEFFS[-1])
     for c in reversed(_PSI_COEFFS[:-1]):
         series *= w
         series += c
     series *= w
-    out = np.log(y)
+    out = np.log(y, out=term)
     out += shift
     np.reciprocal(y, out=y)
     y *= 0.5
@@ -159,26 +160,23 @@ def harmonic(n: int) -> float:
     return math.fsum(1.0 / l for l in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class ShiftParam:
-    """Series shift a as an exact nonnegative rational numerator/denominator."""
+class ShiftParam(Fraction):
+    """Series shift a >= 0 as a Fraction of integer parts, which supplies
+    reduction, sign, str, equality, hashing, float(a) = numerator /
+    denominator and pickling; arithmetic on a shift gives a plain Fraction."""
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        num, den = self.numerator, self.denominator
-        if not isinstance(num, int) or not isinstance(den, int):
+    def __new__(cls, numerator: int, denominator: int = 1) -> "ShiftParam":
+        if not isinstance(numerator, int) or not isinstance(denominator, int):
             raise ValueError("ShiftParam needs integer numerator and denominator")
-        if den == 0:
+        if denominator == 0:
             raise ValueError("ShiftParam denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        if num < 0:
-            raise ValueError(f"shift must be >= 0, got {num}/{den}")
-        g = math.gcd(num, den)
-        object.__setattr__(self, "numerator", num // g)
-        object.__setattr__(self, "denominator", den // g)
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        if numerator < 0:
+            raise ValueError(f"shift must be >= 0, got {numerator}/{denominator}")
+        return super().__new__(cls, numerator, denominator)
 
     @classmethod
     def of(cls, value) -> "ShiftParam":
@@ -191,41 +189,14 @@ class ShiftParam:
             return value
         if isinstance(value, bool):
             raise ValueError(f"cannot interpret {value!r} as a shift")
-        if isinstance(value, int):
-            return cls(value, 1)
-        if isinstance(value, Fraction):
-            return cls(value.numerator, value.denominator)
         if isinstance(value, str):
             try:
-                frac = Fraction(value.strip())
+                value = Fraction(value.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse shift {value!r}") from exc
-            return cls(frac.numerator, frac.denominator)
+        if isinstance(value, (int, Fraction)):
+            return cls(value.numerator, value.denominator)
         raise ValueError(f"cannot interpret {value!r} as a shift (floats must be strings)")
-
-    @property
-    def real_value(self) -> float:
-        return self.numerator / self.denominator
-
-    @property
-    def is_integer(self) -> bool:
-        return self.denominator == 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def div_value(self, d: int) -> float:
-        """a/d as a float with a single rounding."""
-        return self.numerator / (self.denominator * d)
-
-    def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
 
 
 def floor_ratio(a: ShiftParam, d: int) -> int:

@@ -250,6 +250,39 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         assert "--n-terms applies only to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify", "--target", "lemma2", "--p", "13", "--f", "1,0,3,2", "--a", "5", "--k", "3"), "--a"),
+        (("verify", "--target", "lemma3", "--p", "13", "--f", "1,0,3,2", "--a", "2"), "--a"),
+        (("verify", "--target", "orthogonality", "--q", "13", "--a", "1"), "--a"),
+        (("verify", "--target", "orthogonality", "--q", "13", "--k", "2"), "--k"),
+        (("verify", "--target", "lemma1", "--q", "13", "--k", "2"), "--k"),
+        (("verify", "--target", "lemma2", "--p", "13", "--f", "1,0,3,2", "--k", "3"), "--k"),
+        (("verify", "--target", "lemma3", "--p", "13", "--f", "1,0,3,2", "--k", "3"), "--k"),
+        (("verify", "--target", "thm2", "--p", "13", "--f", "1,0,3,2", "--k", "3"), "--k"),
+        (("verify", "--target", "orthogonality", "--q", "13", "--f", "1,2"), "--f"),
+        (("verify", "--target", "lemma1", "--q", "13", "--f", "1,2"), "--f"),
+        (("verify", "--target", "recombination", "--q", "35", "--k", "2", "--f", "1,2"), "--f"),
+    ])
+    def test_stray_verify_flag_exits_2_before_any_work(self, argv, flag, monkeypatch, capsys):
+        def no_build(q):
+            raise AssertionError(f"table mod {q} built before {flag} was checked")
+
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        assert run_cli(*argv) == 2
+        assert f"error: {flag} applies only to verify --target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--target", "lemma1", "--q", "13"),
+        ("verify", "--target", "thm2", "--p", "13", "--f", "1,0,3,2"),
+        ("verify", "--target", "recombination", "--q", "35", "--k", "2"),
+    ])
+    def test_verify_shift_defaults_to_1(self, argv, capsys):
+        assert run_cli(*argv) == 0
+        default = capsys.readouterr().out
+        assert run_cli(*argv, "--a", "1") == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("argv", [
         ("lvalue", "--q", "5", "--a", "1", "--method", "truncated", "--n-terms", "50"),
         ("verify", "--target", "lemma1", "--q", "5", "--a", "1", "--n-terms", "50"),

@@ -88,7 +88,7 @@ def test_lemma1_identity(q, a_str):
         if j == t.principal_index:
             continue
         direct = lfun.l1_chi_a(t, j, a, "closed_direct").value
-        assembled = lfun.l1_chi(t, j) - a.real_value * lfun.shifted_tail_sum(t, j, a)
+        assembled = lfun.l1_chi(t, j) - float(a) * lfun.shifted_tail_sum(t, j, a)
         assert abs(direct - assembled) < 1e-9
 
 
@@ -152,7 +152,7 @@ def test_closed_vectors_inside_partial_sum_bound(q, method):
         for j in range(t.phi):
             if j == t.principal_index:
                 continue
-            assert abs(vec[j] - brute_series(q, j, a.real_value, n_terms)) <= 2 * q / (n_terms + 1)
+            assert abs(vec[j] - brute_series(q, j, float(a), n_terms)) <= 2 * q / (n_terms + 1)
 
 
 class TestValidation:
@@ -246,7 +246,7 @@ class TestFarPeriods:
         _, bound = lfun.truncated_vector(get_table(q), a, n_terms)
         far = 0.0
         if periods > 24:  # |B_12| / (12q) (24 + beta_min)^-12 per weight, q weights
-            far = (691 / 2730) / 12 * (24 + (1 + a.real_value) / q) ** -12
+            far = (691 / 2730) / 12 * (24 + (1 + float(a)) / q) ** -12
         assert far < 1e-18  # printed bounds do not move
         # the series bound alone is 1e14 times larger, so check the EM term on its own too
         assert lfun._far_remainder(q, a, periods) >= far
@@ -348,7 +348,7 @@ class TestPsiGridWork:
         sizes = self._record_grid_sizes(monkeypatch)
         fft_calls = self._record_fft_calls(monkeypatch)
         got = lfun.route_vectors(t, a, ("closed_direct", "closed_lemma1"))
-        assert sizes["digamma"] == [(1 if a.is_zero else 2) * t.phi]  # psi at the units only
+        assert sizes["digamma"] == [(1 if a == 0 else 2) * t.phi]  # psi at the units only
         assert [shape[0] for shape in fft_calls] == [rows]  # one call on the batch of distinct grids
         for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
             assert np.array_equal(got[m][0], vals) and got[m][1] == bound
@@ -388,7 +388,7 @@ class TestPsiGridWork:
 def _residue_order_closed_vectors(t, a, parts):
     """Oracle: closed_vectors with every psi grid at the residues r = 1 .. q-1
     (column 0 holds 0), transformed through sums_over_residues."""
-    q, s = t.q, a.real_value
+    q, s = t.q, float(a)
     shifts = (s, 0.0)
     psi = np.zeros((2, q))
     psi[:, 1:] = lfun.digamma((np.arange(1, q) + np.array(shifts)[:, None]) / q)
@@ -409,7 +409,7 @@ def test_unit_order_grids_are_bit_identical_to_residue_order(q, monkeypatch):
     monkeypatch.setattr(lfun, "digamma", lambda x: arguments.append(np.min(x, initial=1.0)) or digamma(x))
     for a in ("0", "3/2", "2"):
         a = ShiftParam.of(a)
-        parts = ("l1a", "l1", "tail") if a.real_value else ("l1a", "l1")
+        parts = ("l1a", "l1", "tail") if float(a) else ("l1a", "l1")
         got, expected = lfun.closed_vectors(t, a, parts), _residue_order_closed_vectors(t, a, parts)
         for p in parts:
             assert np.array_equal(got[p], expected[p]), (a, p)

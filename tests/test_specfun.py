@@ -1,6 +1,8 @@
 """Special-function backend against scipy oracles and classical identities."""
 
 import math
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +46,49 @@ class TestDigamma:
         for bad in (0.0, -1.0, -0.5):
             with pytest.raises(ValueError):
                 digamma(bad)
+
+
+def _digamma_out_of_place(x):
+    """digamma's operations in the same order, each into a new array."""
+    steps = np.maximum(np.ceil(10.0 - x), 0.0)
+    shift = np.zeros_like(x)
+    for i in range(int(steps.max())):
+        shift = np.where(steps > i, shift - 1.0 / (x + i), shift)
+    y = x + steps
+    w = 1.0 / (y * y)
+    bernoulli = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+    coeffs = [b / (2.0 * (k + 1)) for k, b in enumerate(bernoulli)]
+    series = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        series = series * w + c
+    series = series * w
+    return np.log(y) + shift - (1.0 / y) * 0.5 - series
+
+
+def _psi_grid(q, s):
+    """The closed routes' digamma arguments (u + s)/q at the units u mod q."""
+    return (np.array([u for u in range(1, q) if math.gcd(u, q) == 1]) + s) / q
+
+
+class TestDigammaBuffers:
+    @pytest.mark.parametrize("q", [7, 1009, 2310, 7919])
+    @pytest.mark.parametrize("s", [0.0, 1.5, 2.0])
+    def test_in_place_kernel_is_bit_identical(self, q, s):
+        x = _psi_grid(q, s)
+        assert np.array_equal(digamma(x), _digamma_out_of_place(x))
+
+    def test_peak_memory_per_argument(self):
+        # 56 B per argument is one full-length float64 array for each of the
+        # seven intermediates; y, w and the result reuse buffers, leaving four.
+        x = np.concatenate([_psi_grid(q, s) for q in (1009, 2003, 3001) for s in (0.0, 1.5)])
+        digamma(x)
+        tracemalloc.start()
+        try:
+            digamma(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.size <= 0.6 * 56
 
 
 class TestHurwitzZeta:
@@ -187,7 +232,7 @@ class TestHarmonic:
 
 class TestShiftParam:
     def test_parsing(self):
-        assert ShiftParam.of("7/2").as_fraction() == Fraction(7, 2)
+        assert ShiftParam.of("7/2") == Fraction(7, 2)
         assert ShiftParam.of(5) == ShiftParam(5, 1)
         assert ShiftParam.of("3.5") == ShiftParam(7, 2)
         assert ShiftParam.of(Fraction(6, 4)) == ShiftParam(3, 2)
@@ -202,13 +247,13 @@ class TestShiftParam:
     def test_reduced_and_exact(self, num, den):
         p = ShiftParam(num, den)
         assert math.gcd(p.numerator, p.denominator) == 1
-        assert p.as_fraction() == Fraction(num, den)
-        assert p.real_value == num / den
+        assert p == Fraction(num, den)
+        assert float(p) == num / den
 
     def test_predicates(self):
-        assert ShiftParam.of(0).is_zero
-        assert ShiftParam.of(3).is_integer
-        assert not ShiftParam.of("7/2").is_integer
+        assert ShiftParam.of(0) == 0
+        assert ShiftParam.of(3).denominator == 1
+        assert ShiftParam.of("7/2").denominator != 1
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -217,6 +262,41 @@ class TestShiftParam:
             ShiftParam(1, 0)
         with pytest.raises(ValueError):
             ShiftParam.of(3.5)  # floats are ambiguous; pass a string
+
+    @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=10**20),
+           st.integers(min_value=1, max_value=10**6))
+    def test_float_is_the_integer_quotient(self, num, den, d):
+        # The per-divisor loops divide the integers themselves; both
+        # quotients are correctly rounded, so they agree bit for bit.
+        a = ShiftParam(num, den)
+        assert float(a) == a.numerator / a.denominator
+        assert float(a / d) == a.numerator / (a.denominator * d)
+
+    def test_str(self):
+        assert str(ShiftParam.of("7/2")) == "7/2"
+        assert str(ShiftParam(6, 2)) == "3"
+
+    @pytest.mark.parametrize("value", [0, 3, "7/2", "3.5"])
+    def test_pickle_round_trip(self, value):
+        a = ShiftParam.of(value)
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is ShiftParam and back == a
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ShiftParam.of(3.5), "cannot interpret 3.5 as a shift (floats must be strings)"),
+        (lambda: ShiftParam(3.5), "ShiftParam needs integer numerator and denominator"),
+        (lambda: ShiftParam.of(True), "cannot interpret True as a shift"),
+        (lambda: ShiftParam(1, 0), "ShiftParam denominator must be nonzero"),
+        (lambda: ShiftParam(-2, 4), "shift must be >= 0, got -2/4"),
+        (lambda: ShiftParam(1, -2), "shift must be >= 0, got -1/2"),
+        (lambda: ShiftParam.of("-1"), "shift must be >= 0, got -1/1"),
+        (lambda: ShiftParam.of("abc"), "cannot parse shift 'abc'"),
+        (lambda: ShiftParam.of("1/0"), "cannot parse shift '1/0'"),
+    ])
+    def test_refusal_messages(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 def test_floor_ratio_examples():
