@@ -27,15 +27,17 @@ builds its tables in process (a sweep per batch of moduli, the others
 through the chars.get_table memo); the mean-value statistics store and
 read L-vector records only.  put_table and get_table
 remain as library API.  A ReportCache handle holds only its directory:
-every load reads the record again.
+every load reads the record again.  A record is written to a temp file and
+renamed into place (_atomic_write); temps are not entries, and clear()
+removes them too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -52,6 +54,9 @@ _TABLE_ARRAYS = (("residue_index", "<i8"),)
 # The L-vector routes a record holds; the truncated route is the oracle and is never stored.
 LVEC_ROUTES = ("closed_direct", "closed_lemma1")
 _LVEC_ARRAYS = tuple((route, "<c16") for route in LVEC_ROUTES)
+# Prefixes of the .tmp files a write may leave behind: <record>.<pid>.tmp,
+# and tmp*.tmp from the tempfile.mkstemp of earlier versions.
+_TEMP_PREFIXES = ("table_", "lvec_", "tmp")
 
 
 def default_cache_dir() -> str:
@@ -62,14 +67,36 @@ def default_cache_dir() -> str:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    """Store data at path through the temp <path>.<pid>.tmp: one exclusive
+    create (mode 0600), the writes, one rename.
+
+    The directory is made only when the create finds it missing.  A temp of
+    this pid can only be left by a crashed earlier process whose pid was
+    reused, so it is removed and the create tried once more.  A temp removed
+    before the rename (by a concurrent clear) stores nothing, with a warning.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        fd = os.open(tmp, flags, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, flags, 0o600)
+    except FileExistsError:
+        os.unlink(tmp)
+        fd = os.open(tmp, flags, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
+    except FileNotFoundError:
+        log.warning("cache record %s not stored: its temp file was removed before the rename", path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
@@ -207,6 +234,15 @@ class ReportCache:
         )
 
     def clear(self) -> int:
+        """Remove every entry, and every temp of the cache's own names (an
+        interrupted write's <record>.<pid>.tmp, or an older writer's
+        tmp*.tmp), live ones included; return the number of entries removed."""
+        if not os.path.isdir(self.directory):
+            return 0
+        for name in os.listdir(self.directory):
+            if name.startswith(_TEMP_PREFIXES) and name.endswith(".tmp"):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(self.directory, name))
         removed = 0
         for name in self.entries():
             try:
@@ -215,4 +251,3 @@ class ReportCache:
             except OSError:
                 pass
         return removed
-

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--k", type=int)
     p_swp.add_argument("--f", help="fixed polynomial for thm2 sweeps")
     p_swp.add_argument("--degree", type=int, help="sample a polynomial of this degree per modulus (thm2)")
-    p_swp.add_argument("--seed", type=int, default=0, help="seed for polynomial sampling")
+    p_swp.add_argument("--seed", type=int, help="seed for polynomial sampling (thm2; default 0)")
     p_swp.add_argument("--method", default="closed_direct", choices=lfun.METHODS)
     p_swp.add_argument("--jobs", type=int, default=1, help="parallel workers across moduli")
     p_swp.add_argument("--out", help="output path (.csv or .json)")
@@ -205,13 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The targets that read each optional flag of verify and sweep.
+_TARGET_FLAGS = {
+    "verify": (("a", ("lemma1", "thm2", "recombination")), ("k", ("recombination",)),
+               ("f", ("lemma2", "lemma3", "thm2"))),
+    "sweep": (("k", ("thm1",)), ("f", ("thm2",)), ("degree", ("thm2",)), ("seed", ("thm2",))),
+}
+
+
 def _normalize(ns: argparse.Namespace) -> None:
     """Parse the text-valued flags in place and fold --p into q."""
-    if ns.subcommand == "verify":  # a flag the target ignores is refused, not dropped
-        for flag, readers in (("a", ("lemma1", "thm2", "recombination")), ("k", ("recombination",)),
-                              ("f", ("lemma2", "lemma3", "thm2"))):
-            if getattr(ns, flag) is not None and ns.target not in readers:
-                raise ValueError(f"--{flag} applies only to verify --target {', '.join(readers)}")
+    for flag, readers in _TARGET_FLAGS.get(ns.subcommand, ()):  # a flag the target ignores is refused
+        if getattr(ns, flag) is not None and ns.target not in readers:
+            raise ValueError(f"--{flag} applies only to {ns.subcommand} --target {', '.join(readers)}")
+    if ns.subcommand == "verify":
         ns.a = "1" if ns.a is None else ns.a  # the default shift of lemma1, thm2 and recombination
     if hasattr(ns, "f"):
         ns.f = Polynomial.parse(ns.f) if ns.f else None
@@ -226,6 +233,10 @@ def _normalize(ns: argparse.Namespace) -> None:
     if getattr(ns, "n_terms", None) is not None and not truncates:
         raise ValueError("--n-terms applies only to lvalue --method truncated and verify --target lemma1")
     if ns.subcommand == "sweep":  # every sweep flag is checked before any table is built
+        if ns.target == "thm1" and ns.k is None:
+            raise ValueError("sweep --target thm1 requires --k")
+        if ns.f is not None and ns.degree is not None:
+            raise ValueError("--f and --degree both set the thm2 polynomial; give one of them")
         ns.moduli = _parse_moduli(ns.primes, ns.moduli)
         if ns.out is not None:
             _check_output_path(ns.out)

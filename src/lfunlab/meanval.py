@@ -16,10 +16,10 @@ published main terms show constant-level tension with the direct computation
 against log q so the decay exponent lands in the output rather than in a
 hand-waved tolerance.
 
-Reports are built in batches (build_reports; build_report is a batch of
-one, and a sweep sends consecutive moduli), which pay each special
-function's fixed cost once a batch instead of once a report.  thm1_lhs
-and thm2_lhs_direct return a report's lhs; cross_terms.lhs uses _statistics.
+A sweep (or build_reports) takes the main terms of all its queries from
+one _main_terms call, and the statistics from _batch_reports in batches of
+consecutive moduli that only the psi grids bound.  thm1_lhs and
+thm2_lhs_direct return a report's lhs; cross_terms.lhs uses _statistics.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import chars, lfun
+from . import chars, lfun, specfun
 from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
 from .chars import CharacterTable
@@ -156,9 +156,11 @@ def _lvalue_vectors(queries: Sequence[MeanValueQuery], stored: list[dict[str, np
 
 
 def clear_memo() -> None:
-    """Forget the in-process character tables (chars.get_table, the one
-    in-process memo); nothing else outlives a report."""
+    """Forget the in-process memos: the character tables of chars.get_table
+    and the harmonic numbers of specfun.harmonic; nothing else outlives a
+    report."""
     chars.get_table.cache_clear()
+    specfun._harmonic.cache_clear()
 
 
 def _sieve_factor(fac: Factorization) -> float:
@@ -169,26 +171,37 @@ def _sieve_factor(fac: Factorization) -> float:
     return out
 
 
-def _mobius_harmonic(fac: Factorization, a: ShiftParam, k: int = 1) -> float:
-    """sum_{d|q} mu(d)/d H_[a/(kd)], summed from 0 in ascending d."""
-    return sum(mu / d * harmonic(floor_ratio(a, k * d)) for d, mu in _mobius_divisor_terms(fac))
+DivisorTerms = tuple[tuple[int, int], ...]
 
 
-def _mobius_divisor_terms(fac: Factorization) -> list[tuple[int, int]]:
+def _mobius_harmonic(terms: DivisorTerms, a: ShiftParam, k: int = 1) -> float:
+    """sum_{d|q} mu(d)/d H_[a/(kd)] over the divisor terms of q, summed from
+    0 in ascending d."""
+    return sum(mu / d * harmonic(floor_ratio(a, k * d)) for d, mu in terms)
+
+
+def _mobius_divisor_terms(fac: Factorization) -> DivisorTerms:
     """(d, mu(d)) over the squarefree divisors d | q, ascending: the products
     of distinct primes of q, mu(d) = (-1)^(number of primes)."""
     terms = [(1, 1)]
     for p in fac.primes():
         terms += [(d * p, -mu) for d, mu in terms]
-    return sorted(terms)
+    return tuple(sorted(terms))
 
 
-def _divisor_zetas(jobs: Sequence[tuple[Factorization, ShiftParam]]) -> list[np.ndarray]:
-    """zeta(2, a/d) over the d of _mobius_divisor_terms(fac) for each
-    (fac, a), from one hurwitz_zeta call for all of them."""
-    args = [np.array([a.numerator / (a.denominator * d) for d, _ in _mobius_divisor_terms(fac)])
-            for fac, a in jobs]
-    return elementwise_batch(lambda x: hurwitz_zeta(2.0, x), args)
+def _divisor_arguments(query: MeanValueQuery, fac: Factorization) -> tuple[DivisorTerms, np.ndarray]:
+    """The divisor terms of q = fac.n and the special-function arguments of
+    the query's main terms over them: a/d, for zeta(2, a/d), for eq1 and
+    thm2; rows 1 + [a/d, a/(kd)], for psi, for the thm1 oracle; none for
+    lemma4."""
+    terms = _mobius_divisor_terms(fac)
+    a = query.a
+    if query.target == "lemma4":
+        return terms, np.empty(0)
+    if query.target == "thm1":
+        return terms, 1.0 + np.array([[a.numerator / (a.denominator * m) for m in (d, query.k * d)]
+                                      for d, _ in terms])
+    return terms, np.array([a.numerator / (a.denominator * d) for d, _ in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +220,9 @@ class Eq1Main(NamedTuple):
     first_term_only: float
 
 
-def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
+def _eq1_main(fac: Factorization, terms: DivisorTerms, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
     """Published main term and its first-term-only variant, from q's
-    factorization and zetas = _divisor_zetas(fac, a).
+    factorization, its divisor terms and their zetas = zeta(2, a/d).
 
     full  = phi(q) sum_{d|q} mu(d)/d^2 zeta(2, a/d)
             - (4 phi(q)/a) sum_{d|q} mu(d)/d H_[a/d]
@@ -219,10 +232,9 @@ def _eq1_main(fac: Factorization, a: ShiftParam, zetas: np.ndarray) -> Eq1Main:
     sum_{d|q} mu(d) = 0 cancels the n = 0 boundary of the Hurwitz zetas.
     """
     phi = euler_phi(fac)
-    terms = _mobius_divisor_terms(fac)
     zeta_sum = float(sum(mu / (d * d) * z for (d, mu), z in zip(terms, zetas)))
     first = phi * zeta_sum
-    full = first - 4.0 * phi / float(a) * _mobius_harmonic(fac, a)
+    full = first - 4.0 * phi / float(a) * _mobius_harmonic(terms, a)
     return Eq1Main(full, first)
 
 
@@ -233,7 +245,7 @@ def thm1_lhs(q: int, k: int, a, method: str = "closed_direct") -> complex:
     return build_report(MeanValueQuery("thm1", q, a, k, method=method)).lhs
 
 
-def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
+def _thm1_main(fac: Factorization, terms: DivisorTerms, k: int, a: ShiftParam) -> float:
     """(phi(q)/(a (k-1))) sum_{d|q} mu(d)/d sum_{l=[a/(kd)]+1}^{[a/d]} 1/l.
 
     Inner blocks with an empty l-range contribute exactly 0.  The weight k
@@ -241,16 +253,17 @@ def _thm1_main(fac: Factorization, k: int, a: ShiftParam) -> float:
     """
     phi = euler_phi(fac)
     total = 0.0
-    for d, mu in _mobius_divisor_terms(fac):
+    for d, mu in terms:
         lo = floor_ratio(a, k * d)
         hi = floor_ratio(a, d)
         total += mu / d * (harmonic(hi) - harmonic(lo))
     return phi / (float(a) * (k - 1)) * total
 
 
-def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]) -> list[float]:
+def _thm1_diagonal_oracle(fac: Factorization, terms: DivisorTerms, k: int, a: ShiftParam,
+                          psi: np.ndarray) -> float:
     """phi(q) sum_{n >= 1, gcd(n,q)=1} 1/((n+a)(kn+a)), in closed form (a >= 1),
-    for each (fac, k, a) with q = fac.n, from one digamma call for all of them.
+    from psi = digamma of the _divisor_arguments rows 1 + [a/d, a/(kd)].
 
     This is the m = kn exact-equality class of the orthogonality expansion of
     the thm1 statistic: an independent prediction of the dominant
@@ -260,14 +273,8 @@ def _thm1_diagonal_oracles(jobs: Sequence[tuple[Factorization, int, ShiftParam]]
 
         sum_m 1/((dm+a)(kdm+a)) = [psi(1 + a/d) - psi(1 + a/(kd))]/(a (k-1) d).
     """
-    terms = [_mobius_divisor_terms(fac) for fac, _, _ in jobs]
-    args = [1.0 + np.array([[a.numerator / (a.denominator * m) for m in (d, k * d)] for d, _ in divisor_terms])
-            for divisor_terms, (_, k, a) in zip(terms, jobs)]
-    out = []
-    for divisor_terms, (fac, k, a), psi in zip(terms, jobs, elementwise_batch(digamma, args)):
-        total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(divisor_terms, psi)))
-        out.append(euler_phi(fac) / (float(a) * (k - 1)) * total)
-    return out
+    total = float(sum(mu / d * (hi - lo) for (d, mu), (hi, lo) in zip(terms, psi)))
+    return euler_phi(fac) / (float(a) * (k - 1)) * total
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +310,8 @@ def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
 
 def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
     """p^2 sum_{d|p} mu(d)/d^2 zeta(2, a/d) - (4 p^2/a) sum_{d|p} mu(d)/d H_[a/d],
-    with d running over {1, p}, from zetas = zeta(2, [a, a/p]), the
-    _divisor_zetas of p."""
+    with d running over {1, p}, from zetas = zeta(2, [a, a/p]), the zetas
+    of p's divisor terms."""
     p2 = float(p * p)
     zeta_a, zeta_ap = zetas
     zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
@@ -343,6 +350,7 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     query = MeanValueQuery("thm1", q, a, k)
     a = query.a
     fac = factorize(q)
+    terms = _mobius_divisor_terms(fac)
     t = chars.get_table(q)
     vecs = lfun.closed_vectors(t, a, ("l1", "tail", "l1a"))
     for vec in vecs.values():
@@ -360,8 +368,8 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
 
     phi = euler_phi(fac)
     sieve = _ZETA2 * _sieve_factor(fac)
-    h_d = _mobius_harmonic(fac, a)
-    h_kd = _mobius_harmonic(fac, a, k)
+    h_d = _mobius_harmonic(terms, a)
+    h_kd = _mobius_harmonic(terms, a, k)
     m1_pred = phi / (af * k) * sieve - phi / (af * af * k) * h_d
     m2_pred = phi / (af * k) * sieve + phi / (af * af) * h_kd
     m3_pred = (
@@ -430,45 +438,76 @@ def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> Mea
 
 
 def build_reports(queries: Sequence[MeanValueQuery], cache: ReportCache | None = None) -> list[MeanValueReport]:
-    """One report row per query, in order, built as one batch.
-
-    Each modulus is factored once, and its table built once (not from the
-    chars.get_table memo) when a route is computed or the statistic reads
-    characters, so a warm eq1 batch builds none; both are handed down.  The
-    cache records are read first.  The psi grids of the misses come from one
-    digamma call, the eq1 and thm2 main terms' zeta(2, a/d) from one
-    hurwitz_zeta call and the thm1 oracles from one more digamma call; both
-    functions are elementwise bit for bit, so a report does not depend on
-    its batch.  Transforms, statistics and assembly stay per modulus.
-    """
+    """One report row per query, in order: each modulus factored once, the
+    main terms of all queries from _main_terms and the statistics from one
+    _batch_reports call."""
     facs = {query.q: factorize(query.q) for query in queries}
+    return _batch_reports(queries, facs, _main_terms(queries, facs), cache)
+
+
+# Special-function arguments one main-term call takes.  hurwitz_zeta holds up
+# to ten direct-term rows per argument, so one call for an eq1 sweep over
+# every q <= 10^5 (about 7e5 divisor zetas) would hold tens of MB.
+_SPECIAL_ARGUMENTS = 2**13
+
+
+def _main_terms(queries: Sequence[MeanValueQuery],
+                facs: dict[int, Factorization]) -> list[tuple[float, float | None]]:
+    """(paper_main, oracle_main) of each query, in order, with q's
+    factorization in facs.
+
+    Each query's divisor terms are built once, and its special values come
+    from one hurwitz_zeta (eq1, thm2) or digamma (thm1 oracle) call per run
+    of consecutive queries of at most _SPECIAL_ARGUMENTS arguments.  Both
+    are elementwise bit for bit, so a main term does not depend on its run.
+    """
+    out: list[tuple[float, float | None]] = []
+    prepared = ((query, *_divisor_arguments(query, facs[query.q])) for query in queries)
+    for run in _runs(prepared, lambda item: item[2].size, _SPECIAL_ARGUMENTS):
+        zetas = iter(elementwise_batch(lambda x: hurwitz_zeta(2.0, x),
+                                       [args for query, _, args in run if query.target in ("eq1", "thm2")]))
+        psis = iter(elementwise_batch(digamma, [args for query, _, args in run if query.target == "thm1"]))
+        for query, terms, _ in run:
+            fac, a = facs[query.q], query.a
+            if query.target == "lemma4":
+                out.append((_lemma4_main(fac, a), None))
+            elif query.target == "eq1":
+                out.append(_eq1_main(fac, terms, a, next(zetas)))
+            elif query.target == "thm1":
+                out.append((_thm1_main(fac, terms, query.k, a),
+                            _thm1_diagonal_oracle(fac, terms, query.k, a, next(psis))))
+            else:  # zeta(2, [a, a/p]) once, for the main term and its eq1 oracle
+                zeta_pair = next(zetas)
+                out.append((_thm2_main(query.q, a, zeta_pair),
+                            (query.q - 1) * _eq1_main(fac, terms, a, zeta_pair).first_term_only))
+    return out
+
+
+def _batch_reports(queries: Sequence[MeanValueQuery], facs: dict[int, Factorization],
+                   mains: Sequence[tuple[float, float | None]],
+                   cache: ReportCache | None) -> list[MeanValueReport]:
+    """The report rows of a batch of queries, with q's factorization in facs
+    and each query's (paper_main, oracle_main) in mains.
+
+    Each modulus's table is built once (not from the chars.get_table memo)
+    when a route is computed or the statistic reads characters, so a warm
+    eq1 batch builds none.  The cache records are read first, and the psi
+    grids of the misses come from one digamma call.
+    """
     stored = _stored_vectors(queries, facs, cache)
     built = [query.q for query, vecs in zip(queries, stored)
              if vecs is None or query.method == "truncated" or query.target != "eq1"]
     tables = {q: chars.build_character_table(q) for q in dict.fromkeys(built)}
     lvecs = _lvalue_vectors(queries, stored, tables, cache)
-    # the special values, in query order, consumed by the queries that read them
-    zetas = iter(_divisor_zetas([(facs[qu.q], qu.a) for qu in queries if qu.target in ("eq1", "thm2")]))
-    oracles = iter(_thm1_diagonal_oracles([(facs[qu.q], qu.k, qu.a) for qu in queries if qu.target == "thm1"]))
     reports = []
-    for query, vecs in zip(queries, lvecs):
-        fac, a = facs[query.q], query.a
+    for query, vecs, (paper_main, oracle_main) in zip(queries, lvecs, mains):
         stats = _statistics(query, {m: np.abs(v) ** 2 for m, v in vecs.items()}, tables.get(query.q))
         methods = list(vecs)
         route_agreement = max(
             abs(stats[m1] - stats[m2]) for i, m1 in enumerate(methods) for m2 in methods[i + 1:]
         )
-        if query.target == "lemma4":
-            paper_main, oracle_main = _lemma4_main(fac, a), None
-        elif query.target == "eq1":
-            paper_main, oracle_main = _eq1_main(fac, a, next(zetas))
-        elif query.target == "thm1":
-            paper_main, oracle_main = _thm1_main(fac, query.k, a), next(oracles)
-        else:  # zeta(2, [a, a/p]) once, for the main term and its eq1 oracle
-            zeta_pair = next(zetas)
-            paper_main = _thm2_main(query.q, a, zeta_pair)
-            oracle_main = (query.q - 1) * _eq1_main(fac, a, zeta_pair).first_term_only
-        reports.append(_report(query, fac, stats[query.method], route_agreement, paper_main, oracle_main))
+        reports.append(_report(query, facs[query.q], stats[query.method], route_agreement,
+                               paper_main, oracle_main))
     return reports
 
 
@@ -547,18 +586,26 @@ def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
 _BATCH_ARGUMENTS = 2**13
 
 
+def _runs(items: Iterable, size, cap: int) -> Iterator[list]:
+    """Consecutive runs of items whose size(item) sum to at most cap; an
+    item over the cap is a run of its own."""
+    run: list = []
+    total = 0
+    for item in items:
+        n = size(item)
+        if run and total + n > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
+
+
 def _batches(queries: list[MeanValueQuery]) -> list[list[MeanValueQuery]]:
     """Consecutive runs of queries whose psi arguments stay within _BATCH_ARGUMENTS."""
-    batches: list[list[MeanValueQuery]] = []
-    size = 0
-    for query in queries:
-        n = (1 if query.target == "lemma4" else 2) * query.q
-        if not batches or size + n > _BATCH_ARGUMENTS:
-            batches.append([])
-            size = 0
-        batches[-1].append(query)
-        size += n
-    return batches
+    grids = lambda query: (1 if query.target == "lemma4" else 2) * query.q  # noqa: E731
+    return list(_runs(queries, grids, _BATCH_ARGUMENTS))
 
 
 def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
@@ -567,10 +614,11 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    jobs: int = 1, cache: ReportCache | None = None) -> ResidualSeries:
     """Evaluate the target over a modulus list, skipping invalid moduli.
 
-    The valid queries go to build_reports in batches of consecutive moduli
-    (_batches), in process or, with jobs > 1, one batch per pool task.
-    Reports come back ordered by modulus regardless of worker scheduling;
-    the fit runs on |residual| > 0 rows only.
+    The main terms of all valid queries come from one _main_terms call; each
+    batch (_batches) goes to _batch_reports with its slice of them, in
+    process or, with jobs > 1, one batch per pool task.  Reports come back
+    ordered by modulus regardless of worker scheduling; the fit runs on
+    |residual| > 0 rows only.
     """
     a = ShiftParam.of(a)
     if target == "thm2" and f is None and degree is None:
@@ -583,14 +631,18 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
         except ValueError as exc:
             log.warning("skipping q=%s: %s", q, exc)
             skipped.append((q, str(exc)))
-    batches = _batches(queries)
+    facs = {query.q: factorize(query.q) for query in queries}
+    mains = iter(_main_terms(queries, facs))
+    batches = [(batch, {query.q: facs[query.q] for query in batch}, [next(mains) for _ in batch])
+               for batch in _batches(queries)]
+    run_batch = functools.partial(_batch_reports, cache=cache)
     if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays this import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = [r for rs in pool.map(functools.partial(build_reports, cache=cache), batches) for r in rs]
+            reports = [r for rs in pool.map(run_batch, *zip(*batches)) for r in rs]
     else:
-        reports = [r for batch in batches for r in build_reports(batch, cache)]
+        reports = [r for batch in batches for r in run_batch(*batch)]
     reports.sort(key=lambda r: r.q)
     beta, constant = _fit_residuals(reports)
     return ResidualSeries(target, tuple(reports), tuple(skipped), beta, constant)

@@ -1,8 +1,10 @@
 """On-disk cache: bit-exact round trips, version gating, corruption handling."""
 
+import hashlib
 import json
 import logging
 import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -357,6 +359,60 @@ def test_atomic_write_leaves_no_temp_files(cache):
         cache.put_table(build_character_table(q))
     leftovers = [n for n in os.listdir(cache.directory) if n.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_record_bytes_and_mode_are_pinned(cache):
+    vecs = {"closed_direct": np.array([1 + 2j, -0.5j, 3.0, 0.25]),
+            "closed_lemma1": np.array([1 + 2j, -0.5j, 3.0, 0.25 + 1e-17j])}
+    cache.put_lvec(7, 3, 2, vecs)
+    path = Path(cache._lvec_path(7, 3, 2))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "0eca0a8462dd1a8627b3d91c9d17952635a91026db2c1c79afb86940f05d6693"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert os.listdir(cache.directory) == [path.name]
+
+
+def test_stale_temp_of_this_pid_is_replaced(cache):
+    # Only a crashed earlier process whose pid was reused leaves this name.
+    os.makedirs(cache.directory)
+    stale = Path(f"{cache._lvec_path(5, 1, 1)}.{os.getpid()}.tmp")
+    stale.write_bytes(b"half a record")
+    vecs = random_routes(4, 4)
+    cache.put_lvec(5, 1, 1, vecs)
+    assert not stale.exists()
+    assert all(np.array_equal(cache.get_lvec(5, 1, 1)[r], vecs[r]) for r in LVEC_ROUTES)
+
+
+def test_write_makes_the_directory_only_when_missing(cache, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *args, **kw: made.append(args[0]) or makedirs(*args, **kw))
+    for q in (5, 7, 11):
+        cache.put_lvec(q, 1, 1, random_routes(q, 4))
+    assert made == [cache.directory]
+    assert len(cache.entries()) == 3
+
+
+def test_temp_removed_before_the_rename_stores_nothing(cache, caplog, monkeypatch):
+    # A concurrent clear removes the live temp: the write warns and returns.
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: os.unlink(src) or replace(src, dst))
+    with caplog.at_level(logging.WARNING, logger="lfunlab"):
+        cache.put_lvec(5, 1, 1, random_routes(5, 4))
+    assert os.listdir(cache.directory) == []
+    assert "not stored" in caplog.text
+
+
+def test_clear_removes_orphaned_temps(cache, capsys):
+    cache.put_lvec(7, 1, 1, random_routes(7, 4))
+    orphans = ["lvec_q7_a1_1.rec.abc123.tmp", "table_q5.rec.99.tmp", "tmpxyz.tmp"]
+    kept = ["notes.txt", "other.tmp"]
+    for name in orphans + kept:
+        Path(cache.directory, name).write_bytes(b"x")
+    assert cli.run(["cache", "--cache-dir", cache.directory, "--clear"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["entries: 0 character tables, 1 L-vector records",
+                                                        "cleared 1 entries"]
+    assert sorted(os.listdir(cache.directory)) == kept
 
 
 def test_default_dir_env_override(monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -271,6 +272,32 @@ class TestExitCodes:
         monkeypatch.setattr(chars, "build_character_table", no_build)
         assert run_cli(*argv) == 2
         assert f"error: {flag} applies only to verify --target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eq1", "--a", "3/2", "--k", "3"), "--k applies only to sweep --target thm1"),
+        (("lemma4", "--a", "2", "--f", "1,2"), "--f applies only to sweep --target thm2"),
+        (("lemma4", "--a", "2", "--degree", "3"), "--degree applies only to sweep --target thm2"),
+        (("thm1", "--a", "2", "--k", "3", "--degree", "3"), "--degree applies only to sweep --target thm2"),
+        (("eq1", "--a", "3/2", "--seed", "4"), "--seed applies only to sweep --target thm2"),
+        (("thm1", "--a", "2"), "sweep --target thm1 requires --k"),
+        (("thm2", "--a", "2", "--f", "1,2", "--degree", "3"), "--f and --degree both set the thm2 polynomial"),
+        (("thm2", "--a", "2"), "thm2 sweep needs --f or a degree to sample"),
+    ])
+    def test_stray_or_missing_sweep_flag_exits_2_before_any_work(self, argv, message, monkeypatch, capsys):
+        def no_build(q):
+            raise AssertionError(f"table mod {q} built before the sweep flags were checked")
+
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        assert run_cli("sweep", "--moduli", "7,11", "--target", *argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_sweep_seed_defaults_to_0(self, capsys):
+        argv = ("sweep", "--target", "thm2", "--moduli", "7,11,13", "--a", "2", "--degree", "3")
+        assert run_cli(*argv) == 0
+        default = capsys.readouterr().out
+        assert run_cli(*argv, "--seed", "0") == 0
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--target", "lemma1", "--q", "13"),
@@ -543,6 +570,19 @@ class TestDeterminismAndCache:
             assert run_cli(*self.EQ1_SWEEP, "--jobs", "2", "--out", str(out), "--cache-dir", str(cache_dir)) == 0
             assert {p.name for p in cache_dir.iterdir()} == self.EQ1_RECORDS
         assert warm.read_bytes() == cold.read_bytes() == plain.read_bytes()
+
+    def test_a_cached_sweep_makes_its_directory_once_and_no_mkstemp(self, tmp_path, monkeypatch):
+        made = []
+        makedirs = os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda *args, **kw: made.append(args[0]) or makedirs(*args, **kw))
+        monkeypatch.setattr(tempfile, "mkstemp", lambda *args, **kw: pytest.fail("a record went through mkstemp"))
+        monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 100)  # four batches
+        cache_dir = tmp_path / "cache"
+        for expected in ([str(cache_dir)], []):  # cold, then warm
+            made.clear()
+            assert run_cli(*self.EQ1_SWEEP, "--out", str(tmp_path / "out.csv"), "--cache-dir", str(cache_dir)) == 0
+            assert made == expected
+            assert {p.name for p in cache_dir.iterdir()} == self.EQ1_RECORDS
 
     def test_single_route_callers_share_the_report_record(self, tmp_path, monkeypatch):
         cache = ReportCache(str(tmp_path / "cache"))

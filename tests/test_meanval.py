@@ -37,6 +37,11 @@ def report(target, q, a, **kwargs):
     return meanval.build_report(meanval.make_query(target, q, a, **kwargs))
 
 
+def main_terms(target, q, a, **kwargs):
+    """(paper_main, oracle_main) of one query, from meanval._main_terms."""
+    return meanval._main_terms([meanval.make_query(target, q, a, **kwargs)], {q: factorize(q)})[0]
+
+
 def mobius_divisor_loop(q):
     """(d, mu(d)) over the squarefree divisors d | q, each d factorized on its own."""
     return [(d, moebius(factorize(d))) for d in divisors(factorize(q)) if moebius(factorize(d))]
@@ -143,7 +148,7 @@ class TestDiagonalOracle:
     def test_large_prime_limit(self):
         # sieve factor -> 1, so the density tends to 2 ln 2 - 1 per character
         q = 9973
-        v = meanval._thm1_diagonal_oracles([(factorize(q), 2, A(1))])[0]
+        v = main_terms("thm1", q, A(1), k=2)[1]
         assert abs(v / (q - 1) - (2 * math.log(2) - 1)) < 1e-3
 
 
@@ -290,13 +295,12 @@ class TestThm2:
 
 class TestReports:
     def test_oracle_wiring(self):
-        fac = factorize(7)
-        eq1_first = meanval._eq1_main(fac, A(2), meanval._divisor_zetas([(fac, A(2))])[0]).first_term_only
+        eq1_first = main_terms("eq1", 7, A(2))[1]
         r_eq1 = meanval.build_report(meanval.make_query("eq1", 7, A(2)))
         assert r_eq1.oracle_main == pytest.approx(eq1_first, abs=1e-12)
         r_thm1 = meanval.build_report(meanval.make_query("thm1", 7, A(2), k=2))
         assert r_thm1.oracle_main == pytest.approx(
-            meanval._thm1_diagonal_oracles([(fac, 2, A(2))])[0], abs=1e-12
+            main_terms("thm1", 7, A(2), k=2)[1], abs=1e-12
         )
         r_lemma4 = meanval.build_report(meanval.make_query("lemma4", 7, A(2)))
         assert r_lemma4.oracle_main is None
@@ -454,52 +458,54 @@ BATCH_SWEEPS = {
 }
 
 
-def _one_query_reports(target, method):
-    """build_report on each valid query of the sweep, one at a time."""
+def _valid_queries(target, method):
+    """The valid queries of the sweep over BATCH_MODULI, in order."""
     kwargs = BATCH_SWEEPS[target]
-    reports = []
+    queries = []
     for q in BATCH_MODULI:
         try:
-            query = meanval._sweep_query(target, q, kwargs["a"], kwargs.get("k"), None,
-                                         kwargs.get("degree"), kwargs.get("seed"), method)
+            queries.append(meanval._sweep_query(target, q, kwargs["a"], kwargs.get("k"), None,
+                                                kwargs.get("degree"), kwargs.get("seed"), method))
         except ValueError:
             continue
-        reports.append(meanval.build_report(query))
-    return reports
+    return queries
 
 
 class TestBatchedSweep:
-    """A sweep builds its reports in batches of consecutive moduli through
-    build_reports, which changes no byte of any report."""
+    """A sweep takes its main terms from one _main_terms call and builds its
+    statistics in batches of consecutive moduli, which changes no byte of
+    any report."""
 
     @pytest.mark.parametrize("target", meanval.TARGETS)
     @pytest.mark.parametrize("method", lfun.METHODS)
     def test_sweep_bytes_equal_one_query_reports(self, target, method, tmp_path, monkeypatch):
-        expected = _one_query_reports(target, method)
+        queries = _valid_queries(target, method)
+        expected = [meanval.build_report(query) for query in queries]  # one at a time
         csv_text, json_text = cli.render_csv(expected), cli.render_json(expected)
-        batches = []
-        build_reports = meanval.build_reports
-        monkeypatch.setattr(meanval, "build_reports",
-                            lambda queries, cache=None: batches.append(len(queries)) or build_reports(queries, cache))
-        for cap in (meanval._BATCH_ARGUMENTS, 1000, 1):  # the default; several queries a batch; one
+        # the default cap, several queries a batch, one query a batch, and
+        # several batches for a pool of two workers
+        for jobs, cap in ((1, meanval._BATCH_ARGUMENTS), (1, 1000), (1, 1), (2, 1000)):
             monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", cap)
-            store = ReportCache(str(tmp_path / f"cache_{cap}"))
+            batches = meanval._batches(queries)
+            assert [query for batch in batches for query in batch] == queries
+            if cap == 1:  # every query is over the cap: a batch of its own
+                assert len(batches) == len(queries)
+            elif cap == 1000:
+                assert 3 <= len(batches) < len(queries)
+            store = ReportCache(str(tmp_path / f"cache_{jobs}_{cap}"))
             for cache in (None, store, store):  # no cache, cold, warm
-                batches.clear()
-                series = meanval.residual_sweep(target, BATCH_MODULI, method=method, cache=cache,
+                series = meanval.residual_sweep(target, BATCH_MODULI, method=method, cache=cache, jobs=jobs,
                                                 **BATCH_SWEEPS[target])
                 assert cli.render_csv(series.reports) == csv_text
                 assert cli.render_json(series.reports) == json_text
-                assert sum(batches) == len(expected)
                 assert len(series.skipped) == len(BATCH_MODULI) - len(expected)
-            if cap == 1:  # every query is over the cap: a batch of its own
-                assert len(batches) == len(expected)
-            elif cap == 1000:
-                assert 3 <= len(batches) < len(expected)
 
     @pytest.mark.parametrize("target", meanval.TARGETS)
     def test_one_call_of_each_kind_per_batch(self, target, monkeypatch):
-        calls = {"psi": [], "zeta": [], "oracle": [], "factorize": [], "table": [], "batch": []}
+        # One digamma call per batch for the psi grids; the main terms' one
+        # hurwitz_zeta (eq1, thm2) or digamma (thm1) call and divisor terms
+        # per query are paid once a sweep.
+        calls = {"psi": [], "zeta": [], "oracle": [], "factorize": [], "table": [], "batch": [], "terms": []}
 
         def spy(module, name, log):
             fn = getattr(module, name)
@@ -511,7 +517,8 @@ class TestBatchedSweep:
         spy(meanval, "factorize", calls["factorize"])
         spy(chars, "factorize", calls["factorize"])
         spy(chars, "build_character_table", calls["table"])
-        spy(meanval, "build_reports", calls["batch"])
+        spy(meanval, "_batch_reports", calls["batch"])
+        spy(meanval, "_mobius_divisor_terms", calls["terms"])
         monkeypatch.setattr(chars, "get_table", lambda q: pytest.fail(f"a sweep read the memo for q={q}"))
         monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 1000)
         series = meanval.residual_sweep(target, BATCH_MODULI, **BATCH_SWEEPS[target])
@@ -519,8 +526,9 @@ class TestBatchedSweep:
         batches = len(calls["batch"])
         assert 3 <= batches < len(valid)
         assert len(calls["psi"]) == batches
-        assert len(calls["zeta"]) == (batches if target in ("eq1", "thm2") else 0)
-        assert len(calls["oracle"]) == (batches if target == "thm1" else 0)
+        assert len(calls["zeta"]) == (1 if target in ("eq1", "thm2") else 0)
+        assert len(calls["oracle"]) == (1 if target == "thm1" else 0)
+        assert sorted(args[0].n for args in calls["terms"]) == valid
         assert [args[0] for args in calls["table"]] == valid
         factored = Counter(args[0] for args in calls["factorize"])
         assert set(factored) == set(valid) and max(factored.values()) <= 2
@@ -545,10 +553,28 @@ class TestBatchedSweep:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_main_term_memory_is_set_by_the_argument_cap(self, monkeypatch):
+        # About 15000 divisor zetas for 2000 composite moduli: capped at 2^10
+        # arguments a call, the step grows with the sweep by its output alone
+        # (about 270 B a query); in one call it would grow by about 2.4 KB.
+        moduli = [q for q in range(10**4, 2 * 10**4) if not is_prime(q)][:2000]
+        monkeypatch.setattr(meanval, "_SPECIAL_ARGUMENTS", 2**10)
+        peaks = []
+        for sweep in (moduli[:200], moduli):
+            queries = [meanval.make_query("eq1", q, A("3/2")) for q in sweep]
+            facs = {q: factorize(q) for q in sweep}
+            tracemalloc.start()
+            try:
+                meanval._main_terms(queries, facs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 500 * (len(moduli) - 200)
+
 
 def test_divisor_terms_from_the_primes_match_the_loop():
     for q in [*range(1, 400), 2310, 30030, 99991, 2**16, 3**10]:
-        assert meanval._mobius_divisor_terms(factorize(q)) == mobius_divisor_loop(q), q
+        assert meanval._mobius_divisor_terms(factorize(q)) == tuple(mobius_divisor_loop(q)), q
 
 
 @pytest.mark.parametrize("q", [2310, 30030])
@@ -563,11 +589,10 @@ class TestMainTermsMatchDivisorLoop:
         for d, mu in mobius_divisor_loop(q):
             zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.numerator / (a.denominator * d))
             harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
-        fac = factorize(q)
-        main = meanval._eq1_main(fac, a, meanval._divisor_zetas([(fac, a)])[0])
-        assert math.isclose(main.first_term_only, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
-        full = phi * zeta_sum - 4.0 * phi / float(a) * harmonic_sum
-        assert math.isclose(main.full, full, rel_tol=1e-14, abs_tol=0.0)
+        full, first = main_terms("eq1", q, a)
+        assert math.isclose(first, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
+        expected = phi * zeta_sum - 4.0 * phi / float(a) * harmonic_sum
+        assert math.isclose(full, expected, rel_tol=1e-14, abs_tol=0.0)
 
     def test_thm1_diagonal_oracle(self, q, a_str):
         a, k = A(a_str), 17
@@ -575,5 +600,4 @@ class TestMainTermsMatchDivisorLoop:
         for d, mu in mobius_divisor_loop(q):
             total += mu / d * (digamma(1.0 + a.numerator / (a.denominator * d)) - digamma(1.0 + a.numerator / (a.denominator * k * d)))
         expected = euler_phi(factorize(q)) / (float(a) * (k - 1)) * total
-        assert math.isclose(meanval._thm1_diagonal_oracles([(factorize(q), k, a)])[0], expected,
-                            rel_tol=1e-14, abs_tol=0.0)
+        assert math.isclose(main_terms("thm1", q, a, k=k)[1], expected, rel_tol=1e-14, abs_tol=0.0)

@@ -11,7 +11,8 @@ Both trees run the same commands:
   - every command of perfbench/workloads.generate(workload, seed), for every
     workload and seeds 1-5; a cached sweep runs cold, then warm, against one
     --cache-dir;
-  - a fixed list of single-modulus commands and refusals (FIXED below).
+  - a fixed list of commands and refusals (FIXED below), some of several
+    steps run in one directory.
 
 Each command runs as `python -m lfunlab.cli` in a fresh temporary
 directory, with relative --out and --cache-dir names.  The exit code,
@@ -40,7 +41,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SHIFTS = ("7/2", "3.5", "1.5e0", "-1", "abc", "1/0")
-# Commands of one step each; argv after `lfunlab`.
+# Commands, argv after `lfunlab`: one argv is one step, a list of argvs the
+# steps of one command, run in order in one directory.
+SWEEP_EQ1_JOBS = ["sweep", "--target", "eq1", "--moduli", "97,1009,2003,3001,4001", "--a", "3/2", "--jobs", "2"]
+SWEEP_THM1 = ["sweep", "--target", "thm1", "--moduli", "3,4,9,35,97,210,211", "--a", "2", "--k", "3"]
 FIXED = [
     *[["lvalue", "--q", "35", "--a", a, "--method", m]
       for m in ("closed_direct", "closed_lemma1", "truncated") for a in SHIFTS],
@@ -66,14 +70,25 @@ FIXED = [
     ["verify", "--target", "orthogonality", "--q", "13", "--f", "1,2"],
     ["verify", "--target", "lemma1", "--q", "13", "--k", "2"],
     ["verify", "--target", "thm2", "--p", "13", "--f", "1,2", "--n-terms", "130"],
-    ["sweep", "--target", "eq1", "--moduli", "97,1009,2003,3001,4001", "--a", "3/2", "--jobs", "2",
-     "--out", "jobs.csv"],
-    ["sweep", "--target", "thm1", "--moduli", "3,4,9,35,97,210,211", "--a", "2", "--k", "3",
-     "--out", "thm1.json"],
+    [*SWEEP_EQ1_JOBS, "--out", "jobs.csv"],
+    [*SWEEP_THM1, "--out", "thm1.json"],
     ["sweep", "--target", "lemma4", "--primes", "3..60", "--a", "2"],
     ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1"],
     ["sweep", "--target", "eq1", "--moduli", "7", "--a", "1/2", "--out", "bad.txt"],
     ["cache", "--cache-dir", "cache"],
+    # cached sweeps, cold then warm; the eq1 one in a pool, then cleared
+    [[*SWEEP_EQ1_JOBS, "--cache-dir", "cache", "--out", "cold.csv"],
+     [*SWEEP_EQ1_JOBS, "--cache-dir", "cache", "--out", "warm.csv"],
+     ["cache", "--cache-dir", "cache", "--clear"]],
+    [[*SWEEP_THM1, "--cache-dir", "cache", "--out", "cold.csv"],
+     [*SWEEP_THM1, "--cache-dir", "cache", "--out", "warm.csv"]],
+    # sweep flags the target does not read, and a missing or conflicting one
+    ["sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2", "--k", "3"],
+    ["sweep", "--target", "lemma4", "--moduli", "7,11", "--a", "2", "--f", "1,2", "--degree", "3"],
+    ["sweep", "--target", "thm1", "--moduli", "7,11", "--a", "2", "--k", "3", "--degree", "3"],
+    ["sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2", "--seed", "3"],
+    ["sweep", "--target", "thm1", "--moduli", "7,11", "--a", "2"],
+    ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1", "--f", "1,2", "--degree", "3"],
 ]
 
 
@@ -89,7 +104,7 @@ def commands() -> list[list[list[str]]]:
                     out.append([cmd.argv("cold.csv", "cache"), cmd.argv("warm.csv", "cache")])
                 else:
                     out.append([cmd.argv("out.csv")])
-    return out + [[argv] for argv in FIXED]
+    return out + [entry if isinstance(entry[0], list) else [entry] for entry in FIXED]
 
 
 def tree_env(tree: Path, default_cache: str) -> dict[str, str]:
