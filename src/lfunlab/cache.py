@@ -38,6 +38,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -54,9 +55,9 @@ _TABLE_ARRAYS = (("residue_index", "<i8"),)
 # The L-vector routes a record holds; the truncated route is the oracle and is never stored.
 LVEC_ROUTES = ("closed_direct", "closed_lemma1")
 _LVEC_ARRAYS = tuple((route, "<c16") for route in LVEC_ROUTES)
-# Prefixes of the .tmp files a write may leave behind: <record>.<pid>.tmp,
-# and tmp*.tmp from the tempfile.mkstemp of earlier versions.
-_TEMP_PREFIXES = ("table_", "lvec_", "tmp")
+# The temps a write may leave behind: <record>.<pid>.<token>.tmp, and the
+# tmpXXXXXXXX.tmp of the tempfile.mkstemp of earlier versions.
+_TEMP_NAME = re.compile(r"(?:table|lvec)_\w+\.rec\.\d+\.[0-9a-f]{8}\.tmp|tmp[a-z0-9_]{8}\.tmp")
 
 
 def default_cache_dir() -> str:
@@ -67,23 +68,21 @@ def default_cache_dir() -> str:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """Store data at path through the temp <path>.<pid>.tmp: one exclusive
-    create (mode 0600), the writes, one rename.
+    """Store data at path through the temp <path>.<pid>.<token>.tmp: one
+    exclusive create (mode 0600), the writes, one rename.
 
-    The directory is made only when the create finds it missing.  A temp of
-    this pid can only be left by a crashed earlier process whose pid was
-    reused, so it is removed and the create tried once more.  A temp removed
-    before the rename (by a concurrent clear) stores nothing, with a warning.
+    The token is 8 random hex digits drawn for each write, so two writers
+    never share a temp, even threads of one process or processes with the
+    same pid in other pid namespaces.  The directory is made only when the
+    create finds it missing.  A temp removed before the rename (by a
+    concurrent clear) stores nothing, with a warning.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
         fd = os.open(tmp, flags, 0o600)
     except FileNotFoundError:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd = os.open(tmp, flags, 0o600)
-    except FileExistsError:
-        os.unlink(tmp)
         fd = os.open(tmp, flags, 0o600)
     try:
         try:
@@ -235,12 +234,13 @@ class ReportCache:
 
     def clear(self) -> int:
         """Remove every entry, and every temp of the cache's own names (an
-        interrupted write's <record>.<pid>.tmp, or an older writer's
-        tmp*.tmp), live ones included; return the number of entries removed."""
+        interrupted write's <record>.<pid>.<token>.tmp, or an older writer's
+        mkstemp tmpXXXXXXXX.tmp), live ones included; return the number of
+        entries removed.  Other files, .tmp or not, are left alone."""
         if not os.path.isdir(self.directory):
             return 0
         for name in os.listdir(self.directory):
-            if name.startswith(_TEMP_PREFIXES) and name.endswith(".tmp"):
+            if _TEMP_NAME.fullmatch(name):
                 with contextlib.suppress(OSError):
                     os.unlink(os.path.join(self.directory, name))
         removed = 0

@@ -305,7 +305,8 @@ def get_table(q: int) -> CharacterTable:
     and every verify target but lemma3: 0 hits, 0 or 1 misses), so its hits
     come from library callers that read a modulus again, directly or through
     meanval.thm2_sides and meanval.cross_terms.  Sweeps and reports never
-    read it: meanval.build_reports builds the tables of a batch itself."""
+    read it: meanval._batch_reports builds the tables of a sweep's batch
+    itself."""
     return build_character_table(q)
 
 

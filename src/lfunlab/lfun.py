@@ -40,7 +40,7 @@ and one batched transform of each distinct grid.  route_vectors,
 tail_vector and meanval.cross_terms read it, so the tail has one
 implementation and verify --target recombination reads one batch.
 closed_vectors_batch and route_vectors_batch take several (table, shift)
-jobs, as a sweep's batch of moduli does (meanval.build_reports): the grids
+jobs, as a sweep's batch of moduli does (meanval._batch_reports): the grids
 of all jobs come from one digamma call, and each table transforms its own
 grids; closed_vectors and route_vectors are batches of one, passed to
 digamma as they are.  digamma is elementwise bit for bit and a batched row

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import chars, lfun, specfun
+from . import chars, lfun
 from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
 from .chars import CharacterTable
@@ -156,11 +156,9 @@ def _lvalue_vectors(queries: Sequence[MeanValueQuery], stored: list[dict[str, np
 
 
 def clear_memo() -> None:
-    """Forget the in-process memos: the character tables of chars.get_table
-    and the harmonic numbers of specfun.harmonic; nothing else outlives a
-    report."""
+    """Forget the in-process character tables (chars.get_table, the one
+    in-process memo); nothing else outlives a report."""
     chars.get_table.cache_clear()
-    specfun._harmonic.cache_clear()
 
 
 def _sieve_factor(fac: Factorization) -> float:

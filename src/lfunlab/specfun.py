@@ -27,7 +27,6 @@ over divisors take [a/d] (floor_ratio) and a/d from its integers.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -155,19 +154,9 @@ def elementwise_batch(fn, arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{l=1..n} 1/l, with H_0 = 0.
-
-    The main terms ask for the same few H_n over and over (n = [a/d] over
-    the divisors d of each modulus), so the last 1024 values are kept.  The
-    argument is checked before the memo is read, so harmonic(True), which
-    a memo would take for harmonic(1), still raises."""
+    """H_n = sum_{l=1..n} 1/l, with H_0 = 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"harmonic expects an integer n >= 0, got {n!r}")
-    return _harmonic(n)
-
-
-@functools.lru_cache(maxsize=1024)
-def _harmonic(n: int) -> float:
     return math.fsum(1.0 / l for l in range(1, n + 1))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import stat
 import tracemalloc
 from pathlib import Path
@@ -372,15 +373,17 @@ def test_record_bytes_and_mode_are_pinned(cache):
     assert os.listdir(cache.directory) == [path.name]
 
 
-def test_stale_temp_of_this_pid_is_replaced(cache):
-    # Only a crashed earlier process whose pid was reused leaves this name.
-    os.makedirs(cache.directory)
-    stale = Path(f"{cache._lvec_path(5, 1, 1)}.{os.getpid()}.tmp")
-    stale.write_bytes(b"half a record")
-    vecs = random_routes(4, 4)
-    cache.put_lvec(5, 1, 1, vecs)
-    assert not stale.exists()
-    assert all(np.array_equal(cache.get_lvec(5, 1, 1)[r], vecs[r]) for r in LVEC_ROUTES)
+def test_each_write_draws_its_own_temp(cache, monkeypatch):
+    # Writers sharing a pid (threads, other pid namespaces) never share a temp.
+    temps = []
+    open_ = os.open
+    monkeypatch.setattr(os, "open", lambda path, *args: temps.append(path) or open_(path, *args))
+    for _ in range(2):
+        cache.put_lvec(5, 1, 1, random_routes(5, 4))
+    assert len(set(temps)) == 2
+    pattern = re.escape(f"{cache._lvec_path(5, 1, 1)}.{os.getpid()}.") + r"[0-9a-f]{8}\.tmp"
+    assert all(re.fullmatch(pattern, t) for t in temps)
+    assert os.listdir(cache.directory) == ["lvec_q5_a1_1.rec"]
 
 
 def test_write_makes_the_directory_only_when_missing(cache, monkeypatch):
@@ -405,14 +408,14 @@ def test_temp_removed_before_the_rename_stores_nothing(cache, caplog, monkeypatc
 
 def test_clear_removes_orphaned_temps(cache, capsys):
     cache.put_lvec(7, 1, 1, random_routes(7, 4))
-    orphans = ["lvec_q7_a1_1.rec.abc123.tmp", "table_q5.rec.99.tmp", "tmpxyz.tmp"]
-    kept = ["notes.txt", "other.tmp"]
+    orphans = ["lvec_q7_a1_1.rec.4242.0a1b2c3d.tmp", "table_q5.rec.99.ffffffff.tmp", "tmpk3_x9qzz.tmp"]
+    kept = ["notes.txt", "other.tmp", "tmpfoo.tmp", "lvec_notes.tmp", "table_q5.rec.99.tmp"]
     for name in orphans + kept:
         Path(cache.directory, name).write_bytes(b"x")
     assert cli.run(["cache", "--cache-dir", cache.directory, "--clear"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["entries: 0 character tables, 1 L-vector records",
                                                         "cleared 1 entries"]
-    assert sorted(os.listdir(cache.directory)) == kept
+    assert sorted(os.listdir(cache.directory)) == sorted(kept)
 
 
 def test_default_dir_env_override(monkeypatch, tmp_path):
