@@ -45,6 +45,15 @@ SHIFTS = ("7/2", "3.5", "1.5e0", "-1", "abc", "1/0")
 # steps of one command, run in order in one directory.
 SWEEP_EQ1_JOBS = ["sweep", "--target", "eq1", "--moduli", "97,1009,2003,3001,4001", "--a", "3/2", "--jobs", "2"]
 SWEEP_THM1 = ["sweep", "--target", "thm1", "--moduli", "3,4,9,35,97,210,211", "--a", "2", "--k", "3"]
+SWEEP_LEMMA4 = ["sweep", "--target", "lemma4", "--moduli", "3,4,9,35,97,210,211", "--a", "2"]
+SWEEP_THM2 = ["sweep", "--target", "thm2", "--primes", "5..60", "--a", "1", "--degree", "3", "--seed", "7"]
+
+
+def cold_then_warm(argv: list[str]) -> list[list[str]]:
+    """A cached sweep's steps: cold, then warm, against one --cache-dir."""
+    return [[*argv, "--cache-dir", "cache", "--out", f"{run}.csv"] for run in ("cold", "warm")]
+
+
 FIXED = [
     *[["lvalue", "--q", "35", "--a", a, "--method", m]
       for m in ("closed_direct", "closed_lemma1", "truncated") for a in SHIFTS],
@@ -76,12 +85,11 @@ FIXED = [
     ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1"],
     ["sweep", "--target", "eq1", "--moduli", "7", "--a", "1/2", "--out", "bad.txt"],
     ["cache", "--cache-dir", "cache"],
-    # cached sweeps, cold then warm; the eq1 one in a pool, then cleared
-    [[*SWEEP_EQ1_JOBS, "--cache-dir", "cache", "--out", "cold.csv"],
-     [*SWEEP_EQ1_JOBS, "--cache-dir", "cache", "--out", "warm.csv"],
-     ["cache", "--cache-dir", "cache", "--clear"]],
-    [[*SWEEP_THM1, "--cache-dir", "cache", "--out", "cold.csv"],
-     [*SWEEP_THM1, "--cache-dir", "cache", "--out", "warm.csv"]],
+    # a cached sweep of each target, cold then warm; the eq1 one in a pool, then cleared
+    [*cold_then_warm(SWEEP_EQ1_JOBS), ["cache", "--cache-dir", "cache", "--clear"]],
+    cold_then_warm(SWEEP_THM1),
+    cold_then_warm(SWEEP_LEMMA4),
+    cold_then_warm(SWEEP_THM2),
     # sweep flags the target does not read, and a missing or conflicting one
     ["sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2", "--k", "3"],
     ["sweep", "--target", "lemma4", "--moduli", "7,11", "--a", "2", "--f", "1,2", "--degree", "3"],
@@ -90,6 +98,11 @@ FIXED = [
     ["sweep", "--target", "thm1", "--moduli", "7,11", "--a", "2"],
     ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1", "--f", "1,2", "--degree", "3"],
 ]
+
+
+def fixed_commands() -> list[list[list[str]]]:
+    """Every FIXED command as its list of steps (argv lists after `lfunlab`)."""
+    return [entry if isinstance(entry[0], list) else [entry] for entry in FIXED]
 
 
 def commands() -> list[list[list[str]]]:
@@ -104,7 +117,7 @@ def commands() -> list[list[list[str]]]:
                     out.append([cmd.argv("cold.csv", "cache"), cmd.argv("warm.csv", "cache")])
                 else:
                     out.append([cmd.argv("out.csv")])
-    return out + [entry if isinstance(entry[0], list) else [entry] for entry in FIXED]
+    return out + fixed_commands()
 
 
 def tree_env(tree: Path, default_cache: str) -> dict[str, str]:
