@@ -205,18 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The targets that read each optional flag of verify and sweep.
+# For each target of verify and sweep: the flags it reads, beyond the modulus
+# and the flags every target reads, and the flags it requires.
 _TARGET_FLAGS = {
-    "verify": (("a", ("lemma1", "thm2", "recombination")), ("k", ("recombination",)),
-               ("f", ("lemma2", "lemma3", "thm2"))),
-    "sweep": (("k", ("thm1",)), ("f", ("thm2",)), ("degree", ("thm2",)), ("seed", ("thm2",))),
+    "verify": {"orthogonality": ("", "q"), "lemma1": ("a", "q"), "lemma2": ("f", "p f"), "lemma3": ("f", "p f"),
+               "thm2": ("a f", "p f"), "recombination": ("a k", "q k")},
+    "sweep": {"lemma4": ("", ""), "eq1": ("", ""), "thm1": ("k", "k"), "thm2": ("f degree seed", "")},
 }
 
 
 def _normalize(ns: argparse.Namespace) -> None:
-    """Parse the text-valued flags in place and fold --p into q."""
-    for flag, readers in _TARGET_FLAGS.get(ns.subcommand, ()):  # a flag the target ignores is refused
-        if getattr(ns, flag) is not None and ns.target not in readers:
+    """Parse the text-valued flags in place and fold --p into q, refusing a
+    flag the target does not read and a missing one it requires."""
+    targets = _TARGET_FLAGS.get(ns.subcommand, {})
+    reads, requires = (names.split() for names in targets.get(getattr(ns, "target", None), ("", "")))
+    for flag in vars(ns):  # in the parser's order
+        readers = [target for target, (names, _) in targets.items() if flag in names.split()]
+        if readers and flag not in reads and getattr(ns, flag) is not None:
             raise ValueError(f"--{flag} applies only to {ns.subcommand} --target {', '.join(readers)}")
     if ns.subcommand == "verify":
         ns.a = "1" if ns.a is None else ns.a  # the default shift of lemma1, thm2 and recombination
@@ -232,9 +237,11 @@ def _normalize(ns: argparse.Namespace) -> None:
     truncates = getattr(ns, "method", None) == "truncated" or getattr(ns, "target", None) == "lemma1"
     if getattr(ns, "n_terms", None) is not None and not truncates:
         raise ValueError("--n-terms applies only to lvalue --method truncated and verify --target lemma1")
+    if any(getattr(ns, "q" if flag == "p" else flag) is None for flag in requires):  # q holds --p
+        names = " and ".join(f"--{flag}" for flag in requires)
+        raise ValueError(f"sweep --target {ns.target} requires {names}" if ns.subcommand == "sweep"
+                         else f"{names} {'is' if len(requires) == 1 else 'are'} required")
     if ns.subcommand == "sweep":  # every sweep flag is checked before any table is built
-        if ns.target == "thm1" and ns.k is None:
-            raise ValueError("sweep --target thm1 requires --k")
         if ns.f is not None and ns.degree is not None:
             raise ValueError("--f and --degree both set the thm2 polynomial; give one of them")
         ns.moduli = _parse_moduli(ns.primes, ns.moduli)
@@ -328,7 +335,6 @@ def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     target = ns.target
     if target == "orthogonality":
-        _require(ns.q is not None, "--q is required")
         t = get_table(ns.q)
         defect = orthogonality_defect(t)
         tol = 1e-9 * t.phi
@@ -336,7 +342,6 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         return 0 if defect < tol else 1
 
     if target == "lemma1":
-        _require(ns.q is not None, "--q is required")
         t = get_table(ns.q)
         _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
         a = ns.a
@@ -354,7 +359,6 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         return 0 if worst_gap < 1e-9 and worst_excess < 0 else 1
 
     if target == "lemma2":
-        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         check_difference_budget(ns.q)
         t = get_table(ns.q)
         defect = lemma2_defect(t, ns.f)
@@ -363,7 +367,6 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         return 0 if defect < tol else 1
 
     if target == "lemma3":
-        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         audit = lemma3_report(ns.q, ns.f)
         n_deg = len(audit.degenerate_x)
         print(
@@ -377,7 +380,6 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         return 0 if audit.all_ok else 1
 
     if target == "thm2":
-        _require(ns.q is not None and ns.f is not None, "--p and --f are required")
         check_difference_budget(ns.q)  # before the direct side, which needs no difference table
         direct, decomposed = meanval.thm2_sides(ns.q, ns.f, ns.a)
         gap = abs(direct - decomposed)
@@ -388,7 +390,6 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         return 0 if gap < tol else 1
 
     # recombination
-    _require(ns.q is not None and ns.k is not None, "--q and --k are required")
     ct = cross_terms(ns.q, ns.k, ns.a)
     gap = abs(ct.lhs - ct.recombined)
     phi = euler_phi(factorize(ns.q))
@@ -401,18 +402,8 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
 
 
 def _handle_sweep(ns: argparse.Namespace, cache: ReportCache | None) -> int:
-    series = residual_sweep(
-        ns.target,
-        ns.moduli,
-        ns.a,
-        k=ns.k,
-        f=ns.f,
-        degree=ns.degree,
-        seed=ns.seed,
-        method=ns.method,
-        jobs=ns.jobs,
-        cache=cache,
-    )
+    series = residual_sweep(ns.target, ns.moduli, ns.a, k=ns.k, f=ns.f, degree=ns.degree, seed=ns.seed,
+                            method=ns.method, jobs=ns.jobs, cache=cache)
     emit_report(list(series.reports), ns.out, series)
     info = sys.stdout if ns.out else sys.stderr
     print(

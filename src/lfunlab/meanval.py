@@ -54,10 +54,52 @@ THM2_DIVISOR_NOTE = "divisor_sum_over_d|p"
 TENSION_FLAG = "main_term_tension"
 
 
+def _check_parameters(target: str, a, k: int | None, f: Polynomial | None, method: str,
+                      degree: int | None = None) -> ShiftParam:
+    """The shift a, coerced, or ValueError unless the rules that do not read
+    the modulus hold: a known target and method; lemma4's weight an integer
+    >= 2, else a >= 1; thm1's k an integer >= 2; a thm2 f or degree >= 1."""
+    a = ShiftParam.of(a)
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    if method not in lfun.METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {lfun.METHODS}")
+    if target == "lemma4":
+        if a.denominator != 1 or a.numerator < 2:
+            raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
+    elif a.numerator < a.denominator:
+        raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+    if target == "thm1" and (not isinstance(k, int) or isinstance(k, bool) or k < 2):
+        raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
+    if target == "thm2" and f is None and (degree is None or degree < 1):
+        raise ValueError("thm2 requires a polynomial" if degree is None else f"degree must be >= 1, got {degree}")
+    return a
+
+
+def _check_modulus(target: str, q, a: ShiftParam, k: int | None, f: Polynomial | None) -> None:
+    """ValueError unless q suits parameters _check_parameters accepted: q >= 3;
+    gcd(a, q) = 1 for lemma4, gcd(k, q) = 1 for thm1; for thm2, q prime, f
+    (None: sampled later) not vanishing mod q and an integer a coprime to q."""
+    if not isinstance(q, int) or isinstance(q, bool) or q < 3:
+        raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
+    if target == "lemma4" and math.gcd(a.numerator, q) != 1:
+        raise ValueError(f"lemma4 weight a={a} must be coprime to q={q}")
+    if target == "thm1" and math.gcd(k, q) != 1:
+        raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
+    if target == "thm2":
+        if not is_prime(q):
+            raise ValueError(f"thm2 modulus must be prime, got {q}")
+        if f is not None and not f.coprime_to(q):
+            raise ValueError(f"p={q} divides every coefficient of {f}")
+        if a.denominator == 1 and math.gcd(a.numerator, q) != 1:
+            raise ValueError(f"integer shift a={a} must be coprime to p={q}")
+
+
 @dataclass(frozen=True)
 class MeanValueQuery:
     """One evaluation request: target statistic, modulus, shift, weights;
-    construction coerces a and raises ValueError outside the target's range."""
+    construction coerces a and raises ValueError outside the target's range
+    (_check_parameters, then _check_modulus)."""
 
     target: str
     q: int
@@ -67,38 +109,8 @@ class MeanValueQuery:
     method: str = "closed_direct"
 
     def __post_init__(self) -> None:
-        a = ShiftParam.of(self.a)
-        object.__setattr__(self, "a", a)
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
-        q = self.q
-        if not isinstance(q, int) or isinstance(q, bool) or q < 3:
-            raise ValueError(f"modulus must be an integer >= 3, got {q!r}")
-        if self.method not in lfun.METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {lfun.METHODS}")
-        if self.target == "lemma4":
-            if a.denominator != 1 or a.numerator < 2:
-                raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
-            if math.gcd(a.numerator, q) != 1:
-                raise ValueError(f"lemma4 weight a={a} must be coprime to q={q}")
-            return
-        if a.numerator < a.denominator:
-            raise ValueError(f"shift must satisfy a >= 1, got a={a}")
-        if self.target == "thm1":
-            k = self.k
-            if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-                raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
-            if math.gcd(k, q) != 1:
-                raise ValueError(f"thm1 weight k={k} must be coprime to q={q}")
-        elif self.target == "thm2":
-            if not is_prime(q):
-                raise ValueError(f"thm2 modulus must be prime, got {q}")
-            if self.f is None:
-                raise ValueError("thm2 requires a polynomial")
-            if not self.f.coprime_to(q):
-                raise ValueError(f"p={q} divides every coefficient of {self.f}")
-            if a.denominator == 1 and math.gcd(a.numerator, q) != 1:
-                raise ValueError(f"integer shift a={a} must be coprime to p={q}")
+        object.__setattr__(self, "a", _check_parameters(self.target, self.a, self.k, self.f, self.method))
+        _check_modulus(self.target, self.q, self.a, self.k, self.f)
 
 
 make_query = MeanValueQuery
@@ -163,10 +175,7 @@ def clear_memo() -> None:
 
 def _sieve_factor(fac: Factorization) -> float:
     """prod_{p | q} (1 - p^-2), the coprimality correction to zeta(2)."""
-    out = 1.0
-    for p in fac.primes():
-        out *= 1.0 - 1.0 / (p * p)
-    return out
+    return math.prod(1.0 - 1.0 / (p * p) for p in fac.primes())
 
 
 DivisorTerms = tuple[tuple[int, int], ...]
@@ -249,13 +258,8 @@ def _thm1_main(fac: Factorization, terms: DivisorTerms, k: int, a: ShiftParam) -
     Inner blocks with an empty l-range contribute exactly 0.  The weight k
     enters as the written integer; only character evaluation reduces it mod q.
     """
-    phi = euler_phi(fac)
-    total = 0.0
-    for d, mu in terms:
-        lo = floor_ratio(a, k * d)
-        hi = floor_ratio(a, d)
-        total += mu / d * (harmonic(hi) - harmonic(lo))
-    return phi / (float(a) * (k - 1)) * total
+    total = sum(mu / d * (harmonic(floor_ratio(a, d)) - harmonic(floor_ratio(a, k * d))) for d, mu in terms)
+    return euler_phi(fac) / (float(a) * (k - 1)) * total
 
 
 def _thm1_diagonal_oracle(fac: Factorization, terms: DivisorTerms, k: int, a: ShiftParam,
@@ -550,9 +554,7 @@ class ResidualSeries:
 
     @property
     def max_normalized_abs(self) -> float:
-        if not self.reports:
-            return 0.0
-        return max(abs(r.normalized_residual) for r in self.reports)
+        return max((abs(r.normalized_residual) for r in self.reports), default=0.0)
 
 
 def _fit_residuals(reports: Iterable[MeanValueReport]) -> tuple[float, float]:
@@ -567,9 +569,9 @@ def _fit_residuals(reports: Iterable[MeanValueReport]) -> tuple[float, float]:
 def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
                  f: Polynomial | None, degree: int | None, seed: int | None,
                  method: str) -> MeanValueQuery:
-    if target == "thm2" and f is None:  # residual_sweep has checked that degree is set
-        rng = random.Random((seed if seed is not None else 0) * 1_000_003 + q)
-        f = sample_polynomial(rng, degree, q)
+    if target == "thm2" and f is None:  # sampled mod q once q is known to be prime
+        _check_modulus(target, q, a, k, None)
+        f = sample_polynomial(random.Random((seed or 0) * 1_000_003 + q), degree, q)
     return MeanValueQuery(target, q, a, k, f, method)
 
 
@@ -610,7 +612,9 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    f: Polynomial | None = None, degree: int | None = None,
                    seed: int | None = None, method: str = "closed_direct",
                    jobs: int = 1, cache: ReportCache | None = None) -> ResidualSeries:
-    """Evaluate the target over a modulus list, skipping invalid moduli.
+    """Evaluate the target over a modulus list, skipping the moduli that
+    fail _check_modulus; a parameter that fails _check_parameters raises
+    before any work.
 
     The main terms of all valid queries come from one _main_terms call; each
     batch (_batches) goes to _batch_reports with its slice of them, in
@@ -618,9 +622,9 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
     ordered by modulus regardless of worker scheduling; the fit runs on
     |residual| > 0 rows only.
     """
-    a = ShiftParam.of(a)
     if target == "thm2" and f is None and degree is None:
         raise ValueError("thm2 sweep needs --f or a degree to sample")
+    a = _check_parameters(target, a, k, f, method, degree)
     queries: list[MeanValueQuery] = []
     skipped: list[tuple[int, str]] = []
     for q in moduli:
