@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -617,10 +618,11 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
     before any work.
 
     The main terms of all valid queries come from one _main_terms call; each
-    batch (_batches) goes to _batch_reports with its slice of them, in
-    process or, with jobs > 1, one batch per pool task.  Reports come back
-    ordered by modulus regardless of worker scheduling; the fit runs on
-    |residual| > 0 rows only.
+    batch (_batches) goes to _batch_reports with its slice of them, as one
+    task of a pool of min(jobs, batches, usable CPUs) workers when that is
+    more than one, else in process.  Reports come back ordered by modulus
+    regardless of worker scheduling; the fit runs on |residual| > 0 rows
+    only.
     """
     if target == "thm2" and f is None and degree is None:
         raise ValueError("thm2 sweep needs --f or a degree to sample")
@@ -638,10 +640,13 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
     batches = [(batch, {query.q: facs[query.q] for query in batch}, [next(mains) for _ in batch])
                for batch in _batches(queries)]
     run_batch = functools.partial(_batch_reports, cache=cache)
-    if jobs > 1 and len(batches) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays this import
+    # A forking pool starts all its workers at once: no more than batches or usable CPUs.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(batches), cpus)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays this import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = [r for rs in pool.map(run_batch, *zip(*batches)) for r in rs]
     else:
         reports = [r for batch in batches for r in run_batch(*batch)]

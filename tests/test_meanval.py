@@ -6,6 +6,7 @@ specfun primitives or brute-force series oracles; none come from the
 implementation under test.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -391,6 +392,41 @@ class TestResidualSweep:
         parallel = meanval.residual_sweep("thm1", [11, 13, 17, 19], A(1), k=2, jobs=2)
         assert serial.reports == parallel.reports
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (500, 2, 2), (500, 64, 3), (2, 64, 2), (500, 1, None), (1, 64, None), (500, None, 3),
+    ])
+    def test_pool_has_no_more_workers_than_batches_or_cpus(self, jobs, cpus, workers, monkeypatch):
+        # A fake pool records its size and starts no process; cpus None
+        # stands for a platform without os.sched_getaffinity.
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 1000)  # three batches
+        moduli = (97, 101, 211, 1009, 7)
+        series = meanval.residual_sweep("thm1", moduli, A(2), k=5, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert series.reports == meanval.residual_sweep("thm1", moduli, A(2), k=5).reports
+
     def test_import_leaves_the_process_pool_out(self):
         # Only --jobs > 1 needs concurrent.futures; a plain import does not pay for it.
         code = "import sys, lfunlab; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
@@ -409,6 +445,111 @@ class TestResidualSweep:
     def test_thm2_needs_poly_or_degree(self):
         with pytest.raises(ValueError):
             meanval.residual_sweep("thm2", [5, 7], A(1))
+
+
+def sweep_argv(target, moduli, a, **flags):
+    """The `lfunlab sweep` argv of a sweep over moduli with these flags."""
+    return ["sweep", "--target", target, "--moduli", ",".join(map(str, moduli)), "--a", a,
+            *[token for name, value in flags.items() for token in (f"--{name}", value)]]
+
+
+def library_sweep(target, moduli, a, **flags):
+    """The residual_sweep of the same sweep as sweep_argv."""
+    f = flags.pop("f", None)
+    return meanval.residual_sweep(target, moduli, a, f=None if f is None else Polynomial.parse(f),
+                                  **{name: int(value) for name, value in flags.items()})
+
+
+# Rules that do not read the modulus, with the text each sweep modulus was
+# skipped with before a sweep refused them once.
+PARAMETER_RULES = [
+    (("thm1", "2", {"k": "1"}), "thm1 weight k must be an integer >= 2, got 1"),
+    (("eq1", "1/2", {}), "shift must satisfy a >= 1, got a=1/2"),
+    (("eq1", "0", {}), "shift must satisfy a >= 1, got a=0"),
+    (("thm1", "1/2", {"k": "3"}), "shift must satisfy a >= 1, got a=1/2"),
+    (("thm2", "1/2", {"f": "1,2"}), "shift must satisfy a >= 1, got a=1/2"),
+    (("thm2", "1/2", {"degree": "3"}), "shift must satisfy a >= 1, got a=1/2"),
+    (("lemma4", "3/2", {}), "lemma4 weight must be an integer >= 2, got a=3/2"),
+    (("lemma4", "1", {}), "lemma4 weight must be an integer >= 2, got a=1"),
+    (("thm2", "1", {"degree": "0"}), "degree must be >= 1, got 0"),
+]
+
+# Rules that read the modulus: the modulus is skipped with this text and
+# the sweep goes on.
+MODULUS_RULES = [
+    (("thm1", "2", {"k": "3"}), (7, 9, 11), 9, "thm1 weight k=3 must be coprime to q=9"),
+    (("lemma4", "2", {}), (7, 8, 11), 8, "lemma4 weight a=2 must be coprime to q=8"),
+    (("eq1", "1", {}), (2, 7, 11), 2, "modulus must be an integer >= 3, got 2"),
+    (("thm2", "1", {"f": "1,2"}), (7, 9, 11), 9, "thm2 modulus must be prime, got 9"),
+    (("thm2", "1", {"degree": "3"}), (7, 9, 11), 9, "thm2 modulus must be prime, got 9"),
+    (("thm2", "1", {"f": "7,14"}), (5, 7, 11), 7, "p=7 divides every coefficient of 7,14"),
+    (("thm2", "7", {"f": "1,2"}), (5, 7, 11), 7, "integer shift a=7 must be coprime to p=7"),
+]
+
+
+def _no_table(q):
+    raise AssertionError(f"table mod {q} built before the parameters were checked")
+
+
+class TestQueryRules:
+    """A parameter rule is checked once per sweep, before any table is built,
+    and refuses the sweep; only modulus rules skip a modulus."""
+
+    @pytest.mark.parametrize("sweep, message", PARAMETER_RULES)
+    def test_cli_sweep_refuses_a_bad_parameter_before_any_work(self, sweep, message, monkeypatch, capsys):
+        target, a, flags = sweep
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        assert cli.run(sweep_argv(target, (7, 11), a, **flags)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("sweep, message", PARAMETER_RULES)
+    def test_residual_sweep_raises_on_a_bad_parameter_before_any_work(self, sweep, message, monkeypatch):
+        target, a, flags = sweep
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        with pytest.raises(ValueError) as exc:
+            library_sweep(target, (7, 11), a, **flags)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("argv, message", [
+        (("recombination", "--q", "35", "--k", "1"), "thm1 weight k must be an integer >= 2, got 1"),
+        (("recombination", "--q", "35", "--k", "2", "--a", "1/2"), "shift must satisfy a >= 1, got a=1/2"),
+        (("thm2", "--p", "13", "--f", "1,2", "--a", "1/2"), "shift must satisfy a >= 1, got a=1/2"),
+    ])
+    def test_verify_refuses_a_bad_parameter_before_any_work(self, argv, message, monkeypatch, capsys):
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        assert cli.run(["verify", "--target", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("sweep, moduli, bad, message", MODULUS_RULES)
+    def test_cli_sweep_skips_a_modulus_that_breaks_a_rule(self, sweep, moduli, bad, message, tmp_path, capsys):
+        target, a, flags = sweep
+        out = tmp_path / "sweep.json"
+        assert cli.run([*sweep_argv(target, moduli, a, **flags), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["skipped"] == [{"q": bad, "reason": message}]
+        assert [row["q"] for row in doc["reports"]] == [q for q in moduli if q != bad]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("sweep, moduli, bad, message", MODULUS_RULES)
+    def test_residual_sweep_skips_a_modulus_that_breaks_a_rule(self, sweep, moduli, bad, message):
+        target, a, flags = sweep
+        series = library_sweep(target, moduli, a, **flags)
+        assert series.skipped == ((bad, message),)
+        assert [r.q for r in series.reports] == [q for q in moduli if q != bad]
+
+    def test_sampled_thm2_sweep_checks_the_modulus_before_sampling(self, monkeypatch):
+        # Sampling mod 1 would draw constant polynomials forever.
+        sample = meanval.sample_polynomial
+        sampled = []
+        monkeypatch.setattr(meanval, "sample_polynomial",
+                            lambda rng, degree, p: sampled.append(p) or sample(rng, degree, p))
+        series = library_sweep("thm2", (0, 1, 2, 4, 7), "1", degree="2")
+        assert series.skipped == tuple((q, f"modulus must be an integer >= 3, got {q}") for q in (0, 1, 2)) + (
+            (4, "thm2 modulus must be prime, got 4"),)
+        assert sampled == [7] and [r.q for r in series.reports] == [7]
 
 
 def test_memo_and_cache_clear():

@@ -97,6 +97,12 @@ FIXED = [
     ["sweep", "--target", "eq1", "--moduli", "7,11", "--a", "3/2", "--seed", "3"],
     ["sweep", "--target", "thm1", "--moduli", "7,11", "--a", "2"],
     ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1", "--f", "1,2", "--degree", "3"],
+    # parameters refused once per sweep, and moduli skipped before a polynomial is sampled
+    ["sweep", "--target", "thm1", "--moduli", "7,11", "--a", "2", "--k", "1"],
+    ["sweep", "--target", "eq1", "--moduli", "7,11", "--a", "1/2"],
+    ["sweep", "--target", "lemma4", "--moduli", "7,11", "--a", "3/2"],
+    ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1", "--degree", "0"],
+    ["sweep", "--target", "thm2", "--moduli", "0,2,4,7", "--a", "1", "--degree", "2"],
 ]
 
 
