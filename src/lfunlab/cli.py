@@ -98,9 +98,8 @@ def render_json(reports, series: ResidualSeries | None = None) -> str:
         rows.append(row)
     doc: dict = {"reports": rows}
     if series is not None:
-        beta = None if math.isnan(series.beta) else series.beta
-        constant = None if math.isnan(series.constant) else series.constant
-        doc["fit"] = {"beta": beta, "constant": constant}
+        fit = {"beta": series.beta, "constant": series.constant}
+        doc["fit"] = {name: None if math.isnan(value) else value for name, value in fit.items()}
         doc["skipped"] = [{"q": q, "reason": reason} for q, reason in series.skipped]
     return json.dumps(doc, indent=2) + "\n"
 

@@ -308,7 +308,7 @@ def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
     w = np.abs(lfun.route_vectors(t, query.a, ("closed_direct",))["closed_direct"][0]) ** 2
     direct = _statistics(query, {"closed_direct": w}, t)["closed_direct"].real
     moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
-    return direct, complex((p - 1) * w.sum() + difference_sums(p, f) @ moments)
+    return direct, complex((p - 1) * w.sum() + (difference_sums(p, f) * moments).sum())
 
 
 def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
@@ -361,10 +361,10 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     lvec, tvec = vecs["l1"], vecs["tail"]
     col = t.values_at(k)
     conj = t.conjugate_map
-    m1 = complex(col @ (tvec * lvec[conj]))
-    m2 = complex(col @ (np.conj(tvec) * lvec))
-    m3 = complex(col @ (np.abs(tvec) ** 2))
-    unshifted = complex(col @ (np.abs(lvec) ** 2))
+    m1 = complex((col * (tvec * lvec[conj])).sum())
+    m2 = complex((col * (np.conj(tvec) * lvec)).sum())
+    m3 = complex((col * (np.abs(tvec) ** 2)).sum())
+    unshifted = complex((col * (np.abs(lvec) ** 2)).sum())
     af = float(a)
     recombined = unshifted - af * (m1 + m2) + af * af * m3
     lhs = _statistics(query, {"closed_direct": np.abs(vecs["l1a"]) ** 2}, t)["closed_direct"]
@@ -423,7 +423,8 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
 
     eq1 sums them and reads no character, so it takes t = None when its
     vectors are stored; lemma4 and thm1 read the chi(k) column, and thm2
-    |S(chi, f)|^2, from t.
+    |S(chi, f)|^2, from t.  Each is numpy's pairwise sum of a product, not
+    a BLAS dot, whose bytes would depend on the BLAS thread count.
     """
     if query.target == "eq1":
         return {m: complex(w.sum()) for m, w in weights.items()}
@@ -431,7 +432,7 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
         sq_sums = np.abs(weighted_char_sum_all(t, query.f)) ** 2
         return {m: complex((sq_sums * w).sum()) for m, w in weights.items()}
     col = t.values_at(query.a.numerator if query.target == "lemma4" else query.k)
-    return {m: complex(col @ w) for m, w in weights.items()}
+    return {m: complex((col * w).sum()) for m, w in weights.items()}
 
 
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
@@ -524,7 +525,6 @@ def _report(query: MeanValueQuery, fac: Factorization, lhs: complex, route_agree
         flags.append(TENSION_FLAG)
     if query.target == "thm2":
         flags.append(THM2_DIVISOR_NOTE)
-
     return MeanValueReport(
         target=query.target,
         q=query.q,

@@ -461,6 +461,30 @@ class TestDeterminismAndCache:
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a long complex dot product over its threads, so a
+        # statistic reduced through BLAS prints other last digits under 1 and
+        # 2 threads at q near 2e4.  (A host with one CPU runs one thread.)
+        commands = [
+            ["sweep", "--target", "lemma4", "--moduli", "20011", "--a", "2"],
+            ["sweep", "--target", "thm1", "--moduli", "20011", "--a", "2", "--k", "3"],
+            ["verify", "--target", "recombination", "--q", "20011", "--k", "3", "--a", "2"],
+            ["verify", "--target", "thm2", "--p", "19997", "--f", "1,0,3,2"],
+        ]
+        script = ("import contextlib, io, json, sys\nfrom lfunlab import cli\nruns = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    out, err = io.StringIO(), io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                  "        runs.append([cli.run(argv), out.getvalue(), err.getvalue()])\n"
+                  "print(json.dumps(runs))\n")
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True,
+                                  text=True, check=True,
+                                  env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert [code for code, _, _ in json.loads(outputs[0])] == [0, 0, 0, 0]
+        assert outputs[0] == outputs[1]
+
     def test_cache_does_not_change_output(self, tmp_path):
         plain, cached, warm = (tmp_path / n for n in ("p.csv", "c.csv", "w.csv"))
         args = ("sweep", "--target", "lemma4", "--primes", "101..149", "--a", "2")
