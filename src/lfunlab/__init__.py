@@ -24,7 +24,6 @@ from .meanval import (
     MeanValueReport,
     ResidualSeries,
     build_report,
-    build_reports,
     cross_terms,
     make_query,
     residual_sweep,
@@ -47,7 +46,6 @@ __all__ = [
     "WeilAudit",
     "build_character_table",
     "build_report",
-    "build_reports",
     "char_value",
     "complete_sum",
     "cross_terms",

@@ -25,6 +25,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -107,6 +108,8 @@ def render_json(reports, series: ResidualSeries | None = None) -> str:
 def _check_output_path(path: str) -> None:
     if not path.endswith((".csv", ".json")):
         raise ValueError(f"output path must end in .csv or .json, got {path!r}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"output directory {os.path.dirname(path)!r} does not exist")
 
 
 def emit_report(reports, path: str | None, series: ResidualSeries | None = None) -> None:
@@ -143,6 +146,16 @@ def _parse_moduli(primes: str | None, moduli: str | None) -> tuple[int, ...]:
         raise ValueError(f"--moduli wants a comma list of integers, got {moduli!r}") from exc
 
 
+# For each target of verify and sweep: the flags it reads, beyond the modulus
+# and the flags every target reads, and the flags it requires.  The verify
+# keys are its --target choices, in order.
+_TARGET_FLAGS = {
+    "verify": {"orthogonality": ("", "q"), "lemma1": ("a", "q"), "lemma2": ("f", "p f"), "lemma3": ("f", "p f"),
+               "thm2": ("a f", "p f"), "recombination": ("a k", "q k")},
+    "sweep": {"lemma4": ("", ""), "eq1": ("", ""), "thm1": ("k", "k"), "thm2": ("f degree seed", "")},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parsing
@@ -170,11 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--j", type=int, default=None, help="single character index")
 
     p_ver = sub.add_parser("verify", help="run one exact-identity check")
-    p_ver.add_argument(
-        "--target",
-        required=True,
-        choices=("orthogonality", "lemma1", "lemma2", "lemma3", "thm2", "recombination"),
-    )
+    p_ver.add_argument("--target", required=True, choices=tuple(_TARGET_FLAGS["verify"]))
     p_ver.add_argument("--q", type=int)
     p_ver.add_argument("--p", type=int)
     p_ver.add_argument("--a")
@@ -202,15 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--clear", action="store_true")
 
     return parser
-
-
-# For each target of verify and sweep: the flags it reads, beyond the modulus
-# and the flags every target reads, and the flags it requires.
-_TARGET_FLAGS = {
-    "verify": {"orthogonality": ("", "q"), "lemma1": ("a", "q"), "lemma2": ("f", "p f"), "lemma3": ("f", "p f"),
-               "thm2": ("a f", "p f"), "recombination": ("a k", "q k")},
-    "sweep": {"lemma4": ("", ""), "eq1": ("", ""), "thm1": ("k", "k"), "thm2": ("f degree seed", "")},
-}
 
 
 def _normalize(ns: argparse.Namespace) -> None:
@@ -303,7 +303,7 @@ def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     else:
         lfun.require_nonprincipal(t, ns.j)
         indices = [ns.j]
-    values, bound = lfun.route_vectors(t, a, (ns.method,), ns.n_terms)[ns.method]
+    values, bound = lfun.route_vectors_batch([(t, a)], (ns.method,), ns.n_terms)[0][ns.method]
     for j in indices:
         v = values[j]
         print(
@@ -345,7 +345,7 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
         _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
         a = ns.a
         # Every route leaves the principal slot 0, so it adds nothing to either maximum.
-        routes = lfun.route_vectors(t, a, lfun.METHODS, ns.n_terms)
+        routes = lfun.route_vectors_batch([(t, a)], lfun.METHODS, ns.n_terms)[0]
         direct, lemma = routes["closed_direct"][0], routes["closed_lemma1"][0]
         trunc, trunc_bound = routes["truncated"]
         # Each closed value and the partial sum lie within their own bounds of

@@ -34,24 +34,22 @@ same Euler-Maclaurin expansion of sum 1/(k + x).  The routes stay apart
 because this code is separate (its own Bernoulli constants, nothing
 imported from specfun) and applies the expansion only at k + beta >= 24
 after 24 q direct terms, while digamma shifts its argument to x >= 10, uses
-B_2 .. B_14 and no direct terms.  closed_vectors computes the closed pieces
-L(1, chi, a), L(1, chi) and the shift tail (a > 0) from one digamma call
-and one batched transform of each distinct grid.  route_vectors,
-tail_vector and meanval.cross_terms read it, so the tail has one
-implementation and verify --target recombination reads one batch.
-closed_vectors_batch and route_vectors_batch take several (table, shift)
-jobs, as a sweep's batch of moduli does (meanval._batch_reports): the grids
-of all jobs come from one digamma call, and each table transforms its own
-grids; closed_vectors and route_vectors are batches of one, passed to
-digamma as they are.  digamma is elementwise bit for bit and a batched row
-is bit-identical to a call of its own, so the sharing changes no number:
-route_agreement still compares closed_direct's row of
+B_2 .. B_14 and no direct terms.  closed_vectors_batch computes the closed
+pieces L(1, chi, a), L(1, chi) and the shift tail (a > 0) of several
+(table, shift) jobs, such as a sweep's batch of moduli
+(meanval._batch_reports): the grids of all jobs come from one digamma call,
+and each table transforms its distinct grids in one batched call; a caller
+of one modulus passes one job.  route_vectors_batch, tail_vector and
+meanval.cross_terms read it, so the tail has one implementation and verify
+--target recombination reads one batch.  digamma is elementwise bit for bit
+and a batched row is bit-identical to a call of its own, so the sharing
+changes no number: route_agreement still compares closed_direct's row of
 psi((u + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces are
 rows of their own.
 
 Each route is computed for all characters at once (l1a_vector,
-truncated_vector, dispatched by route_vectors), by one transform over the
-unit group, O(q log q) per modulus.  The closed routes evaluate psi and
+truncated_vector, dispatched by route_vectors_batch), by one transform over
+the unit group, O(q log q) per modulus.  The closed routes evaluate psi and
 zeta(2, .) (which take arrays) only at the phi(q) units, in the grid order
 the transform reads (CharacterTable.sums_over_units); the truncated route
 folds its partial sum onto all q residues and gathers the units from it
@@ -118,14 +116,14 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
         first = int(q == 1)  # the unit mod 1 is residue 0, whose weight is 0
         grid[first:] = hurwitz_zeta(2.0, t._units[first:] / q)
         return t.sums_over_units(grid) / (q * q)
-    return closed_vectors(t, a, ("tail",))["tail"]
+    return closed_vectors_batch([(t, a, ("tail",))])[0]["tail"]
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
     """L(1, chi, a) for every character by a closed route (principal slot 0)."""
     if method not in ("closed_direct", "closed_lemma1"):
         raise ValueError(f"unknown closed method {method!r}; expected closed_direct or closed_lemma1")
-    return route_vectors(t, a, (method,))[method][0]
+    return route_vectors_batch([(t, a)], (method,))[0][method][0]
 
 
 # Terms folded per block of the truncated route: blocks of whole periods,
@@ -225,24 +223,20 @@ def default_truncation(q: int) -> int:
     return 10**4 * q
 
 
-def closed_vectors(t: CharacterTable, a: ShiftParam, parts: Collection[str]) -> dict[str, np.ndarray]:
-    """The closed pieces for every character, {part: new array}, principal
-    slot as the transform leaves it: "l1a" = -T(psi_a)/q, L(1, chi, a) by
-    closed_direct; "l1" = -T(psi_0)/q, L(1, chi); "tail" (a > 0 only) =
-    T(psi_a - psi_0)/(a q), sum_n chi(n)/(n (n + a)); with T the character
-    transform and psi_s the grid psi((u + s)/q) at the units u in grid order
-    (t._units; at q = 1 the unit is residue 0 and its slot holds 0).  A
-    batch of one closed_vectors_batch job."""
-    return closed_vectors_batch([(t, a, parts)])[0]
-
-
 def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, Collection[str]]]
                          ) -> list[dict[str, np.ndarray]]:
-    """closed_vectors for each (table, shift, parts) job.  The psi grids of
-    every job come from one digamma call on the concatenated arguments (a
-    single job's are passed as they are), each entry bit-identical to a call
-    of its own; then each table transforms its distinct grids once, in one
-    batched call, as a job of its own would."""
+    """The closed pieces for every character of each (table, shift, parts)
+    job, {part: new array}, principal slot as the transform leaves it:
+    "l1a" = -T(psi_a)/q, L(1, chi, a) by closed_direct; "l1" = -T(psi_0)/q,
+    L(1, chi); "tail" (a > 0 only) = T(psi_a - psi_0)/(a q),
+    sum_n chi(n)/(n (n + a)); with T the character transform and psi_s the
+    grid psi((u + s)/q) at the units u in grid order (t._units; at q = 1 the
+    unit is residue 0 and its slot holds 0).
+
+    The psi grids of every job come from one digamma call on the
+    concatenated arguments (a single job's are passed as they are), each
+    entry bit-identical to a call of its own; then each table transforms its
+    distinct grids once, in one batched call, as a job of its own would."""
     plans = []
     for t, a, parts in jobs:
         s = float(a)
@@ -265,17 +259,11 @@ def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, Collec
     return out
 
 
-def route_vectors(t: CharacterTable, a: ShiftParam, methods: Sequence[str],
-                  n_terms: int | None = None) -> dict[str, tuple[np.ndarray, float]]:
-    """L(1, chi, a) for every character by each named route, with the route's
-    error bound: {method: (values, error_bound)}, principal slot 0.  A batch
-    of one route_vectors_batch job."""
-    return route_vectors_batch([(t, a)], methods, n_terms)[0]
-
-
 def route_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam]], methods: Sequence[str],
                         n_terms: int | None = None) -> list[dict[str, tuple[np.ndarray, float]]]:
-    """route_vectors for each (table, shift) job.
+    """L(1, chi, a) for every character of each (table, shift) job by each
+    named route, with the route's error bound: {method: (values,
+    error_bound)}, principal slot 0.
 
     The closed routes requested read one closed_vectors_batch call for all
     jobs, so every job's psi grids come from one digamma call: closed_direct
@@ -353,8 +341,8 @@ def l1_chi_a_truncated(t: CharacterTable, j: int, a, n_terms: int | None = None)
 
 
 def evaluate(t: CharacterTable, j: int, a, method: str, n_terms: int | None = None) -> ShiftedLValue:
-    """L(1, chi_j, a) by the named route: entry j of its route_vectors vector."""
+    """L(1, chi_j, a) by the named route: entry j of its route_vectors_batch vector."""
     require_nonprincipal(t, j)
     a = ShiftParam.of(a)
-    vals, bound = route_vectors(t, a, (method,), n_terms)[method]
+    vals, bound = route_vectors_batch([(t, a)], (method,), n_terms)[0][method]
     return ShiftedLValue(t.q, j, a, method, complex(vals[j]), bound)

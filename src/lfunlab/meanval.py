@@ -16,10 +16,11 @@ published main terms show constant-level tension with the direct computation
 against log q so the decay exponent lands in the output rather than in a
 hand-waved tolerance.
 
-A sweep (or build_reports) takes the main terms of all its queries from
-one _main_terms call, and the statistics from _batch_reports in batches of
-consecutive moduli that only the psi grids bound.  thm1_lhs and
-thm2_lhs_direct return a report's lhs; cross_terms.lhs uses _statistics.
+A sweep takes the main terms of all its queries from one _main_terms call,
+and the statistics from _batch_reports in batches of consecutive moduli that
+only the psi grids bound; build_report takes both steps on one query.
+thm1_lhs and thm2_lhs_direct return a report's lhs; cross_terms.lhs uses
+_statistics.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import logging
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -305,7 +307,7 @@ def thm2_sides(p: int, f: Polynomial, a) -> tuple[float, complex]:
     design: their gap checks the exponential-sum layer."""
     query = MeanValueQuery("thm2", p, a, f=f)
     t = chars.get_table(p)
-    w = np.abs(lfun.route_vectors(t, query.a, ("closed_direct",))["closed_direct"][0]) ** 2
+    w = np.abs(lfun.l1a_vector(t, query.a)) ** 2
     direct = _statistics(query, {"closed_direct": w}, t)["closed_direct"].real
     moments = t.sums_over_characters(w)[2:]  # chi(x)-weighted moment per x = 2..p-1
     return direct, complex((p - 1) * w.sum() + (difference_sums(p, f) * moments).sum())
@@ -346,8 +348,8 @@ class CrossTerms:
 
 
 def cross_terms(q: int, k: int, a) -> CrossTerms:
-    """The cross terms and the thm1 statistic from one lfun.closed_vectors
-    call: L(1, chi), the tail T(chi, a) and L(1, chi, a) from one digamma
+    """The cross terms and the thm1 statistic from one lfun.closed_vectors_batch
+    job: L(1, chi), the tail T(chi, a) and L(1, chi, a) from one digamma
     call on psi(r/q) and psi((r + a)/q) and one 3-row transform.  The
     statistic is the reports' own (_statistics) of that L(1, chi, a)."""
     query = MeanValueQuery("thm1", q, a, k)
@@ -355,7 +357,7 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     fac = factorize(q)
     terms = _mobius_divisor_terms(fac)
     t = chars.get_table(q)
-    vecs = lfun.closed_vectors(t, a, ("l1", "tail", "l1a"))
+    vecs = lfun.closed_vectors_batch([(t, a, ("l1", "tail", "l1a"))])[0]
     for vec in vecs.values():
         vec[t.principal_index] = 0.0
     lvec, tvec = vecs["l1"], vecs["tail"]
@@ -437,22 +439,25 @@ def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
 
 def build_report(query: MeanValueQuery, cache: ReportCache | None = None) -> MeanValueReport:
     """Evaluate the query, compare lfun routes, and assemble the report row:
-    a batch of one build_reports query."""
-    return build_reports([query], cache)[0]
+    q factored once, then a sweep's two steps on one query, _main_terms and
+    _batch_reports."""
+    facs = {query.q: factorize(query.q)}
+    return _batch_reports([query], facs, _main_terms([query], facs), cache)[0]
 
 
-def build_reports(queries: Sequence[MeanValueQuery], cache: ReportCache | None = None) -> list[MeanValueReport]:
-    """One report row per query, in order: each modulus factored once, the
-    main terms of all queries from _main_terms and the statistics from one
-    _batch_reports call."""
-    facs = {query.q: factorize(query.q) for query in queries}
-    return _batch_reports(queries, facs, _main_terms(queries, facs), cache)
-
-
-# Special-function arguments one main-term call takes.  hurwitz_zeta holds up
-# to ten direct-term rows per argument, so one call for an eq1 sweep over
-# every q <= 10^5 (about 7e5 divisor zetas) would hold tens of MB.
-_SPECIAL_ARGUMENTS = 2**13
+# Arguments of one elementwise special-function call (specfun.elementwise_batch)
+# in both steps of a sweep: a run of _main_terms counts its divisor arguments,
+# and a batch (_batches) its psi grids (one for lemma4, two otherwise) times q,
+# a bound on phi(q).  An item over the cap is a run or batch of its own.
+# hurwitz_zeta holds up to ten direct-term rows per argument, so one main-term
+# call for an eq1 sweep over every q <= 10^5 (about 7e5 divisor zetas) would
+# hold tens of MB.  Measured with perfbench/run.py on a 2-core x86-64 host,
+# sweep-many at seeds 1-3 (moduli 300-2000): a batch per report peaks at
+# 35.40-35.49 MB RSS in 32-35 ms per pass; batch caps 2^12, 2^13, 2^14 and
+# 2^16 peak at 35.50-35.55, 35.51-35.66, 36.29-36.41 and 36.65-36.78 MB in
+# 30.8-32.1, 28.8-29.2, 28.4-29.5 and 27.9-28.5 ms.  2^13 takes most of the
+# gain within 1% of the memory.
+_BATCH_ARGUMENTS = 2**13
 
 
 def _main_terms(queries: Sequence[MeanValueQuery],
@@ -462,12 +467,12 @@ def _main_terms(queries: Sequence[MeanValueQuery],
 
     Each query's divisor terms are built once, and its special values come
     from one hurwitz_zeta (eq1, thm2) or digamma (thm1 oracle) call per run
-    of consecutive queries of at most _SPECIAL_ARGUMENTS arguments.  Both
+    of consecutive queries of at most _BATCH_ARGUMENTS arguments.  Both
     are elementwise bit for bit, so a main term does not depend on its run.
     """
     out: list[tuple[float, float | None]] = []
     prepared = ((query, *_divisor_arguments(query, facs[query.q])) for query in queries)
-    for run in _runs(prepared, lambda item: item[2].size, _SPECIAL_ARGUMENTS):
+    for run in _runs(prepared, lambda item: item[2].size, _BATCH_ARGUMENTS):
         zetas = iter(elementwise_batch(lambda x: hurwitz_zeta(2.0, x),
                                        [args for query, _, args in run if query.target in ("eq1", "thm2")]))
         psis = iter(elementwise_batch(digamma, [args for query, _, args in run if query.target == "thm1"]))
@@ -576,17 +581,6 @@ def _sweep_query(target: str, q: int, a: ShiftParam, k: int | None,
     return MeanValueQuery(target, q, a, k, f, method)
 
 
-# Digamma arguments one batch of a sweep may take: a query counts its psi
-# grids (one for lemma4, two otherwise) times q, a bound on phi(q), and a
-# query over the cap is a batch of its own.  Measured with perfbench/run.py
-# on a 2-core x86-64 host, sweep-many at seeds 1-3 (moduli 300-2000): a
-# batch per report peaks at 35.40-35.49 MB RSS in 32-35 ms per pass; caps
-# 2^12, 2^13, 2^14 and 2^16 peak at 35.50-35.55, 35.51-35.66, 36.29-36.41
-# and 36.65-36.78 MB in 30.8-32.1, 28.8-29.2, 28.4-29.5 and 27.9-28.5 ms.
-# 2^13 takes most of the gain within 1% of the memory.
-_BATCH_ARGUMENTS = 2**13
-
-
 def _runs(items: Iterable, size, cap: int) -> Iterator[list]:
     """Consecutive runs of items whose size(item) sum to at most cap; an
     item over the cap is a run of its own."""
@@ -614,8 +608,8 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    seed: int | None = None, method: str = "closed_direct",
                    jobs: int = 1, cache: ReportCache | None = None) -> ResidualSeries:
     """Evaluate the target over a modulus list, skipping the moduli that
-    fail _check_modulus; a parameter that fails _check_parameters raises
-    before any work.
+    fail _check_modulus; a parameter that fails _check_parameters, or a
+    modulus listed twice, raises before any work.
 
     The main terms of all valid queries come from one _main_terms call; each
     batch (_batches) goes to _batch_reports with its slice of them, as one
@@ -627,6 +621,10 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
     if target == "thm2" and f is None and degree is None:
         raise ValueError("thm2 sweep needs --f or a degree to sample")
     a = _check_parameters(target, a, k, f, method, degree)
+    moduli = list(moduli)
+    repeated = [q for q, n in Counter(moduli).items() if n > 1]
+    if repeated:
+        raise ValueError(f"modulus {repeated[0]} is listed more than once")
     queries: list[MeanValueQuery] = []
     skipped: list[tuple[int, str]] = []
     for q in moduli:

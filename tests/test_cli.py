@@ -153,6 +153,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags, message", [
         (("--out", "report.txt"), "output path must end in .csv or .json"),
+        (("--out", "missing/report.csv"), "output directory 'missing' does not exist"),
         (("--jobs", "0"), "--jobs must be at least 1"),
         (("--jobs", "-3"), "--jobs must be at least 1"),
     ])
@@ -620,7 +621,7 @@ class TestDeterminismAndCache:
         def no_routes(*args, **kwargs):
             raise AssertionError("an L-route was computed despite the stored record")
 
-        monkeypatch.setattr(lfun, "route_vectors_batch", no_routes)  # route_vectors is a batch of one
+        monkeypatch.setattr(lfun, "route_vectors_batch", no_routes)  # the one entry point of the routes
         eq1 = meanval.build_report(meanval.make_query("eq1", 97, "5/2", method="closed_lemma1"), cache)
         assert eq1.lhs.real > 0
         assert meanval.build_report(lemma4_query, cache).lhs == lemma4

@@ -59,6 +59,92 @@ class TestAnchors:
             assert abs(lfun.l1_chi(t, j).conjugate() - lfun.l1_chi(t, jc)) < 1e-12
 
 
+def kronecker(d, n):
+    """The Kronecker symbol (d/n) for n >= 1: a factor (d/2) per factor 2 of
+    n, then the Jacobi symbol by reciprocity."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            result = -result
+    d %= n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        d, n = n, d
+        if d % 4 == n % 4 == 3:
+            result = -result
+        d %= n
+    return result if n == 1 else 0
+
+
+def squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+def fundamental_discriminants(limit):
+    """Every D <= limit with -D a fundamental discriminant: D = 3 (mod 4)
+    squarefree, or D = 4m with m = 1, 2 (mod 4) squarefree."""
+    return [d for d in range(3, limit + 1)
+            if d % 4 == 3 and squarefree(d) or d % 4 == 0 and d // 4 % 4 in (1, 2) and squarefree(d // 4)]
+
+
+def class_number(d):
+    """h(-D) as the number of reduced forms (a, b, c) of discriminant -D:
+    |b| <= a <= c, with b >= 0 when |b| = a or a = c (so 3a^2 <= D)."""
+    h = 0
+    for a in range(1, math.isqrt(d // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c, rem = divmod(b * b + d, 4 * a)
+            if rem == 0 and c >= a and not (b < 0 and c == a):
+                h += 1
+    return h
+
+
+def kronecker_character(t, d):
+    """The index of chi_{-D} mod D: its exponent on each axis is 0 or half
+    the axis order, as (-D / u) is 1 or -1 at the axis unit u."""
+    j, stride = 0, t.phi
+    for s in t.grid_shape:
+        stride //= s
+        if kronecker(-d, int(t._units[stride])) == -1:
+            j += s // 2 * stride
+    return j
+
+
+def class_number_gap(d):
+    """|L(1, chi_{-D}) - 2 pi h/(w sqrt D)| relative to the class number
+    formula's side (Davenport, Multiplicative Number Theory, ch. 6)."""
+    t = build_character_table(d)
+    w = {3: 6, 4: 4}.get(d, 2)
+    expected = 2 * math.pi * class_number(d) / (w * math.sqrt(d))
+    return abs(lfun.l1_vector(t)[kronecker_character(t, d)] - expected) / expected
+
+
+class TestClassNumberAnchor:
+    """L(1, chi_{-D}) = 2 pi h(-D)/(w sqrt D) at every fundamental
+    discriminant -D with D <= 3000, h counted from reduced forms."""
+
+    KNOWN = {1: (3, 4, 7, 8, 11, 19, 43, 67, 163), 2: (20, 24, 40), 3: (23,), 4: (56, 84), 5: (47,), 7: (71,)}
+
+    def test_class_numbers_by_reduced_forms(self):
+        assert {d: class_number(d) for h, ds in self.KNOWN.items() for d in ds} == {
+            d: h for h, ds in self.KNOWN.items() for d in ds}
+        assert len(fundamental_discriminants(3000)) == 911
+
+    def test_closed_route_meets_the_class_number_formula(self):
+        assert max(class_number_gap(d) for d in fundamental_discriminants(3000)) <= 1e-12
+
+    def test_a_digamma_error_breaks_the_formula(self, monkeypatch):
+        digamma = lfun.digamma
+        monkeypatch.setattr(lfun, "digamma", lambda x: digamma(x) * (1 + 1e-9))
+        assert min(class_number_gap(d) for ds in self.KNOWN.values() for d in ds) > 1e-10
+
+
 class TestShiftedTailSum:
     def test_q4_a1_anchor_difference(self):
         t = get_table(4)
@@ -344,10 +430,10 @@ class TestPsiGridWork:
     def test_route_vectors_one_call_of_each_kind(self, q, a, rows, monkeypatch):
         t = get_table(q)
         a = ShiftParam.of(a)
-        expected = {m: lfun.route_vectors(t, a, (m,))[m] for m in ("closed_direct", "closed_lemma1")}
+        expected = {m: lfun.route_vectors_batch([(t, a)], (m,))[0][m] for m in ("closed_direct", "closed_lemma1")}
         sizes = self._record_grid_sizes(monkeypatch)
         fft_calls = self._record_fft_calls(monkeypatch)
-        got = lfun.route_vectors(t, a, ("closed_direct", "closed_lemma1"))
+        got = lfun.route_vectors_batch([(t, a)], ("closed_direct", "closed_lemma1"))[0]
         assert sizes["digamma"] == [(1 if a == 0 else 2) * t.phi]  # psi at the units only
         assert [shape[0] for shape in fft_calls] == [rows]  # one call on the batch of distinct grids
         for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
@@ -358,11 +444,11 @@ class TestPsiGridWork:
     ])
     def test_route_vectors_batch_equals_one_job_calls(self, methods, monkeypatch):
         # Every job's psi grids come from one digamma call on all of them, and
-        # each job's vectors equal its own route_vectors call bit for bit.
+        # each job's vectors equal a batch of that job alone bit for bit.
         jobs = [(build_character_table(q), ShiftParam.of(a))
                 for q, a in ((1, "3/2"), (5, "3/2"), (24, "0"), (101, "2"), (1033, "3/2"), (2310, "5/2"))]
         sizes = self._record_grid_sizes(monkeypatch)
-        expected = [lfun.route_vectors(t, a, methods) for t, a in jobs]
+        expected = [lfun.route_vectors_batch([job], methods)[0] for job in jobs]
         one_job = list(sizes["digamma"])
         sizes["digamma"].clear()
         got = lfun.route_vectors_batch(jobs, methods)
@@ -386,8 +472,9 @@ class TestPsiGridWork:
 
 
 def _residue_order_closed_vectors(t, a, parts):
-    """Oracle: closed_vectors with every psi grid at the residues r = 1 .. q-1
-    (column 0 holds 0), transformed through sums_over_residues."""
+    """Oracle: one closed_vectors_batch job with every psi grid at the
+    residues r = 1 .. q-1 (column 0 holds 0), transformed through
+    sums_over_residues."""
     q, s = t.q, float(a)
     shifts = (s, 0.0)
     psi = np.zeros((2, q))
@@ -410,7 +497,7 @@ def test_unit_order_grids_are_bit_identical_to_residue_order(q, monkeypatch):
     for a in ("0", "3/2", "2"):
         a = ShiftParam.of(a)
         parts = ("l1a", "l1", "tail") if float(a) else ("l1a", "l1")
-        got, expected = lfun.closed_vectors(t, a, parts), _residue_order_closed_vectors(t, a, parts)
+        got, expected = lfun.closed_vectors_batch([(t, a, parts)])[0], _residue_order_closed_vectors(t, a, parts)
         for p in parts:
             assert np.array_equal(got[p], expected[p]), (a, p)
     assert min(arguments) > 0

@@ -256,13 +256,13 @@ class TestThm2:
         f, a = Polynomial((1, 2, 0, 1)), A(2)
         expected = (meanval.thm2_lhs_direct(p, f, a), meanval.thm2_lhs_decomposed(p, f, a))
         calls = []
-        real = lfun.route_vectors
+        real = lfun.route_vectors_batch
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lfun, "route_vectors", counting)
+        monkeypatch.setattr(lfun, "route_vectors_batch", counting)
         assert meanval.thm2_sides(p, f, a) == expected  # bit for bit
         assert len(calls) == 1
 
@@ -512,6 +512,15 @@ class TestQueryRules:
             library_sweep(target, (7, 11), a, **flags)
         assert str(exc.value) == message
 
+    def test_sweep_refuses_a_repeated_modulus_before_any_work(self, monkeypatch, capsys):
+        # Two identical q = 7 rows would enter the residual fit twice.
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        assert cli.run(sweep_argv("eq1", (7, 7, 11), "2")) == 2
+        assert capsys.readouterr() == ("", "error: modulus 7 is listed more than once\n")
+        with pytest.raises(ValueError, match="^modulus 11 is listed more than once$"):
+            library_sweep("thm1", (11, 7, 2, 11, 2), "2", k="3")
+
     @pytest.mark.parametrize("argv, message", [
         (("recombination", "--q", "35", "--k", "1"), "thm1 weight k must be an integer >= 2, got 1"),
         (("recombination", "--q", "35", "--k", "2", "--a", "1/2"), "shift must satisfy a >= 1, got a=1/2"),
@@ -699,7 +708,7 @@ class TestBatchedSweep:
         # arguments a call, the step grows with the sweep by its output alone
         # (about 270 B a query); in one call it would grow by about 2.4 KB.
         moduli = [q for q in range(10**4, 2 * 10**4) if not is_prime(q)][:2000]
-        monkeypatch.setattr(meanval, "_SPECIAL_ARGUMENTS", 2**10)
+        monkeypatch.setattr(meanval, "_BATCH_ARGUMENTS", 2**10)
         peaks = []
         for sweep in (moduli[:200], moduli):
             queries = [meanval.make_query("eq1", q, A("3/2")) for q in sweep]
@@ -711,6 +720,57 @@ class TestBatchedSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 500 * (len(moduli) - 200)
+
+
+def residue_side(q, shift, k):
+    """(phi/q^2) sum_r x_r x_{kr mod q} - (sum_r x_r/q)^2 over the units r,
+    x_r = psi((r + shift)/q): the sum over every character of
+    chi(k) |L(1, chi, shift)|^2, by orthogonality, less the principal one."""
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    x = np.zeros(q)
+    x[units] = digamma((units + float(shift)) / q)
+    return len(units) / q**2 * float((x[units] * x[units * k % q]).sum()) - (x.sum() / q) ** 2
+
+
+class TestResidueDomainIdentity:
+    """Each report's lhs equals its statistic written over the residues
+    (residue_side); lemma4 is shift 0 with k its weight, eq1 k = 1."""
+
+    SWEEPS = {"lemma4": (A(2), None, 2), "eq1": (A("3/2"), None, 1), "thm1": (A(2), 3, 3)}
+    MODULI = (*range(3, 401), 2310, 4096, 30030)
+
+    def worst_gap(self, target, moduli):
+        a, k, weight = self.SWEEPS[target]
+        series = meanval.residual_sweep(target, moduli, a, k=k)
+        assert [r.q for r in series.reports] == [q for q in moduli if math.gcd(q, weight) == 1]
+        shift = 0 if target == "lemma4" else a
+        sides = [residue_side(r.q, shift, weight) for r in series.reports]
+        return max(abs(r.lhs - side) / abs(side) for r, side in zip(series.reports, sides))
+
+    @pytest.mark.parametrize("target", ["lemma4", "eq1", "thm1"])
+    def test_reports_meet_the_residue_domain_statistic(self, target):
+        assert self.worst_gap(target, self.MODULI) <= 1e-12
+
+    @pytest.mark.parametrize("target", ["lemma4", "thm1"])
+    def test_a_character_column_read_at_k_plus_one_breaks_it(self, target, monkeypatch):
+        values_at = chars.CharacterTable.values_at
+        monkeypatch.setattr(chars.CharacterTable, "values_at", lambda t, x: values_at(t, x + 1))
+        assert self.worst_gap(target, (7, 11, 25, 97, 101, 4096)) > 1e-6
+
+    @pytest.mark.parametrize("target", ["lemma4", "eq1", "thm1"])
+    def test_the_principal_slot_left_in_breaks_it(self, target, monkeypatch):
+        route_vectors_batch = lfun.route_vectors_batch
+
+        def principal_kept(jobs, methods, n_terms=None):
+            out = route_vectors_batch(jobs, methods, n_terms)
+            for (t, a), vecs in zip(jobs, out):
+                principal = lfun.closed_vectors_batch([(t, a, ("l1a",))])[0]["l1a"][t.principal_index]
+                for vals, _ in vecs.values():
+                    vals[t.principal_index] = principal
+            return out
+
+        monkeypatch.setattr(lfun, "route_vectors_batch", principal_kept)
+        assert self.worst_gap(target, (7, 11, 25, 97, 101, 4096)) > 1e-6
 
 
 def test_divisor_terms_from_the_primes_match_the_loop():

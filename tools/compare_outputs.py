@@ -103,6 +103,9 @@ FIXED = [
     ["sweep", "--target", "lemma4", "--moduli", "7,11", "--a", "3/2"],
     ["sweep", "--target", "thm2", "--moduli", "7,11", "--a", "1", "--degree", "0"],
     ["sweep", "--target", "thm2", "--moduli", "0,2,4,7", "--a", "1", "--degree", "2"],
+    # a modulus listed twice, and --out in a missing directory, refused before any work
+    ["sweep", "--target", "eq1", "--moduli", "7,7,11", "--a", "2"],
+    ["sweep", "--target", "eq1", "--moduli", "3", "--a", "1", "--out", "missing/x.csv"],
 ]
 
 
