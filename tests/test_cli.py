@@ -153,9 +153,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags, message", [
         (("--out", "report.txt"), "output path must end in .csv or .json"),
-        (("--out", "missing/report.csv"), "output directory 'missing' does not exist"),
         (("--jobs", "0"), "--jobs must be at least 1"),
         (("--jobs", "-3"), "--jobs must be at least 1"),
+        (("--out", "missing/report.csv"), "output directory 'missing' does not exist"),
     ])
     def test_bad_sweep_flags_fail_before_any_work(self, flags, message, tmp_path, monkeypatch, capsys):
         def no_build(q):
