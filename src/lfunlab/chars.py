@@ -249,6 +249,12 @@ class CharacterTable:
         return vals
 
 
+def check_table_bound(q: int) -> None:
+    """Refuse an integer modulus above _MAX_MODULUS, before any work."""
+    if q > _MAX_MODULUS:
+        raise ValueError(f"modulus {q} exceeds the table bound {_MAX_MODULUS}")
+
+
 def build_character_table(q: int) -> CharacterTable:
     """Construct the character table mod q from generator walks, in O(q) time
     and memory.
@@ -267,8 +273,7 @@ def build_character_table(q: int) -> CharacterTable:
     """
     if not isinstance(q, int) or isinstance(q, bool) or q < 1:
         raise ValueError(f"modulus must be a positive integer, got {q!r}")
-    if q > _MAX_MODULUS:
-        raise ValueError(f"modulus {q} exceeds the table bound {_MAX_MODULUS}")
+    check_table_bound(q)
     components: list[GroupComponent] = []
     units = np.zeros(1, dtype=np.int64)
     for p, e in factorize(q).factors:

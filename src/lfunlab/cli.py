@@ -240,6 +240,10 @@ def _normalize(ns: argparse.Namespace) -> None:
         names = " and ".join(f"--{flag}" for flag in requires)
         raise ValueError(f"sweep --target {ns.target} requires {names}" if ns.subcommand == "sweep"
                          else f"{names} {'is' if len(requires) == 1 else 'are'} required")
+    if ns.subcommand == "chars" and ns.out is not None:  # checked before the table is built
+        if not ns.out.endswith(".json"):
+            raise ValueError(f"chars --out must end in .json, the only format it writes, got {ns.out!r}")
+        _check_output_path(ns.out)
     if ns.subcommand == "sweep":  # every sweep flag is checked before any table is built
         if ns.f is not None and ns.degree is not None:
             raise ValueError("--f and --degree both set the thm2 polynomial; give one of them")

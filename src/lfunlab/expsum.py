@@ -21,7 +21,13 @@ summed as BLAS matrix-vector products (zgemv); the rows are never computed
 by a transform, since the Fourier route to this autocorrelation goes through
 |S(chi, f)|^2, the side under check.  Since g_{1/x}(x y) = -g_x(y), the row
 of 1/x = g^(p-1-l) is the complex conjugate of the row of x (same |T|,
-effective degree and degeneracy), so half the rows are summed.
+effective degree and degeneracy), so half the rows are summed.  The work
+around the product (coefficients, walk values, the scatter of the rows) is
+a few exact integer passes of length p per coefficient.
+
+lemma2_defect takes both character sums of the identity, S(chi, f) and
+sum_x chi(x) T(g_x), from one batched transform of their two grids; the
+S grid is the one weighted_char_sum_all transforms (_unit_grid).
 """
 
 from __future__ import annotations
@@ -130,12 +136,18 @@ def complete_sum(p: int, coefficients) -> complex:
     return complex(_e(vals, p).sum())
 
 
+def _unit_grid(t: CharacterTable, f: Polynomial) -> np.ndarray:
+    """e(f(u)/p) at the units u mod p = t.q in grid order: the grid whose
+    transform is S(chi, f)."""
+    p = t.q
+    _check_prime(p)
+    return _e(_poly_values_mod(f.coefficients, p, t._units), p)
+
+
 def weighted_char_sum_all(t: CharacterTable, f: Polynomial) -> np.ndarray:
     """S(chi, f) for every character at once (row j = character j), by one
     transform of e(f(u)/p) at the units u in grid order."""
-    p = t.q
-    _check_prime(p)
-    return t.sums_over_units(_e(_poly_values_mod(f.coefficients, p, t._units), p))
+    return t.sums_over_units(_unit_grid(t, f))
 
 
 # (x, y) pairs summed per block of the difference sums (at least two rows).
@@ -216,20 +228,36 @@ def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     Degenerate rows (p divides every coefficient) are set to exactly p - 1,
     with no float summation.  Refused before any work when the (p - 2) p
     evaluations exceed _DIFFERENCE_EVALUATIONS.
+
+    Everything outside the O(p^2) product is an O(k p) pass over contiguous
+    arrays: the coefficients b_i(x) fill a (k + 1) x (p - 2) array row by
+    row (returned transposed, row x - 2), which also gives the degenerate
+    mask; the walk index i j mod (p - 1) steps by one addition and one
+    conditional subtraction per coefficient, and F is reduced mod p once;
+    the summed rows and their conjugate partners fill one buffer in walk
+    order, scattered to the rows x = g^l once.  Each step is exact integer
+    arithmetic or a copy, so no float byte depends on how they are arranged.
     """
     check_difference_budget(p)
     xs = np.arange(2, p, dtype=np.int64)
-    coeffs = np.empty((len(xs), len(f.coefficients)), dtype=np.int64)
-    xi = np.ones_like(xs)
-    for i, a in enumerate(f.coefficients):
-        coeffs[:, i] = (a % p) * (xi - 1) % p
-        xi = xi * xs % p
+    rows = np.zeros((len(f.coefficients), len(xs)), dtype=np.int64)  # row i: b_i(x); b_0 = 0
+    xi = xs.copy()
+    for a, row in zip(f.coefficients[1:], rows[1:]):
+        np.subtract(xi, 1, out=row)
+        row *= a % p
+        row %= p
+        xi *= xs
+        xi %= p
     n = p - 1
     pw = _certified_walk(p)
     j = np.arange(n, dtype=np.int64)
-    walk_values = np.zeros(n, dtype=np.int64)
-    for i, a in enumerate(f.coefficients):
-        walk_values = (walk_values + a % p * pw[i * j % n]) % p
+    walk_index = np.zeros(n, dtype=np.int64)  # i j mod n, one step of j per coefficient
+    walk_values = np.full(n, f.coefficients[0] % p, dtype=np.int64)
+    for a in f.coefficients[1:]:
+        walk_index += j
+        walk_index[walk_index >= n] -= n
+        walk_values += a % p * pw[walk_index]
+    walk_values %= p
     u = _e(walk_values, p)
     # Rows 1 .. half in near-equal blocks of at least two rows (where
     # half >= 2).  u repeated width + 3 times holds the rows l + k (n + 1),
@@ -240,13 +268,14 @@ def _difference_table(p: int, f: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     width = -(-half // blocks)
     windows = sliding_window_view(np.tile(u, width + 3), n)
     conj_u = np.conj(u)
-    sums = np.empty(len(xs), dtype=np.complex128)
+    walk_sums = np.empty(n - 1, dtype=np.complex128)  # the row of g^l at l - 1, l = 1 .. n-1
     for lo, hi in zip(bounds, bounds[1:]):
-        sums[pw[lo:hi] - 2] = _shifted_sums(windows, range(lo, hi), conj_u)
-    paired = np.arange(1, half)
-    sums[pw[n - paired] - 2] = np.conj(sums[pw[paired] - 2])
-    sums[~coeffs.any(axis=1)] = p - 1
-    return coeffs, sums
+        walk_sums[lo - 1:hi - 1] = _shifted_sums(windows, range(lo, hi), conj_u)
+    np.conj(walk_sums[:half - 1][::-1], out=walk_sums[half:])  # row n - l, l = half-1 .. 1
+    sums = np.empty(len(xs), dtype=np.complex128)
+    sums[pw[1:] - 2] = walk_sums
+    sums[~rows.any(axis=0)] = p - 1
+    return rows.T, sums
 
 
 def difference_sums(p: int, f: Polynomial) -> np.ndarray:
@@ -259,14 +288,17 @@ def lemma2_defect(t: CharacterTable, f: Polynomial) -> float:
     """Max over all chi mod p of | |S(chi,f)|^2 - (p-1) - sum_x chi(x) T(g_x) |.
 
     The identity is exact, so the defect is pure floating-point noise
-    (~1e-10 for the p used here).
+    (~1e-10 for the p used here).  Both character sums, S(chi, f) and
+    sum_x chi(x) T(g_x), come from one batched transform of the two grids
+    at the units (T(g_1) = 0 is no term): each row of the batch is
+    bit-identical to a transform of its own.
     """
     p = t.q
-    _check_prime(p)
-    s = weighted_char_sum_all(t, f)
+    s_grid = _unit_grid(t, f)
     g = np.zeros(p, dtype=np.complex128)
     g[2:] = difference_sums(p, f)
-    rhs = (p - 1) + t.sums_over_residues(g)
+    s, weighted = t.sums_over_units(np.stack((s_grid, g[t._units])))
+    rhs = (p - 1) + weighted
     return float(np.abs(np.abs(s) ** 2 - rhs).max())
 
 

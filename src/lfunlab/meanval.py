@@ -19,8 +19,8 @@ hand-waved tolerance.
 A sweep takes the main terms of all its queries from one _main_terms call,
 and the statistics from _batch_reports in batches of consecutive moduli that
 only the psi grids bound; build_report takes both steps on one query.
-thm1_lhs and thm2_lhs_direct return a report's lhs; cross_terms.lhs uses
-_statistics.
+thm1_lhs and thm2_lhs_direct return a report's lhs; cross_terms takes its
+recombination sums and its lhs from one _statistics call.
 """
 
 from __future__ import annotations
@@ -350,8 +350,9 @@ class CrossTerms:
 def cross_terms(q: int, k: int, a) -> CrossTerms:
     """The cross terms and the thm1 statistic from one lfun.closed_vectors_batch
     job: L(1, chi), the tail T(chi, a) and L(1, chi, a) from one digamma
-    call on psi(r/q) and psi((r + a)/q) and one 3-row transform.  The
-    statistic is the reports' own (_statistics) of that L(1, chi, a)."""
+    call on psi(r/q) and psi((r + a)/q) and one 3-row transform.  The four
+    recombination sums and the statistic are the reports' own (_statistics)
+    thm1 sums of their five weights, against one chi(k) column."""
     query = MeanValueQuery("thm1", q, a, k)
     a = query.a
     fac = factorize(q)
@@ -361,15 +362,16 @@ def cross_terms(q: int, k: int, a) -> CrossTerms:
     for vec in vecs.values():
         vec[t.principal_index] = 0.0
     lvec, tvec = vecs["l1"], vecs["tail"]
-    col = t.values_at(k)
-    conj = t.conjugate_map
-    m1 = complex((col * (tvec * lvec[conj])).sum())
-    m2 = complex((col * (np.conj(tvec) * lvec)).sum())
-    m3 = complex((col * (np.abs(tvec) ** 2)).sum())
-    unshifted = complex((col * (np.abs(lvec) ** 2)).sum())
+    sums = _statistics(query, {
+        "m1": tvec * lvec[t.conjugate_map],
+        "m2": np.conj(tvec) * lvec,
+        "m3": np.abs(tvec) ** 2,
+        "unshifted": np.abs(lvec) ** 2,
+        "lhs": np.abs(vecs["l1a"]) ** 2,
+    }, t)
+    m1, m2, m3, unshifted, lhs = sums.values()
     af = float(a)
     recombined = unshifted - af * (m1 + m2) + af * af * m3
-    lhs = _statistics(query, {"closed_direct": np.abs(vecs["l1a"]) ** 2}, t)["closed_direct"]
 
     phi = euler_phi(fac)
     sieve = _ZETA2 * _sieve_factor(fac)
@@ -420,8 +422,9 @@ def _normalization(target: str, fac: Factorization, k_deg: int | None) -> float:
 
 def _statistics(query: MeanValueQuery, weights: dict[str, np.ndarray],
                 t: CharacterTable | None) -> dict[str, complex]:
-    """The query's target statistic for each route's weights |L(1, chi, a)|^2
-    (the principal slot is already 0), t the table mod query.q.
+    """The query's target statistic for each named weight vector over the
+    characters (a route's |L(1, chi, a)|^2, or one of cross_terms' sums;
+    the principal slot is already 0), t the table mod query.q.
 
     eq1 sums them and reads no character, so it takes t = None when its
     vectors are stored; lemma4 and thm1 read the chi(k) column, and thm2
@@ -608,8 +611,9 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
                    seed: int | None = None, method: str = "closed_direct",
                    jobs: int = 1, cache: ReportCache | None = None) -> ResidualSeries:
     """Evaluate the target over a modulus list, skipping the moduli that
-    fail _check_modulus; a parameter that fails _check_parameters, or a
-    modulus listed twice, raises before any work.
+    fail _check_modulus; a parameter that fails _check_parameters, a
+    modulus listed twice or one above the table bound raises before any
+    work.
 
     The main terms of all valid queries come from one _main_terms call; each
     batch (_batches) goes to _batch_reports with its slice of them, as one
@@ -625,6 +629,9 @@ def residual_sweep(target: str, moduli: Iterable[int], a, k: int | None = None,
     repeated = [q for q, n in Counter(moduli).items() if n > 1]
     if repeated:
         raise ValueError(f"modulus {repeated[0]} is listed more than once")
+    for q in moduli:
+        if isinstance(q, int):  # other entries are skipped by _check_modulus
+            chars.check_table_bound(q)
     queries: list[MeanValueQuery] = []
     skipped: list[tuple[int, str]] = []
     for q in moduli:

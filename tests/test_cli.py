@@ -168,6 +168,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("out, message", [
+        ("missing/t.json", "output directory 'missing' does not exist"),
+        ("t.txt", "chars --out must end in .json, the only format it writes, got 't.txt'"),
+        ("t.csv", "chars --out must end in .json, the only format it writes, got 't.csv'"),
+    ])
+    def test_bad_chars_out_fails_before_any_work(self, out, message, tmp_path, monkeypatch, capsys):
+        def no_build(q):
+            raise AssertionError(f"table mod {q} built before --out was checked")
+
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", no_build)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("chars", "--q", "35", "--out", out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("target", ["thm2", "lemma2", "lemma3"])
     def test_oversized_difference_table_refused_before_any_work(self, target, monkeypatch, capsys):
         def no_evaluation(*args):

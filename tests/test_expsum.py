@@ -18,7 +18,7 @@ import pytest
 
 from lfunlab import expsum
 from lfunlab.arith import primitive_root
-from lfunlab.chars import char_value, get_table
+from lfunlab.chars import CharacterTable, build_character_table, char_value, get_table
 from lfunlab.expsum import (
     CompletedSumAudit,
     Polynomial,
@@ -376,6 +376,22 @@ class TestLemma2Defect:
             f = sample_polynomial(rng, rng.randint(1, 4), p)
             assert lemma2_defect(t, f) < 1e-7 * p
 
+
+    @pytest.mark.parametrize("p", [5, 101, 1009, 2003])
+    def test_one_transform_with_the_bits_of_two(self, p, monkeypatch):
+        # Both sides in one batch of two rows, each row bit-identical to a
+        # transform of its own: the defect of a call per side, bit for bit.
+        t = build_character_table(p)
+        f = sample_polynomial(random.Random(p), 3, p)
+        g = np.zeros(p, dtype=np.complex128)
+        g[2:] = difference_sums(p, f)
+        rhs = (p - 1) + t.sums_over_residues(g)
+        separate = float(np.abs(np.abs(weighted_char_sum_all(t, f)) ** 2 - rhs).max())
+        rows = []
+        transform = CharacterTable._transform
+        monkeypatch.setattr(CharacterTable, "_transform", lambda t, grid: rows.append(len(grid)) or transform(t, grid))
+        assert lemma2_defect(t, f) == separate
+        assert rows == [2]
 
 class TestLemma3Report:
     def test_linear_no_degenerate(self):

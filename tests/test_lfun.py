@@ -1,8 +1,10 @@
 """Shifted L-values at s=1: closed routes vs truncated partial-sum oracle."""
 
+import dataclasses
 import inspect
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -59,16 +61,20 @@ class TestAnchors:
             assert abs(lfun.l1_chi(t, j).conjugate() - lfun.l1_chi(t, jc)) < 1e-12
 
 
+def kronecker_at_2(d):
+    """(d/2): 0 for even d, -1 for d = 3, 5 (mod 8), else 1."""
+    return 0 if d % 2 == 0 else -1 if d % 8 in (3, 5) else 1
+
+
 def kronecker(d, n):
     """The Kronecker symbol (d/n) for n >= 1: a factor (d/2) per factor 2 of
     n, then the Jacobi symbol by reciprocity."""
     result = 1
     while n % 2 == 0:
         n //= 2
-        if d % 2 == 0:
-            return 0
-        if d % 8 in (3, 5):
-            result = -result
+        result *= kronecker_at_2(d)
+    if result == 0:
+        return 0
     d %= n
     while d:
         while d % 2 == 0:
@@ -116,18 +122,25 @@ def kronecker_character(t, d):
     return j
 
 
+# w(-D), the number of units of the quadratic order of discriminant -D: 2
+# unless D is 3 or 4.
+ROOTS_OF_UNITY = {3: 6, 4: 4}
+
+
 def class_number_gap(d):
     """|L(1, chi_{-D}) - 2 pi h/(w sqrt D)| relative to the class number
     formula's side (Davenport, Multiplicative Number Theory, ch. 6)."""
     t = build_character_table(d)
-    w = {3: 6, 4: 4}.get(d, 2)
+    w = ROOTS_OF_UNITY.get(d, 2)
     expected = 2 * math.pi * class_number(d) / (w * math.sqrt(d))
     return abs(lfun.l1_vector(t)[kronecker_character(t, d)] - expected) / expected
 
 
 class TestClassNumberAnchor:
     """L(1, chi_{-D}) = 2 pi h(-D)/(w sqrt D) at every fundamental
-    discriminant -D with D <= 3000, h counted from reduced forms."""
+    discriminant -D with D <= 3000, h counted from reduced forms; a digamma
+    error, a wrong w, a sign error in (-D/2) and a misordered table each
+    break it."""
 
     KNOWN = {1: (3, 4, 7, 8, 11, 19, 43, 67, 163), 2: (20, 24, 40), 3: (23,), 4: (56, 84), 5: (47,), 7: (71,)}
 
@@ -143,6 +156,38 @@ class TestClassNumberAnchor:
         digamma = lfun.digamma
         monkeypatch.setattr(lfun, "digamma", lambda x: digamma(x) * (1 + 1e-9))
         assert min(class_number_gap(d) for ds in self.KNOWN.values() for d in ds) > 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_a_wrong_unit_count_breaks_the_formula(self, d, monkeypatch):
+        monkeypatch.setitem(ROOTS_OF_UNITY, d, 2)
+        assert class_number_gap(d) > 0.1
+
+    # Primes with primitive root 2: the axis unit is 2, so locating chi_{-D}
+    # reads (-D/2).
+    @pytest.mark.parametrize("d", [3, 11, 19, 67, 163])
+    def test_a_sign_error_at_2_breaks_the_formula(self, d, monkeypatch):
+        assert build_character_table(d)._units[1] == 2
+        at_2 = kronecker_at_2
+        monkeypatch.setattr(sys.modules[__name__], "kronecker_at_2", lambda d: -at_2(d))
+        assert class_number_gap(d) > 0.1
+
+    def test_swapped_units_of_opposite_symbols_break_the_formula(self, monkeypatch):
+        build = build_character_table
+
+        def swapped(d):
+            t = build(d)
+            symbols = [kronecker(-d, int(u)) for u in t._units]
+            i, j = symbols.index(-1), len(symbols) - 1 - symbols[::-1].index(1)
+            units = t._units.copy()
+            units[[i, j]] = units[[j, i]]
+            residue_index = t.residue_index.copy()
+            residue_index[units[[i, j]]] = [i, j]
+            return dataclasses.replace(t, residue_index=residue_index)
+
+        monkeypatch.setattr(sys.modules[__name__], "build_character_table", swapped)
+        # Not D = 8: there the swapped units 3 and 5 are the two generators of
+        # (Z/8)^* = C2 x C2, and swapping them is an automorphism of the group.
+        assert min(class_number_gap(d) for ds in self.KNOWN.values() for d in ds if d != 8) > 0.1
 
 
 class TestShiftedTailSum:

@@ -215,6 +215,14 @@ class TestCrossTerms:
         # One batch, the same bits as the thm1 statistic by its own route.
         assert meanval.cross_terms(q, k, A(a_str)).lhs == meanval.thm1_lhs(q, k, A(a_str))
 
+    def test_one_character_column_per_call(self, monkeypatch):
+        # The four recombination sums and lhs are weights of one _statistics call.
+        columns = []
+        values_at = chars.CharacterTable.values_at
+        monkeypatch.setattr(chars.CharacterTable, "values_at", lambda t, x: columns.append(x) or values_at(t, x))
+        meanval.cross_terms(2310, 13, A("3/2"))
+        assert columns == [13]
+
     def test_k_inversion_relates_m1_m2(self):
         for q, k, a_str in ((7, 2, "1"), (13, 5, "2")):
             ct = meanval.cross_terms(q, k, A(a_str))
@@ -521,6 +529,16 @@ class TestQueryRules:
         with pytest.raises(ValueError, match="^modulus 11 is listed more than once$"):
             library_sweep("thm1", (11, 7, 2, 11, 2), "2", k="3")
 
+    def test_sweep_refuses_a_modulus_over_the_table_bound_before_any_work(self, monkeypatch, capsys):
+        # Without the check the moduli below the bound were computed first.
+        bound = chars._MAX_MODULUS
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        assert cli.run(sweep_argv("lemma4", (99991, 100003), "2")) == 2
+        assert capsys.readouterr() == ("", f"error: modulus 100003 exceeds the table bound {bound}\n")
+        with pytest.raises(ValueError, match=f"^modulus {bound + 1} exceeds the table bound {bound}$"):
+            library_sweep("eq1", (7, bound, bound + 1, 11), "2")
+
     @pytest.mark.parametrize("argv, message", [
         (("recombination", "--q", "35", "--k", "1"), "thm1 weight k must be an integer >= 2, got 1"),
         (("recombination", "--q", "35", "--k", "2", "--a", "1/2"), "shift must satisfy a >= 1, got a=1/2"),
@@ -755,6 +773,41 @@ class TestResidueDomainIdentity:
     def test_a_character_column_read_at_k_plus_one_breaks_it(self, target, monkeypatch):
         values_at = chars.CharacterTable.values_at
         monkeypatch.setattr(chars.CharacterTable, "values_at", lambda t, x: values_at(t, x + 1))
+        assert self.worst_gap(target, (7, 11, 25, 97, 101, 4096)) > 1e-6
+
+    @staticmethod
+    def edit_tables(monkeypatch, edit):
+        """Every table the sweep builds, edited in place by edit(t)."""
+        build = chars.build_character_table
+
+        def edited(q):
+            t = build(q)
+            edit(t)
+            return t
+
+        monkeypatch.setattr(chars, "build_character_table", edited)
+
+    @pytest.mark.parametrize("target", ["lemma4", "eq1", "thm1"])
+    def test_a_non_unit_in_the_grid_breaks_it(self, target, monkeypatch):
+        def non_unit_last(t):
+            units = t._units.copy()
+            units[-1] = min(p for p, _ in factorize(t.q).factors)  # p | q
+            t._units = units
+
+        self.edit_tables(monkeypatch, non_unit_last)
+        assert self.worst_gap(target, (25, 35, 55, 1001)) > 1e-6
+
+    @pytest.mark.parametrize("target", ["lemma4", "thm1"])
+    def test_swapped_logs_at_the_weight_break_it(self, target, monkeypatch):
+        # eq1 is k = 1 and reads no character value, so no swap can move it.
+        weight = self.SWEEPS[target][2]
+
+        def swap_weight_and_minus_one(t):
+            residue_index = t.residue_index.copy()
+            residue_index[[weight, t.q - 1]] = residue_index[[t.q - 1, weight]]
+            t.residue_index = residue_index
+
+        self.edit_tables(monkeypatch, swap_weight_and_minus_one)
         assert self.worst_gap(target, (7, 11, 25, 97, 101, 4096)) > 1e-6
 
     @pytest.mark.parametrize("target", ["lemma4", "eq1", "thm1"])

@@ -106,6 +106,9 @@ FIXED = [
     # a modulus listed twice, and --out in a missing directory, refused before any work
     ["sweep", "--target", "eq1", "--moduli", "7,7,11", "--a", "2"],
     ["sweep", "--target", "eq1", "--moduli", "3", "--a", "1", "--out", "missing/x.csv"],
+    # a modulus over the table bound, and chars --out in a missing directory, refused before any work
+    ["sweep", "--target", "lemma4", "--moduli", "99991,100003", "--a", "2"],
+    ["chars", "--q", "35", "--out", "missing/t.json"],
 ]
 
 
