@@ -290,7 +290,7 @@ def lemma2_defect(t: CharacterTable, f: Polynomial) -> float:
     The identity is exact, so the defect is pure floating-point noise
     (~1e-10 for the p used here).  Both character sums, S(chi, f) and
     sum_x chi(x) T(g_x), come from one batched transform of the two grids
-    at the units (T(g_1) = 0 is no term): each row of the batch is
+    at the units (the second is 0 at x = 1, which the sum omits): each row of the batch is
     bit-identical to a transform of its own.
     """
     p = t.q
