@@ -38,37 +38,22 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     if n > 2**32:
         raise ValueError(f"factorize supports n <= 2^32, got {n}")
-    m = n
-    factors = []
-    for p in (2, 3):
+    m, p, factors = n, 2, []
+    while p * p <= m:  # 2, then the odd candidates; the prime factors come out ascending
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    # remaining prime factors are of the form 6k +- 1
-    p = 5
-    while p * p <= m:
-        for q in (p, p + 2):
-            if m % q == 0:
-                e = 0
-                while m % q == 0:
-                    m //= q
-                    e += 1
-                factors.append((q, e))
-        p += 6
+        p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    factors.sort()
     return Factorization(n, tuple(factors))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = factorize(n)
-    return len(f.factors) == 1 and f.factors[0][1] == 1
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 def euler_phi(f: Factorization) -> int:

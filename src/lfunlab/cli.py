@@ -33,7 +33,7 @@ import numpy as np
 from . import lfun, meanval
 from .arith import euler_phi, factorize, is_prime
 from .cache import ReportCache, default_cache_dir
-from .chars import get_table, nonprincipal_period_sum_defect, orthogonality_defect
+from .chars import _MAX_MODULUS, get_table, nonprincipal_period_sum_defect, orthogonality_defect
 from .expsum import (Polynomial, check_difference_budget, complete_sum, lemma2_defect, lemma3_report,
                      weighted_char_sum_all)
 from .meanval import MeanValueReport, ResidualSeries, cross_terms, residual_sweep
@@ -139,7 +139,10 @@ def _parse_moduli(primes: str | None, moduli: str | None) -> tuple[int, ...]:
             raise ValueError(f"--primes wants integer endpoints, got {primes!r}") from exc
         if lo > hi:
             raise ValueError(f"--primes range is empty: {primes!r}")
-        return tuple(n for n in range(max(lo, 2), hi + 1) if is_prime(n))
+        # the scan stops at the first prime over the table bound, which the sweep refuses before any work
+        bound = _MAX_MODULUS
+        over = next((n for n in range(max(lo, bound + 1), hi + 1) if is_prime(n)), None)
+        return tuple(n for n in range(max(lo, 2), min(hi, bound) + 1) if is_prime(n)) + ((over,) if over else ())
     try:
         return tuple(int(tok.strip()) for tok in moduli.split(",") if tok.strip())
     except ValueError as exc:
@@ -228,6 +231,8 @@ def _normalize(ns: argparse.Namespace) -> None:
         ns.f = Polynomial.parse(ns.f) if ns.f else None
     if hasattr(ns, "a"):
         ns.a = ShiftParam.of(ns.a)
+        if getattr(ns, "target", None) != "lemma4" and ns.a > sys.float_info.max:  # all others read float(a)
+            raise ValueError(f"shift must satisfy a <= {sys.float_info.max!r}, the largest float")
     if getattr(ns, "p", None) is not None:
         if getattr(ns, "q", None) is not None:
             raise ValueError("--q and --p both name the modulus; give one of them")
@@ -254,14 +259,6 @@ def _normalize(ns: argparse.Namespace) -> None:
             raise ValueError(f"--jobs must be at least 1, got {ns.jobs}")
 
 
-def _cache_from(ns: argparse.Namespace) -> ReportCache | None:
-    if getattr(ns, "cache_dir", None):
-        return ReportCache(ns.cache_dir)
-    if getattr(ns, "cache", False):
-        return ReportCache(default_cache_dir())
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers (return exit codes)
 
@@ -270,7 +267,7 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+def _handle_chars(ns: argparse.Namespace) -> int:
     t = get_table(ns.q)
     phi = t.phi
     print(f"modulus q = {t.q}: phi(q) = {phi}, character group exponent = {t.exponent}")
@@ -296,7 +293,7 @@ def _handle_chars(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     return 0
 
 
-def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+def _handle_lvalue(ns: argparse.Namespace) -> int:
     t = get_table(ns.q)
     _require(t.phi > 1, f"modulus {ns.q} has no non-principal characters")
     a = ns.a
@@ -317,7 +314,7 @@ def _handle_lvalue(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     return 0
 
 
-def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+def _handle_expsum(ns: argparse.Namespace) -> int:
     p = ns.q
     f = ns.f
     _require(f is not None, "--f is required")
@@ -335,7 +332,7 @@ def _handle_expsum(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     return 0
 
 
-def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+def _handle_verify(ns: argparse.Namespace) -> int:
     target = ns.target
     if target == "orthogonality":
         t = get_table(ns.q)
@@ -404,7 +401,8 @@ def _handle_verify(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     return 0 if gap < tol else 1
 
 
-def _handle_sweep(ns: argparse.Namespace, cache: ReportCache | None) -> int:
+def _handle_sweep(ns: argparse.Namespace) -> int:
+    cache = ReportCache(ns.cache_dir or default_cache_dir()) if ns.cache_dir or ns.cache else None
     series = residual_sweep(ns.target, ns.moduli, ns.a, k=ns.k, f=ns.f, degree=ns.degree, seed=ns.seed,
                             method=ns.method, jobs=ns.jobs, cache=cache)
     emit_report(list(series.reports), ns.out, series)
@@ -423,8 +421,8 @@ def _handle_sweep(ns: argparse.Namespace, cache: ReportCache | None) -> int:
     return 0
 
 
-def _handle_cache(ns: argparse.Namespace, cache: ReportCache | None) -> int:
-    cache = cache or ReportCache(default_cache_dir())
+def _handle_cache(ns: argparse.Namespace) -> int:
+    cache = ReportCache(ns.cache_dir or default_cache_dir())
     entries = cache.entries()
     tables = sum(1 for e in entries if e.startswith("table_"))
     records = sum(1 for e in entries if e.startswith("lvec_"))  # a record may hold several vectors
@@ -451,7 +449,7 @@ def run(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         _normalize(ns)
-        return _HANDLERS[ns.subcommand](ns, _cache_from(ns))
+        return _HANDLERS[ns.subcommand](ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,17 +35,17 @@ because this code is separate (its own Bernoulli constants, nothing
 imported from specfun) and applies the expansion only at k + beta >= 24
 after 24 q direct terms, while digamma shifts its argument to x >= 10, uses
 B_2 .. B_14 and no direct terms.  closed_vectors_batch computes the closed
-pieces L(1, chi, a), L(1, chi) and the shift tail (a > 0) of several
-(table, shift) jobs, such as a sweep's batch of moduli
-(meanval._batch_reports): the grids of all jobs come from one digamma call,
-and each table transforms its distinct grids in one batched call; a caller
-of one modulus passes one job.  route_vectors_batch, tail_vector and
-meanval.cross_terms read it, so the tail has one implementation and verify
---target recombination reads one batch.  digamma is elementwise bit for bit
-and a batched row is bit-identical to a call of its own, so the sharing
-changes no number: route_agreement still compares closed_direct's row of
-psi((u + a)/q) with closed_lemma1's L(1, chi) - a * tail, whose pieces are
-rows of their own.
+pieces of several (table, shift, lemma1) jobs, such as a sweep's batch of
+moduli (meanval._batch_reports): L(1, chi, a) from the grid at a, and for a
+lemma1 job also L(1, chi) and the shift tail (a > 0) from the grids at a and
+0; the grids of all jobs come from one digamma call, and each table
+transforms its rows in one batched call; a caller of one modulus passes one
+job.  route_vectors_batch, tail_vector and meanval.cross_terms read it, so
+the tail has one implementation and verify --target recombination reads one
+batch.  digamma is elementwise bit for bit and a batched row is
+bit-identical to a call of its own, so the sharing changes no number:
+route_agreement still compares closed_direct's row of psi((u + a)/q) with
+closed_lemma1's L(1, chi) - a * tail, whose pieces are rows of their own.
 
 Each route is computed for all characters at once (l1a_vector,
 truncated_vector, dispatched by route_vectors_batch), by one transform over
@@ -61,7 +61,7 @@ implementation, so the three routes stay the only independent evaluations.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +116,7 @@ def tail_vector(t: CharacterTable, a: ShiftParam) -> np.ndarray:
         first = int(q == 1)  # the unit mod 1 is residue 0, whose weight is 0
         grid[first:] = hurwitz_zeta(2.0, t._units[first:] / q)
         return t.sums_over_units(grid) / (q * q)
-    return closed_vectors_batch([(t, a, ("tail",))])[0]["tail"]
+    return closed_vectors_batch([(t, a, True)])[0]["tail"]
 
 
 def l1a_vector(t: CharacterTable, a: ShiftParam, method: str = "closed_direct") -> np.ndarray:
@@ -223,39 +223,36 @@ def default_truncation(q: int) -> int:
     return 10**4 * q
 
 
-def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, Collection[str]]]
-                         ) -> list[dict[str, np.ndarray]]:
-    """The closed pieces for every character of each (table, shift, parts)
-    job, {part: new array}, principal slot as the transform leaves it:
-    "l1a" = -T(psi_a)/q, L(1, chi, a) by closed_direct; "l1" = -T(psi_0)/q,
-    L(1, chi); "tail" (a > 0 only) = T(psi_a - psi_0)/(a q),
+def closed_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam, bool]]) -> list[dict[str, np.ndarray]]:
+    """The closed pieces for every character of each (table, shift, lemma1)
+    job, {piece: new array}, principal slot as the transform leaves it:
+    "l1a" = -T(psi_a)/q, L(1, chi, a) by closed_direct; with lemma1 also
+    "l1" = -T(psi_0)/q, L(1, chi), and at a > 0 "tail" = T(psi_a - psi_0)/(a q),
     sum_n chi(n)/(n (n + a)); with T the character transform and psi_s the
     grid psi((u + s)/q) at the units u in grid order (t._units; at q = 1 the
     unit is residue 0 and its slot holds 0).
 
-    The psi grids of every job come from one digamma call on the
-    concatenated arguments (a single job's are passed as they are), each
-    entry bit-identical to a call of its own; then each table transforms its
-    distinct grids once, in one batched call, as a job of its own would."""
-    plans = []
-    for t, a, parts in jobs:
-        s = float(a)
-        if "tail" in parts and not s:
-            raise ValueError("the digamma tail needs a > 0; tail_vector takes a = 0")
-        grid_of = {"l1a": s, "l1": 0.0, "tail": "tail"}  # psi at a shift, keyed by the shift, or "tail"
-        keys = list(dict.fromkeys(grid_of[p] for p in ("l1a", "l1", "tail") if p in parts))
-        shifts = (s, 0.0) if "tail" in keys else tuple(keys)  # at a = 0 "l1a" and "l1" share one grid
-        plans.append((s, grid_of, keys, shifts))
+    A job evaluates psi_a and transforms one row, which at a = 0 serves
+    "l1" too; a lemma1 job at a > 0 also evaluates psi_0 and transforms the
+    three rows psi_a, psi_0 and psi_a - psi_0.  The grids of every job come
+    from one digamma call on the concatenated arguments (a single job's are
+    passed as they are), each entry bit-identical to a call of its own, and
+    each table transforms its rows in one batched call."""
+    floats = [float(a) for _, a, _ in jobs]
+    shifts = [(s, 0.0) if lemma1 and s else (s,) for s, (_, _, lemma1) in zip(floats, jobs)]
     # the arguments are freed when the call returns; at q = 1 there are none
-    values = elementwise_batch(digamma, [(t._units[int(t.q == 1):] + np.array(shifts)[:, None]) / t.q
-                                         for (t, _, _), (_, _, _, shifts) in zip(jobs, plans)])
+    values = elementwise_batch(digamma, [(t._units[int(t.q == 1):] + np.array(s)[:, None]) / t.q
+                                         for (t, _, _), s in zip(jobs, shifts)])
     out = []
-    for (t, _, parts), (s, grid_of, keys, shifts), value in zip(jobs, plans, values):
+    for (t, _, lemma1), s, psi in zip(jobs, shifts, values):
         q = t.q
-        psi = dict(zip(shifts, value if q > 1 else np.zeros((len(shifts), 1))))
-        grids = [psi[s] - psi[0.0] if key == "tail" else psi[key] for key in keys]
-        sums = dict(zip(keys, t.sums_over_units(np.stack(grids))))
-        out.append({p: sums["tail"] / (s * q) if p == "tail" else -sums[grid_of[p]] / q for p in parts})
+        psi = psi if q > 1 else np.zeros((len(s), 1))
+        if len(s) == 2:
+            l1a, l1, tail = t.sums_over_units(np.vstack([psi, psi[0] - psi[1]]))
+            out.append({"l1a": -l1a / q, "l1": -l1 / q, "tail": tail / (s[0] * q)})
+        else:
+            l1a, = t.sums_over_units(psi)
+            out.append({"l1a": -l1a / q, "l1": -l1a / q} if lemma1 else {"l1a": -l1a / q})
     return out
 
 
@@ -275,22 +272,17 @@ def route_vectors_batch(jobs: Sequence[tuple[CharacterTable, ShiftParam]], metho
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    parts = {"l1a"} if "closed_direct" in methods else set()
-    tail = set()
-    if "closed_lemma1" in methods:
-        parts, tail = parts | {"l1"}, {"tail"}  # the a * tail term is exactly 0 at a = 0
-    shifts = [float(a) for _, a in jobs]
-    pieces = (closed_vectors_batch([(t, a, parts | tail if s else parts) for (t, a), s in zip(jobs, shifts)])
-              if parts else [{}] * len(jobs))
+    pieces = (closed_vectors_batch([(t, a, "closed_lemma1" in methods) for t, a in jobs])
+              if {"closed_direct", "closed_lemma1"} & set(methods) else [{}] * len(jobs))
     out = []
-    for (t, a), s, piece in zip(jobs, shifts, pieces):
+    for (t, a), piece in zip(jobs, pieces):
         vecs = {}
         for method in methods:
             bound = _CLOSED_ERROR_BUDGET
             if method == "closed_direct":
                 vals = piece["l1a"]
-            elif method == "closed_lemma1":
-                vals = piece["l1"] - s * piece["tail"] if s else piece["l1"]
+            elif method == "closed_lemma1":  # the a * tail term is exactly 0 at a = 0
+                vals = piece["l1"] - float(a) * piece["tail"] if "tail" in piece else piece["l1"]
             else:
                 vals, bound = truncated_vector(t, a, default_truncation(t.q) if n_terms is None else n_terms)
             vals[t.principal_index] = 0.0

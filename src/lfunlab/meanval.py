@@ -41,7 +41,7 @@ from .arith import Factorization, euler_phi, factorize, is_prime
 from .cache import LVEC_ROUTES, ReportCache
 from .chars import CharacterTable
 from .expsum import Polynomial, difference_sums, sample_polynomial, weighted_char_sum_all
-from .specfun import ShiftParam, digamma, elementwise_batch, floor_ratio, harmonic, hurwitz_zeta
+from .specfun import ShiftParam, digamma, elementwise_batch, harmonic, hurwitz_zeta
 
 log = logging.getLogger("lfunlab")
 
@@ -56,12 +56,19 @@ THM2_DIVISOR_NOTE = "divisor_sum_over_d|p"
 
 TENSION_FLAG = "main_term_tension"
 
+# Largest shift of eq1, thm1 and thm2, whose main terms sum H_[a/d] term by
+# term (specfun.harmonic) over the divisors d | q: at a = 10^5 the slowest
+# (eq1 at q = 30030, thm1 at q = 15015, k = 2) take 36 ms on a 2-core x86-64
+# host, and H_n grows linearly, 69 ms at n = 10^6 (about 70 s at 10^9).
+_MAX_SHIFT = 10**5
+
 
 def _check_parameters(target: str, a, k: int | None, f: Polynomial | None, method: str,
                       degree: int | None = None) -> ShiftParam:
     """The shift a, coerced, or ValueError unless the rules that do not read
     the modulus hold: a known target and method; lemma4's weight an integer
-    >= 2, else a >= 1; thm1's k an integer >= 2; a thm2 f or degree >= 1."""
+    >= 2, else 1 <= a <= _MAX_SHIFT; an integer thm1 k >= 2; a thm2 f or
+    degree >= 1."""
     a = ShiftParam.of(a)
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
@@ -72,6 +79,8 @@ def _check_parameters(target: str, a, k: int | None, f: Polynomial | None, metho
             raise ValueError(f"lemma4 weight must be an integer >= 2, got a={a}")
     elif a.numerator < a.denominator:
         raise ValueError(f"shift must satisfy a >= 1, got a={a}")
+    elif a > _MAX_SHIFT:
+        raise ValueError(f"shift must satisfy a <= {_MAX_SHIFT}, got a={a}")
     if target == "thm1" and (not isinstance(k, int) or isinstance(k, bool) or k < 2):
         raise ValueError(f"thm1 weight k must be an integer >= 2, got {k!r}")
     if target == "thm2" and f is None and (degree is None or degree < 1):
@@ -127,21 +136,6 @@ def _lvec_shift(query: MeanValueQuery) -> ShiftParam:
     return ShiftParam(0) if query.target == "lemma4" else query.a
 
 
-def _stored_vectors(queries: Sequence[MeanValueQuery], facs: dict[int, Factorization],
-                    cache: ReportCache | None) -> list[dict[str, np.ndarray] | None]:
-    """The closed-route vectors of each query's (q, shift) record, or None
-    when there is no cache, no record, or its vectors are not phi(q) long."""
-    if cache is None:
-        return [None] * len(queries)
-    out = []
-    for query in queries:
-        a = _lvec_shift(query)
-        vecs = cache.get_lvec(query.q, a.numerator, a.denominator)
-        sound = vecs is not None and {len(v) for v in vecs.values()} == {euler_phi(facs[query.q])}
-        out.append(vecs if sound else None)
-    return out
-
-
 def _lvalue_vectors(queries: Sequence[MeanValueQuery], stored: list[dict[str, np.ndarray] | None],
                     tables: dict[int, CharacterTable], cache: ReportCache | None) -> list[dict[str, np.ndarray]]:
     """L(1, chi, a) for all characters by every route each query compares
@@ -187,7 +181,7 @@ DivisorTerms = tuple[tuple[int, int], ...]
 def _mobius_harmonic(terms: DivisorTerms, a: ShiftParam, k: int = 1) -> float:
     """sum_{d|q} mu(d)/d H_[a/(kd)] over the divisor terms of q, summed from
     0 in ascending d."""
-    return sum(mu / d * harmonic(floor_ratio(a, k * d)) for d, mu in terms)
+    return sum(mu / d * harmonic(a // (k * d)) for d, mu in terms)
 
 
 def _mobius_divisor_terms(fac: Factorization) -> DivisorTerms:
@@ -261,7 +255,7 @@ def _thm1_main(fac: Factorization, terms: DivisorTerms, k: int, a: ShiftParam) -
     Inner blocks with an empty l-range contribute exactly 0.  The weight k
     enters as the written integer; only character evaluation reduces it mod q.
     """
-    total = sum(mu / d * (harmonic(floor_ratio(a, d)) - harmonic(floor_ratio(a, k * d))) for d, mu in terms)
+    total = sum(mu / d * (harmonic(a // d) - harmonic(a // (k * d))) for d, mu in terms)
     return euler_phi(fac) / (float(a) * (k - 1)) * total
 
 
@@ -320,7 +314,7 @@ def _thm2_main(p: int, a: ShiftParam, zetas: np.ndarray) -> float:
     p2 = float(p * p)
     zeta_a, zeta_ap = zetas
     zeta_part = float(p2 * (zeta_a - zeta_ap / (p * p)))
-    harm_part = 4.0 * p2 / float(a) * (harmonic(floor_ratio(a, 1)) - harmonic(floor_ratio(a, p)) / p)
+    harm_part = 4.0 * p2 / float(a) * (harmonic(a // 1) - harmonic(a // p) / p)
     return zeta_part - harm_part
 
 
@@ -503,10 +497,14 @@ def _batch_reports(queries: Sequence[MeanValueQuery], facs: dict[int, Factorizat
 
     Each modulus's table is built once (not from the chars.get_table memo)
     when a route is computed or the statistic reads characters, so a warm
-    eq1 batch builds none.  The cache records are read first, and the psi
-    grids of the misses come from one digamma call.
+    eq1 batch builds none.  The cache records are read first (a record whose
+    vectors are not phi(q) long is a miss), and the psi grids of the misses
+    come from one digamma call.
     """
-    stored = _stored_vectors(queries, facs, cache)
+    stored = []
+    for query in queries:
+        vecs = None if cache is None else cache.get_lvec(query.q, *_lvec_shift(query).as_integer_ratio())
+        stored.append(vecs if vecs and {len(v) for v in vecs.values()} == {euler_phi(facs[query.q])} else None)
     built = [query.q for query, vecs in zip(queries, stored)
              if vecs is None or query.method == "truncated" or query.target != "eq1"]
     tables = {q: chars.build_character_table(q) for q in dict.fromkeys(built)}

@@ -21,8 +21,8 @@ Euler-Maclaurin tail; it too works on a flat array whatever the argument's
 shape, so it is elementwise bit for bit as well.
 
 ShiftParam is a fractions.Fraction holding the series shift a >= 0 exactly,
-so floor quantities like [a/d] never go through floating point; the loops
-over divisors take [a/d] (floor_ratio) and a/d from its integers.
+so floor quantities never go through floating point: the divisor loops take
+[a/d] as Fraction's exact floor a // d, an int, and a/d from its integers.
 """
 
 from __future__ import annotations
@@ -197,10 +197,3 @@ class ShiftParam(Fraction):
         if isinstance(value, (int, Fraction)):
             return cls(value.numerator, value.denominator)
         raise ValueError(f"cannot interpret {value!r} as a shift (floats must be strings)")
-
-
-def floor_ratio(a: ShiftParam, d: int) -> int:
-    """Exact integer floor of a/d for d >= 1."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"floor_ratio expects an integer d >= 1, got {d!r}")
-    return a.numerator // (a.denominator * d)

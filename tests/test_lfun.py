@@ -484,6 +484,41 @@ class TestPsiGridWork:
         for m, (vals, bound) in expected.items():  # the batch changes no bit of either route
             assert np.array_equal(got[m][0], vals) and got[m][1] == bound
 
+    @pytest.mark.parametrize("q", [5, 24, 101, 1033])
+    @pytest.mark.parametrize("a, lemma1, grids, rows, pieces", [
+        ("3/2", False, 1, 1, {"l1a"}),
+        ("0", False, 1, 1, {"l1a"}),
+        ("3/2", True, 2, 3, {"l1a", "l1", "tail"}),
+        ("2", True, 2, 3, {"l1a", "l1", "tail"}),
+        ("0", True, 1, 1, {"l1a", "l1"}),
+    ])
+    def test_closed_job_cost(self, q, a, lemma1, grids, rows, pieces, monkeypatch):
+        # A job evaluates psi_a and transforms one row; a lemma1 job at a > 0
+        # adds psi_0 and transforms psi_a, psi_0 and their difference.
+        t = get_table(q)
+        sizes = self._record_grid_sizes(monkeypatch)
+        fft_calls = self._record_fft_calls(monkeypatch)
+        got = lfun.closed_vectors_batch([(t, ShiftParam.of(a), lemma1)])[0]
+        assert sizes["digamma"] == [grids * t.phi]
+        assert [shape[0] for shape in fft_calls] == [rows]
+        assert set(got) == pieces
+
+    @pytest.mark.parametrize("target, a, extra, grids, rows", [
+        ("eq1", "3/2", {}, 2, 3), ("thm1", "2", {"k": 3}, 2, 3), ("lemma4", "2", {}, 1, 1),
+    ])
+    def test_sweep_report_cost(self, target, a, extra, grids, rows, monkeypatch):
+        # Each report of a sweep is one lemma1 job: three rows at a > 0, the
+        # one row psi_0 for lemma4, whose L-vectors are at shift 0; the batch
+        # of moduli takes its grids from one digamma call.
+        moduli = (101, 103, 107)
+        sizes = self._record_grid_sizes(monkeypatch)
+        fft_calls = self._record_fft_calls(monkeypatch)
+        series = meanval.residual_sweep(target, moduli, a, **extra)
+        assert [r.q for r in series.reports] == list(moduli)
+        # thm1's diagonal oracles add one digamma call on their few divisor terms
+        assert [n for n in sizes["digamma"] if n > 100] == [grids * sum(q - 1 for q in moduli)]
+        assert [shape[0] for shape in fft_calls] == [rows] * len(moduli)
+
     @pytest.mark.parametrize("methods", [
         ("closed_direct", "closed_lemma1"), ("closed_lemma1",), ("closed_direct", "truncated"), ("truncated",),
     ])
@@ -542,7 +577,7 @@ def test_unit_order_grids_are_bit_identical_to_residue_order(q, monkeypatch):
     for a in ("0", "3/2", "2"):
         a = ShiftParam.of(a)
         parts = ("l1a", "l1", "tail") if float(a) else ("l1a", "l1")
-        got, expected = lfun.closed_vectors_batch([(t, a, parts)])[0], _residue_order_closed_vectors(t, a, parts)
+        got, expected = lfun.closed_vectors_batch([(t, a, True)])[0], _residue_order_closed_vectors(t, a, parts)
         for p in parts:
             assert np.array_equal(got[p], expected[p]), (a, p)
     assert min(arguments) > 0

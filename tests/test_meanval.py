@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -22,7 +23,7 @@ from lfunlab.arith import divisors, euler_phi, factorize, is_prime, moebius
 from lfunlab.cache import ReportCache
 from lfunlab.chars import char_value, get_table
 from lfunlab.expsum import Polynomial, weighted_char_sum_all
-from lfunlab.specfun import ShiftParam, digamma, floor_ratio, harmonic, hurwitz_zeta
+from lfunlab.specfun import ShiftParam, digamma, harmonic, hurwitz_zeta
 
 A = ShiftParam.of
 ZETA2 = math.pi**2 / 6
@@ -499,6 +500,9 @@ def _no_table(q):
     raise AssertionError(f"table mod {q} built before the parameters were checked")
 
 
+OVERFLOW = "shift must satisfy a <= 1.7976931348623157e+308, the largest float"
+
+
 class TestQueryRules:
     """A parameter rule is checked once per sweep, before any table is built,
     and refuses the sweep; only modulus rules skip a modulus."""
@@ -538,6 +542,44 @@ class TestQueryRules:
         assert capsys.readouterr() == ("", f"error: modulus 100003 exceeds the table bound {bound}\n")
         with pytest.raises(ValueError, match=f"^modulus {bound + 1} exceeds the table bound {bound}$"):
             library_sweep("eq1", (7, bound, bound + 1, 11), "2")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--target", "eq1", "--primes", "99000..100000000", "--a", "2"),
+         "modulus 100003 exceeds the table bound 100000"),
+        (("lvalue", "--q", "7", "--a", "1e400"), OVERFLOW),
+        (("lvalue", "--q", "7", "--a", "1e400", "--method", "truncated"), OVERFLOW),
+        (("verify", "--target", "lemma1", "--q", "7", "--a", "1e400"), OVERFLOW),
+        (("verify", "--target", "thm2", "--p", "7", "--f", "1,2", "--a", "1e400"), OVERFLOW),
+        (("sweep", "--target", "eq1", "--moduli", "7", "--a", "1e400"), OVERFLOW),
+        (("sweep", "--target", "eq1", "--moduli", "7", "--a", "1000000000"),
+         "shift must satisfy a <= 100000, got a=1000000000"),
+        (("sweep", "--target", "thm1", "--moduli", "7", "--a", "100001", "--k", "2"),
+         "shift must satisfy a <= 100000, got a=100001"),
+        (("sweep", "--target", "thm2", "--moduli", "7", "--a", "200001/2", "--degree", "2"),
+         "shift must satisfy a <= 100000, got a=200001/2"),
+        (("verify", "--target", "recombination", "--q", "7", "--k", "2", "--a", "1000000000"),
+         "shift must satisfy a <= 100000, got a=1000000000"),
+        (("verify", "--target", "thm2", "--p", "7", "--f", "1,2", "--a", "100001"),  # thm2's rules
+         "shift must satisfy a <= 100000, got a=100001"),
+    ])
+    def test_an_unbounded_request_is_refused_within_a_second(self, argv, message, monkeypatch, capsys):
+        # The whole --primes range was tested for primality, and a harmonic
+        # number of ~a terms summed per divisor, or float(a) overflowed.
+        get_table.cache_clear()
+        monkeypatch.setattr(chars, "build_character_table", _no_table)
+        monkeypatch.setattr(meanval, "harmonic", lambda n: pytest.fail(f"H_{n} summed before the shift was checked"))
+        start = time.perf_counter()
+        assert cli.run(list(argv)) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_requests_within_the_bounds_still_run(self, capsys):
+        assert cli._parse_moduli("99000..100002", None) == tuple(n for n in range(99000, 100003) if is_prime(n))
+        assert cli._parse_moduli("99000..100000000", None)[-2:] == (99991, 100003)
+        assert cli.run(["sweep", "--target", "eq1", "--moduli", "7", "--a", "100000"]) == 0
+        assert cli.run(["verify", "--target", "lemma1", "--q", "7", "--a", "1000000000"]) == 0
+        assert cli.run(["sweep", "--target", "lemma4", "--moduli", "7", "--a", "1e400"]) == 0  # reads no float(a)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("argv, message", [
         (("recombination", "--q", "35", "--k", "1"), "thm1 weight k must be an integer >= 2, got 1"),
@@ -817,7 +859,7 @@ class TestResidueDomainIdentity:
         def principal_kept(jobs, methods, n_terms=None):
             out = route_vectors_batch(jobs, methods, n_terms)
             for (t, a), vecs in zip(jobs, out):
-                principal = lfun.closed_vectors_batch([(t, a, ("l1a",))])[0]["l1a"][t.principal_index]
+                principal = lfun.closed_vectors_batch([(t, a, False)])[0]["l1a"][t.principal_index]
                 for vals, _ in vecs.values():
                     vals[t.principal_index] = principal
             return out
@@ -842,7 +884,7 @@ class TestMainTermsMatchDivisorLoop:
         zeta_sum = harmonic_sum = 0.0
         for d, mu in mobius_divisor_loop(q):
             zeta_sum += mu / (d * d) * hurwitz_zeta(2.0, a.numerator / (a.denominator * d))
-            harmonic_sum += mu / d * harmonic(floor_ratio(a, d))
+            harmonic_sum += mu / d * harmonic(a // d)
         full, first = main_terms("eq1", q, a)
         assert math.isclose(first, phi * zeta_sum, rel_tol=1e-14, abs_tol=0.0)
         expected = phi * zeta_sum - 4.0 * phi / float(a) * harmonic_sum

@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from lfunlab.specfun import ShiftParam, digamma, elementwise_batch, floor_ratio, harmonic, hurwitz_zeta
+from lfunlab.specfun import ShiftParam, digamma, elementwise_batch, harmonic, hurwitz_zeta
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -300,12 +300,14 @@ class TestShiftParam:
 
 
 def test_floor_ratio_examples():
-    assert floor_ratio(ShiftParam.of(1), 2) == 0
-    assert floor_ratio(ShiftParam.of("7/2"), 1) == 3
-    assert floor_ratio(ShiftParam.of(5), 5) == 1
+    # The divisor loops take [a/d] as a // d, Fraction's exact floor, an int.
+    for a, d, floor in (("1", 2, 0), ("7/2", 1, 3), ("5", 5, 1)):
+        assert type(ShiftParam.of(a) // d) is int
+        assert ShiftParam.of(a) // d == floor
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=100),
        st.integers(min_value=1, max_value=100))
 def test_floor_ratio_exact(num, den, d):
-    assert floor_ratio(ShiftParam(num, den), d) == (Fraction(num, den) / d).__floor__()
+    assert type(ShiftParam(num, den) // d) is int
+    assert ShiftParam(num, den) // d == (Fraction(num, den) / d).__floor__()

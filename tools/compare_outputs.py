@@ -109,6 +109,13 @@ FIXED = [
     # a modulus over the table bound, and chars --out in a missing directory, refused before any work
     ["sweep", "--target", "lemma4", "--moduli", "99991,100003", "--a", "2"],
     ["chars", "--q", "35", "--out", "missing/t.json"],
+    # a --primes range past the table bound, a shift whose float overflows and one past the
+    # harmonic-sum bound, refused before any work
+    ["sweep", "--target", "eq1", "--primes", "99000..100000000", "--a", "2"],
+    ["lvalue", "--q", "7", "--a", "1e400"],
+    ["sweep", "--target", "eq1", "--moduli", "7", "--a", "1e400"],
+    ["sweep", "--target", "eq1", "--moduli", "7", "--a", "1000000000"],
+    ["verify", "--target", "recombination", "--q", "7", "--k", "2", "--a", "1000000000"],
 ]
 
 
